@@ -1,9 +1,10 @@
 // bench_interp_vs_emitted.cpp — the prototyping-to-refinement story:
 // the same goal-directed search run (a) through the interpreter (the
-// interactive/Groovy path, re-parsed once, tree re-walked per cycle),
-// (b) as hand-held kernel composition (what congenc emits), and (c) as
-// plain native C++. The paper's claim for exploration is that the
-// relative ordering of alternatives is preserved under refinement.
+// interactive/Groovy path: parsed and chunk-compiled once, the bytecode
+// VM re-run per cycle), (b) as hand-held kernel composition (what
+// congenc emits), and (c) as plain native C++. The paper's claim for
+// exploration is that the relative ordering of alternatives is
+// preserved under refinement.
 #include <benchmark/benchmark.h>
 
 #include "congen.hpp"
@@ -14,23 +15,9 @@ using namespace congen;
 
 // (1 to 50) * isprime(4 to 100): a pure goal-directed search.
 
-void interpreterPath(benchmark::State& state) {
-  interp::Interpreter interp;
-  auto gen = interp.eval("(1 to 50) * isprime(4 to 100)");
-  for (auto _ : state) {
-    std::int64_t count = 0;
-    gen->restart();
-    while (gen->next()) ++count;
-    benchmark::DoNotOptimize(count);
-  }
-}
-
 void interpreterVmPath(benchmark::State& state) {
-  // Same search, bytecode VM backend: one chunk, inline-cached loads,
-  // native cut-through for isprime.
-  interp::Interpreter::Options options;
-  options.backend = interp::Backend::kVm;
-  interp::Interpreter interp(options);
+  // One chunk, inline-cached loads, native cut-through for isprime.
+  interp::Interpreter interp;
   auto gen = interp.eval("(1 to 50) * isprime(4 to 100)");
   for (auto _ : state) {
     std::int64_t count = 0;
@@ -78,8 +65,8 @@ void nativePath(benchmark::State& state) {
   }
 }
 
-void interpreterCompileCost(benchmark::State& state) {
-  // Parse + normalize + tree construction per evaluation — the price of
+void interpreterVmCompileCost(benchmark::State& state) {
+  // Parse + normalize + chunk compilation per evaluation — the price of
   // full interactivity.
   interp::Interpreter interp;
   for (auto _ : state) {
@@ -87,23 +74,11 @@ void interpreterCompileCost(benchmark::State& state) {
   }
 }
 
-void interpreterVmCompileCost(benchmark::State& state) {
-  // Parse + normalize + chunk compilation per evaluation.
-  interp::Interpreter::Options options;
-  options.backend = interp::Backend::kVm;
-  interp::Interpreter interp(options);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(interp.eval("(1 to 50) * isprime(4 to 100)"));
-  }
-}
-
 }  // namespace
 
-BENCHMARK(interpreterPath)->Name("refine/interpreter");
 BENCHMARK(interpreterVmPath)->Name("refine/interpreter_vm");
 BENCHMARK(kernelPath)->Name("refine/kernel_emitted");
 BENCHMARK(nativePath)->Name("refine/native_cpp");
-BENCHMARK(interpreterCompileCost)->Name("refine/interpreter_compile");
 BENCHMARK(interpreterVmCompileCost)->Name("refine/interpreter_vm_compile");
 
 BENCHMARK_MAIN();

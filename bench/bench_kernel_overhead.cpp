@@ -168,10 +168,8 @@ void goalDirectedSearch(benchmark::State& state) {
 
 void vmGoalDirectedSearch(benchmark::State& state) {
   // The same Section II search as goalDirectedSearch, run through the
-  // bytecode VM backend (compiled once, restarted per iteration).
-  interp::Interpreter::Options options;
-  options.backend = interp::Backend::kVm;
-  interp::Interpreter interp(options);
+  // interpreter's bytecode VM (compiled once, restarted per iteration).
+  interp::Interpreter interp;
   auto g = interp.eval("(1 to 10) * isprime(4 to 200)");
   for (auto _ : state) {
     g->restart();
@@ -184,9 +182,7 @@ void vmGoalDirectedSearch(benchmark::State& state) {
 void vmProcInvoke(benchmark::State& state) {
   // VM counterpart of the method-body-cache rows: 1000 calls of a
   // chunk-compiled procedure, bodies parked and rebound via BodyPool.
-  interp::Interpreter::Options options;
-  options.backend = interp::Backend::kVm;
-  interp::Interpreter interp(options);
+  interp::Interpreter interp;
   interp.load("procedure bump(i)\n  return i + 1\nend");
   const ProcPtr proc = interp.global("bump")->proc();
   for (auto _ : state) {

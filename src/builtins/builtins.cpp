@@ -551,8 +551,8 @@ Table buildTable() {
   addNative(t, "setquota", [](std::vector<Value>& args) -> std::optional<Value> {
     // setquota(name, n): set one budget on this thread's session
     // governor (lazily created — limitless — for code running outside a
-    // governed Interpreter, so scripts behave identically across the
-    // tree, VM, and emitted backends). The update is tighten-only
+    // governed Interpreter, so scripts behave identically interpreted
+    // and emitted). The update is tighten-only
     // against the host's envelope: on a script-owned budget n = 0
     // removes it, but a limit imposed by the embedder / congen-run
     // --max-* is a ceiling — n clamps to it and n = 0 restores it, so
@@ -585,7 +585,7 @@ Table buildTable() {
   addNative(t, "quota", [](std::vector<Value>&) -> std::optional<Value> {
     // quota(): a table of this session's budgets and usage. Limits and
     // live counts are deterministic at language level; "fuel_spent" /
-    // "heap_reserved" are backend- and batching-dependent diagnostics —
+    // "heap_reserved" are path- and batching-dependent diagnostics —
     // conformance scripts must not print them.
     auto gov = governor::currentOrThreadDefault();
     auto table = TableImpl::create(Value::null());

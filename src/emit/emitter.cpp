@@ -38,11 +38,11 @@ struct NameInfo {
   std::set<std::string> locals;      // everything needing a cell (params excluded)
 };
 
-void collectDeclared(const NodePtr& n, std::set<std::string>& out) {
+void collectDeclared(const NodePtr& n, std::set<std::string>& out, bool tempsOnly = false) {
   if (!n) return;
-  if (n->kind == Kind::VarDecl || n->kind == Kind::BoundIter) out.insert(n->text);
+  if (n->kind == Kind::BoundIter || (n->kind == Kind::VarDecl && !tempsOnly)) out.insert(n->text);
   if (n->kind == Kind::Def) return;  // nested defs own their names
-  for (const auto& k : n->kids) collectDeclared(k, out);
+  for (const auto& k : n->kids) collectDeclared(k, out, tempsOnly);
 }
 
 void collectReferenced(const NodePtr& n, std::set<std::string>& out) {
@@ -145,8 +145,20 @@ class Emitter {
          << ")->set(congen::Value::proc(make_" << def->text << "()));\n";
     }
     for (const auto& stmt : topStatements) {
+      // A statement's bound-iteration temporaries get cells of their own
+      // for its run; every other name stays a module global.
+      std::set<std::string> temps;
+      collectDeclared(stmt, temps, /*tempsOnly=*/true);
       pushScope();
-      os << "    (" << statement(stmt, 3) << ")->next();\n";
+      const int depth = temps.empty() ? 3 : 4;
+      const std::string pad(temps.empty() ? 4 : 6, ' ');
+      if (!temps.empty()) os << "    {\n";
+      for (const auto& t : temps) {
+        os << pad << "auto " << t << "_r = congen::CellVar::create();\n";
+        bindLocal(t, t + "_r");
+      }
+      os << pad << "(" << statement(stmt, depth) << ")->next();\n";
+      if (!temps.empty()) os << "    }\n";
       popScope();
     }
     os << "  }\n";

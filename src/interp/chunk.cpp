@@ -210,9 +210,13 @@ std::string disassemble(const Chunk& chunk) {
     const EscapeSite& e = chunk.escapes[i];
     os << "escape " << i << ": " << escapeKindName(e.node->kind);
     if (!e.node->text.empty()) os << " '" << e.node->text << "'";
-    if (e.stmtPos) os << " stmt";
     if (e.loopDepth >= 0) os << " loop=" << e.loopDepth << (e.inLoopBody ? " body" : " control");
     os << "\n";
+    // Operand chunks follow their site, indented one level per nesting.
+    for (const auto& operand : e.operands) {
+      std::istringstream lines(disassemble(*operand));
+      for (std::string line; std::getline(lines, line);) os << "  " << line << "\n";
+    }
   }
   return os.str();
 }

@@ -1,13 +1,13 @@
 // chunk.hpp — the compact bytecode form of a resolved procedure body.
 //
-// The third execution path (ROADMAP item 1): where the tree-walker
-// re-enters a chain of virtual doNext() calls per produced element, the
-// VM re-enters a flat dispatch loop at a saved pc. A Chunk is the static
-// half of that: fixed-width instructions, a constant table that reuses
-// the process-wide interned atoms and builtin constants, a line map for
-// diagnostics, and the side tables the resumable machine needs —
-// loop shapes, escape sites (subtrees that still run on the tree
-// kernel), and the &error conversion-handler map.
+// The interpreter's execution form: where emitted code re-enters a chain
+// of virtual doNext() calls per produced element, the VM re-enters a
+// flat dispatch loop at a saved pc. A Chunk is the static half of that:
+// fixed-width instructions, a constant table that reuses the
+// process-wide interned atoms and builtin constants, a line map for
+// diagnostics, and the side tables the resumable machine needs — loop
+// shapes, escape sites (constructs that run as kernel nodes over operand
+// sub-chunks), and the &error conversion-handler map.
 //
 // Goal-directed failure is a jump target here: `kMark` opens a bounded
 // region with a failure continuation pc, and `kEfail` either resumes the
@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "frontend/ast.hpp"
-#include "kernel/ops.hpp"  // BinKind / UnKind — shared with the tree kernel
+#include "kernel/ops.hpp"  // BinKind / UnKind — shared with the kernel nodes
 #include "runtime/value.hpp"
 
 namespace congen::interp::vm {
@@ -42,7 +42,7 @@ enum class Op : std::uint8_t {
   kUnmark,    // close the innermost region, dropping its suspensions
   kJump,      // a: target pc
   kEfail,     // goal-directed failure: resume or unwind
-  kYield,     // top-level expression result (scope-mode chunks)
+  kYield,     // expression result (eval, top-level and operand chunks)
   kSuspend,   // `suspend e`: yield the top entry flagged kSuspend
   kReturn,    // `return e`: yield flagged kReturn, then terminate
   kFailBody,  // `fail`: yield {&null, kFailBody}, then terminate
@@ -81,8 +81,8 @@ enum class Op : std::uint8_t {
   kThrowBreak,   // break with no enclosing loop in this chunk
   kThrowNext,    // next with no enclosing loop in this chunk
 
-  // -- tree escapes ----------------------------------------------------
-  kEscape,  // a: escape-site index — drive a tree-compiled subtree
+  // -- escapes ---------------------------------------------------------
+  kEscape,  // a: escape-site index — drive the site's kernel node
 };
 
 /// Number of opcodes — sizes the VM's dispatch table (vm.cpp pins its
@@ -97,17 +97,22 @@ struct Insn {
   std::int32_t b = 0;
 };
 
-/// A subtree that still executes on the tree kernel (scanning, case,
-/// co-expression creation, keyword variables, reversible assignment):
-/// the machine drives the compiled Gen through the same next() protocol
-/// the tree uses, so exactness is inherited rather than re-proven.
-/// Subgens are built eagerly at machine construction — the same moment
-/// the tree compiler would build them.
+struct Chunk;
+using ChunkPtr = std::shared_ptr<const Chunk>;
+
+/// A construct the machine runs as a kernel node instead of flattening
+/// it (scanning, case, reversible assignment, keyword variables, @, ^,
+/// co-expression and pipe creation): VmGen builds the node the emitter
+/// targets, over one sub-machine per operand chunk, and drives it through
+/// the next() protocol. Operand chunks compile inline, in source order,
+/// and their machines share the enclosing activation's frame or scope.
+/// Co-expression bodies are not operands — their factory compiles them
+/// in the environment it captures.
 struct EscapeSite {
   ast::NodePtr node;
-  bool stmtPos = false;       // compile via statement() vs expr()
-  std::int32_t loopDepth = -1; // innermost chunk loop at the site (-1: none)
-  bool inLoopBody = false;     // body vs control position of that loop
+  std::vector<ChunkPtr> operands;  // case: control, then [value,] body per branch
+  std::int32_t loopDepth = -1;     // innermost chunk loop at the site (-1: none)
+  bool inLoopBody = false;         // body vs control position of that loop
 };
 
 struct LoopShape {
@@ -118,7 +123,7 @@ struct LoopShape {
 
 /// One compiled body or expression.
 struct Chunk {
-  std::string name;                 // procedure name or "<expr>"
+  std::string name;                 // procedure name, "<expr>", or "<parent>/site.operand"
   std::vector<Insn> code;
   std::vector<std::int32_t> lines;  // per-insn source line (diagnostics)
   std::vector<Value> consts;        // interned atoms / builtin constants
@@ -134,10 +139,8 @@ struct Chunk {
   std::int32_t nCaches = 0;  // inline-cache slots (kLoadLate sites)
   std::int32_t nSlots = 0;   // frame slots (0 for scope-mode chunks)
   bool scopeMode = false;    // resolved against a Scope, not a Frame
-  bool poolable = false;     // carried over from FrameLayout (PR 3)
+  bool poolable = false;     // carried over from FrameLayout
 };
-
-using ChunkPtr = std::shared_ptr<const Chunk>;
 
 /// Human-readable listing (congen-dis, the dis_golden tests).
 std::string disassemble(const Chunk& chunk);

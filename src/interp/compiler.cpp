@@ -13,8 +13,8 @@ using ast::NodePtr;
 
 namespace {
 
-// Same literal syntax as the tree compiler (interpreter.cpp): optional
-// NrDIGITS radix prefix, arbitrary precision.
+// Optional NrDIGITS radix prefix, arbitrary precision (the emitter reads
+// literals the same way).
 Value parseIntLiteral(const std::string& text) {
   const auto r = text.find_first_of("rR");
   if (r != std::string::npos) {
@@ -24,9 +24,9 @@ Value parseIntLiteral(const std::string& text) {
   return Value::integer(BigInt::fromString(text, 10));
 }
 
-/// Ops whose node is an &error conversion point — exactly the tree nodes
-/// built on UnOpGen/BinOpGen/DelegateGen, which carry the convert-to-
-/// failure catch in the tree backend.
+/// Ops whose node is an &error conversion point — exactly the kernel
+/// nodes built on UnOpGen/BinOpGen/DelegateGen, which carry the convert-
+/// to-failure catch in emitted code.
 bool isConvertible(Op op) {
   switch (op) {
     case Op::kBinOp:
@@ -167,7 +167,7 @@ void ChunkCompiler::expr(const NodePtr& n) {
     case Kind::FailLit: emit(Op::kEfail); return;
     case Kind::Ident:
     case Kind::TempRef: identifier(n); return;
-    case Kind::KeywordVar: escape(n, /*stmtPos=*/false); return;
+    case Kind::KeywordVar: escape(n); return;
     case Kind::ListLit: {
       const std::int32_t bracket = here();
       for (const auto& k : n->kids) valueOperand(k);
@@ -177,7 +177,7 @@ void ChunkCompiler::expr(const NodePtr& n) {
     case Kind::Binary: binary(n); return;
     case Kind::Unary: unary(n); return;
     case Kind::Assign: {
-      if (n->text == "<-") { escape(n, /*stmtPos=*/false); return; }
+      if (n->text == "<-") { escape(n); return; }
       const std::int32_t bracket = here();
       expr(n->kids[0]);
       expr(n->kids[1]);
@@ -192,7 +192,7 @@ void ChunkCompiler::expr(const NodePtr& n) {
       return;
     }
     case Kind::Swap: {
-      if (n->text == "<->") { escape(n, /*stmtPos=*/false); return; }
+      if (n->text == "<->") { escape(n); return; }
       const std::int32_t bracket = here();
       expr(n->kids[0]);
       expr(n->kids[1]);
@@ -212,7 +212,7 @@ void ChunkCompiler::expr(const NodePtr& n) {
       return;
     }
     case Kind::Limit: {
-      // Compile order matches the tree (e1 before the bound — temp
+      // Compile order is source order (e1 before the bound — temp
       // declarations are compile-time effects); evaluation order matches
       // LimitGen (bound first, bounded): hop over e1 to the bound, then
       // kLimitBegin jumps back.
@@ -359,7 +359,7 @@ void ChunkCompiler::statement(const NodePtr& n) {
       for (const auto& decl : n->kids) {
         const bool slotted = layout_ && decl->slot >= 0;
         VarPtr var;
-        if (!slotted) var = scope_->declare(decl->text);  // compile-time, like the tree
+        if (!slotted) var = scope_->declare(decl->text);  // a compile-time effect
         if (decl->kids.empty()) continue;
         anyInit = true;
         const std::int32_t mark = emit(Op::kMark);
@@ -426,7 +426,7 @@ void ChunkCompiler::statement(const NodePtr& n) {
     case Kind::FailStmt: emit(Op::kFailBody); return;
     case Kind::BreakStmt: {
       if (loopCtx_.empty()) {
-        emit(Op::kThrowBreak);  // signal an enclosing tree loop, if any
+        emit(Op::kThrowBreak);  // signal the enclosing machine's loop, if any
       } else {
         emit(Op::kBreak, static_cast<std::int32_t>(loopCtx_.size()) - 1);
       }
@@ -441,7 +441,7 @@ void ChunkCompiler::statement(const NodePtr& n) {
       }
       return;
     }
-    case Kind::CaseStmt: escape(n, /*stmtPos=*/true); return;
+    case Kind::CaseStmt: escape(n); return;
     case Kind::RecordDecl: {
       interp_.globalScope()->declare(n->text, Value::proc(Interpreter::makeRecordConstructor(n)));
       emit(Op::kConst, constIdx(Value::null()));
@@ -465,7 +465,7 @@ void ChunkCompiler::statement(const NodePtr& n) {
 }
 
 // ---------------------------------------------------------------------
-// Identifiers — the exact tree-compiler fallback chain
+// Identifiers — slot, global, builtin, then the scope chain
 // ---------------------------------------------------------------------
 
 void ChunkCompiler::slotLoad(std::int32_t slot) {
@@ -535,8 +535,8 @@ void ChunkCompiler::binary(const NodePtr& n) {
     patchA(jEnd, here());
     return;
   }
-  if (n->text == "?") {  // string scanning: tree-kernel escape
-    escape(n, /*stmtPos=*/false);
+  if (n->text == "?") {  // string scanning: a ScanGen escape
+    escape(n);
     return;
   }
   const std::int32_t bracket = here();
@@ -555,7 +555,7 @@ void ChunkCompiler::unary(const NodePtr& n) {
     return;
   }
   if (op == "@" || op == "^" || op == "<>" || op == "|<>" || op == "|>") {
-    escape(n, /*stmtPos=*/false);
+    escape(n);
     return;
   }
   if (op == "|") {  // repeated alternation
@@ -670,17 +670,55 @@ void ChunkCompiler::loop(const NodePtr& n, LoopShape::Kind kind) {
 // Escapes
 // ---------------------------------------------------------------------
 
-void ChunkCompiler::escape(const NodePtr& n, bool stmtPos) {
+void ChunkCompiler::escape(const NodePtr& n) {
   EscapeSite site;
   site.node = n;
-  site.stmtPos = stmtPos;
   if (!loopCtx_.empty()) {
     site.loopDepth = static_cast<std::int32_t>(loopCtx_.size()) - 1;
     site.inLoopBody = loopCtx_.back().inBody;
   }
   const std::int32_t idx = static_cast<std::int32_t>(chunk_.escapes.size());
+  const std::string prefix = chunk_.name + "/" + std::to_string(idx) + ".";
+  auto operand = [&](const NodePtr& k, bool stmtPos) {
+    site.operands.push_back(
+        operandChunk(k, stmtPos, prefix + std::to_string(site.operands.size())));
+  };
+  switch (n->kind) {
+    case Kind::KeywordVar:
+      break;
+    case Kind::CaseStmt:
+      operand(n->kids[0], false);
+      for (std::size_t i = 1; i < n->kids.size(); ++i) {
+        const NodePtr& b = n->kids[i];
+        if (b->text != "default") operand(b->kids[0], false);
+        operand(b->kids.back(), true);
+      }
+      break;
+    case Kind::Unary:
+      // @e and ^e take an operand; <>, |<> and |> bodies compile in the
+      // environment their factory captures (Interpreter::coExprFactory).
+      if (n->text == "@" || n->text == "^") operand(n->kids[0], false);
+      break;
+    default:  // e1 ? e2, e1 <- e2, e1 <-> e2
+      operand(n->kids[0], false);
+      operand(n->kids[1], false);
+      break;
+  }
   chunk_.escapes.push_back(std::move(site));
   emit(Op::kEscape, idx);
+}
+
+ChunkPtr ChunkCompiler::operandChunk(const NodePtr& n, bool stmtPos, std::string name) {
+  ChunkCompiler sub(interp_, scope_, layout_);
+  sub.chunk_.name = std::move(name);
+  sub.curLine_ = curLine_;
+  if (stmtPos) {
+    sub.statement(n);
+  } else {
+    sub.expr(n);
+  }
+  sub.emit(Op::kYield);
+  return sub.finish();
 }
 
 }  // namespace congen::interp::vm

@@ -1,18 +1,19 @@
 // compiler.hpp — resolver-annotated AST → bytecode chunk.
 //
-// The same two modes as the tree compiler (interpreter.cpp):
-//  - scope mode (top-level statements, eval): identifiers resolve against
-//    a Scope chain at COMPILE time and bake as direct VarPtr loads, with
-//    implicit declaration on first use;
-//  - frame mode (procedure bodies): the PR 3 resolution pass has already
+// Two modes:
+//  - scope mode (top-level statements, eval, co-expression bodies):
+//    identifiers resolve against a Scope chain at COMPILE time and bake
+//    as direct VarPtr loads, with implicit declaration on first use;
+//  - frame mode (procedure bodies): the resolution pass has already
 //    classified every name, so identifiers compile to kLoadSlot /
 //    kLoadLate against the activation frame, and poolability/slot counts
 //    carry over from the FrameLayout unchanged.
 //
-// Compile order equals tree-compile order node for node (declarations
-// and temp bindings are compile-time side effects), even where the
-// emitted layout differs (e1\e2 emits e1 first but jumps to evaluate the
-// bound first, exactly as LimitGen does).
+// Compile order is source order, node for node (declarations and temp
+// bindings are compile-time side effects), even where the emitted layout
+// differs (e1\e2 emits e1 first but jumps to evaluate the bound first,
+// exactly as LimitGen does). Escape operands compile to sub-chunks at
+// their place in that order.
 #pragma once
 
 #include <string>
@@ -29,8 +30,8 @@ class ChunkCompiler {
   ChunkCompiler(Interpreter& interp, ScopePtr scope)
       : interp_(interp), scope_(std::move(scope)) {}
 
-  /// Frame mode: `scope` is the global scope (the fallback chain the
-  /// tree compiler uses for resolved-away names).
+  /// Frame mode: `scope` is the global scope (the fallback chain for
+  /// resolved-away names). A null layout is scope mode.
   ChunkCompiler(Interpreter& interp, ScopePtr scope, const FrameLayout* layout)
       : interp_(interp), scope_(std::move(scope)), layout_(layout) {}
 
@@ -68,7 +69,7 @@ class ChunkCompiler {
   std::int32_t varIdx(const VarPtr& var, const std::string& name);
   ChunkPtr finish();
 
-  // -- per-node emitters (mirror the tree compiler's switch) ------------
+  // -- per-node emitters ------------------------------------------------
   void expr(const ast::NodePtr& n);
   void valueOperand(const ast::NodePtr& n);
   void statement(const ast::NodePtr& n);
@@ -77,7 +78,9 @@ class ChunkCompiler {
   void binary(const ast::NodePtr& n);
   void unary(const ast::NodePtr& n);
   void loop(const ast::NodePtr& n, LoopShape::Kind kind);
-  void escape(const ast::NodePtr& n, bool stmtPos);
+  void escape(const ast::NodePtr& n);
+  /// One escape operand as its own chunk (same mode), ending in kYield.
+  ChunkPtr operandChunk(const ast::NodePtr& n, bool stmtPos, std::string name);
 
   Interpreter& interp_;
   ScopePtr scope_;

@@ -1,8 +1,10 @@
-// interpreter.hpp — tree-walking evaluation of the Junicon dialect.
+// interpreter.hpp — interactive evaluation of the Junicon dialect.
 //
 // The interactive path of the paper's harness (Section VI): where the
-// Java backend *emits* source, the interpreter builds the same kernel
-// iterator trees directly from the (normalized) AST and runs them. Host
+// Java backend *emits* source, the interpreter compiles the (normalized)
+// AST to bytecode chunks (interp/compiler.hpp) and runs them on the
+// resumable stack machine (interp/vm.hpp), which hands the constructs it
+// does not flatten to the same kernel nodes emitted code builds. Host
 // C++ functions are registered as natives and reached via the :: cut-
 // through, giving the mixed-language story without a compile step.
 #pragma once
@@ -26,18 +28,11 @@ namespace congen::interp {
 class Frame;
 struct FrameLayout;
 
-/// Execution backend for procedure bodies and eval'd expressions.
-///  - kTree: the original kernel-iterator trees (one Gen per AST node);
-///  - kVm:   resolved ASTs compile to bytecode chunks (interp/chunk.hpp)
-///    executed by a resumable stack machine (interp/vm.hpp). Constructs
-///    the machine does not flatten (scanning, case, co-expression
-///    creation, ...) run as embedded tree subtrees, so the two backends
-///    share semantics where they share code and are differentially
-///    tested where they don't (tests/interp, tests/conformance).
-enum class Backend : std::uint8_t { kTree, kVm };
-
-/// Default backend for new Interpreters: CONGEN_BACKEND=vm|tree if set
-/// (read once per process), else kTree.
+/// The interpreter has one execution engine, the bytecode VM. This
+/// single-value enum and defaultBackend() remain only because the
+/// benchmark driver (perfbench/driver/main.cpp) still prints them; they
+/// go when the benchmark next changes.
+enum class Backend : std::uint8_t { kVm };
 [[nodiscard]] Backend defaultBackend();
 
 class Interpreter {
@@ -47,7 +42,6 @@ class Interpreter {
     std::size_t pipeCapacity = 1024;
     std::size_t pipeBatch = 64;  // adaptive batch cap for |> transport (1 = unbatched)
     bool normalize = true;       // run the Section V.A flattening pass first
-    Backend backend = defaultBackend();
     /// Hard resource budgets (0 = unlimited). Any non-zero budget gives
     /// this interpreter a ResourceGovernor: the process admission gate
     /// runs at construction (throws IconError 815 when shedding), and
@@ -60,11 +54,6 @@ class Interpreter {
     /// the session has a StopSource root and can be supervised
     /// (congen-run --supervise without --max-*).
     bool governed = false;
-    /// Legacy alias for quotas.maxFuel: the old VM-only dispatch budget,
-    /// honored when quotas.maxFuel is 0. It now draws on the unified
-    /// fuel counter (BOTH backends charge it) and exhaustion raises
-    /// IconError 810, not the retired 316.
-    std::uint64_t vmStepLimit = 0;
   };
 
   Interpreter() : Interpreter(Options{}) {}
@@ -97,24 +86,20 @@ class Interpreter {
   void defineGlobal(const std::string& name, Value v);
   [[nodiscard]] std::optional<Value> global(const std::string& name) const;
 
-  /// Compile an AST expression over a scope (exposed for the transform
-  /// equivalence tests). Always the tree backend.
-  [[nodiscard]] GenPtr compileExpr(const ast::NodePtr& node, const ScopePtr& scope);
-
-  /// Build a procedure value from a Def node under the configured
-  /// backend (the chunk compiler uses this for nested definitions).
+  /// Build a procedure value from a Def node (the chunk compiler uses
+  /// this for nested definitions).
   [[nodiscard]] ProcPtr makeProcedure(const ast::NodePtr& def);
 
-  /// `record name(f1, ..., fn)` constructor procedure (backend-neutral).
+  /// `record name(f1, ..., fn)` constructor procedure.
   [[nodiscard]] static ProcPtr makeRecordConstructor(const ast::NodePtr& decl);
 
-  /// Tree-compile one subtree in a frame or scope context — the VM's
-  /// escape hatch for constructs it embeds rather than flattens. With a
-  /// layout/frame pair the frame-mode tree compiler runs (slot-resolved
-  /// identifiers); otherwise names resolve against `scope`. `frame` must
-  /// outlive the returned generator.
-  [[nodiscard]] GenPtr compileSubtree(const ast::NodePtr& node, const ScopePtr& scope,
-                                      const FrameLayout* layout, Frame* frame, bool statementPos);
+  /// Body factory for a `<>` (shadow = false) or `|<>` / `|>` (shadow =
+  /// true) site, compiled over `scope` — or, with a layout/frame pair,
+  /// inside that procedure activation. Each call builds a fresh body
+  /// machine; see interpreter.cpp for what each mode captures.
+  [[nodiscard]] GenFactory coExprFactory(const ast::NodePtr& body, bool shadow,
+                                         const ScopePtr& scope, const FrameLayout* layout,
+                                         const Frame* frame);
 
   [[nodiscard]] const ScopePtr& globalScope() const noexcept { return globals_; }
   [[nodiscard]] const Options& options() const noexcept { return options_; }
@@ -128,8 +113,6 @@ class Interpreter {
   }
 
  private:
-  friend class Compiler;
-
   Options options_;
   std::shared_ptr<governor::ResourceGovernor> governor_;
   ScopePtr globals_;

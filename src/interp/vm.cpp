@@ -1,13 +1,15 @@
 // vm.cpp — VmGen's dispatch loop. The machine's semantics are pinned to
-// the tree backend's at three seams:
+// emitted code's at three seams:
 //
 //  * every value operation (binary/unary/index/field/slice/assign/swap)
 //    goes through the shared kernel/ops apply helpers — agreement by
 //    construction;
-//  * constructs the compiler doesn't flatten run as tree-compiled
-//    escape subtrees through Drive suspensions;
+//  * constructs the compiler doesn't flatten run as the same kernel
+//    nodes emitted code builds, over operand sub-machines, through
+//    Drive suspensions;
 //  * everything else (failure order, limits, loops, &error conversion)
-//    is covered by the differential suite in tests/interp.
+//    is covered by the conformance corpus and the VM-vs-emitted
+//    differential suite in tests/interp.
 //
 // Failure resolution: kEfail (or any failed op) resumes the newest
 // suspension above the innermost mark's recorded resume height; an
@@ -20,10 +22,14 @@
 
 #include <utility>
 
+#include "concur/pipe.hpp"
 #include "kernel/basic.hpp"
+#include "kernel/coexpression.hpp"
 #include "kernel/compose.hpp"
+#include "kernel/control.hpp"
 #include "kernel/error_env.hpp"
 #include "kernel/ops.hpp"
+#include "kernel/scan.hpp"
 #include "obs/runtime_stats.hpp"
 #include "runtime/collections.hpp"
 #include "runtime/error.hpp"
@@ -43,16 +49,67 @@ VmGen::VmGen(Interpreter& interp, ChunkPtr chunk, ScopePtr scope, const FrameLay
   resume_.reserve(8);
   marks_.reserve(8);
   escapes_.reserve(chunk_->escapes.size());
-  for (const auto& site : chunk_->escapes) {
-    escapes_.push_back(
-        interp_.compileSubtree(site.node, scope_, layout_, frame_.get(), site.stmtPos));
+  for (const auto& site : chunk_->escapes) escapes_.push_back(buildEscape(site));
+}
+
+GenPtr VmGen::operandGen(const ChunkPtr& c) {
+  if (c->code.size() == 2 && c->code[1].op == Op::kYield) {
+    const Insn& load = c->code[0];
+    switch (load.op) {
+      case Op::kConst: return ConstGen::create(c->consts[static_cast<std::size_t>(load.a)]);
+      case Op::kLoadVar: return VarGen::create(c->vars[static_cast<std::size_t>(load.a)]);
+      case Op::kLoadSlot:
+      case Op::kLoadLate: return VarGen::create(frame_->var(static_cast<std::size_t>(load.a)));
+      default: break;
+    }
   }
+  return create(interp_, c, scope_, layout_, frame_);
+}
+
+GenPtr VmGen::buildEscape(const EscapeSite& site) {
+  std::vector<GenPtr> ops;
+  ops.reserve(site.operands.size());
+  for (const auto& c : site.operands) ops.push_back(operandGen(c));
+  const ast::Node& n = *site.node;
+  switch (n.kind) {
+    case ast::Kind::KeywordVar:
+      if (n.text == "subject") return makeSubjectVarGen();
+      if (n.text == "error") return makeErrorVarGen();
+      if (n.text == "errornumber") return makeErrorNumberVarGen();
+      if (n.text == "errorvalue") return makeErrorValueVarGen();
+      return makePosVarGen();
+    case ast::Kind::Binary: return ScanGen::create(std::move(ops[0]), std::move(ops[1]));
+    case ast::Kind::Assign: return makeRevAssignGen(std::move(ops[0]), std::move(ops[1]));
+    case ast::Kind::Swap: return makeRevSwapGen(std::move(ops[0]), std::move(ops[1]));
+    case ast::Kind::CaseStmt: {
+      std::vector<CaseGen::Branch> branches;
+      std::size_t k = 1;
+      for (std::size_t i = 1; i < n.kids.size(); ++i) {
+        CaseGen::Branch branch;
+        if (n.kids[i]->text != "default") branch.value = std::move(ops[k++]);
+        branch.body = std::move(ops[k++]);
+        branches.push_back(std::move(branch));
+      }
+      return CaseGen::create(std::move(ops[0]), std::move(branches));
+    }
+    default:
+      break;
+  }
+  if (n.text == "@") return ActivateGen::create(std::move(ops[0]));
+  if (n.text == "^") return RefreshGen::create(std::move(ops[0]));
+  GenFactory body =
+      interp_.coExprFactory(n.kids[0], /*shadow=*/n.text != "<>", scope_, layout_, frame_.get());
+  if (n.text == "|>") {
+    return makePipeCreateGen(std::move(body), interp_.options().pipeCapacity,
+                             ThreadPool::global(), interp_.options().pipeBatch);
+  }
+  return CoExprCreateGen::create(std::move(body));
 }
 
 void VmGen::syncFuel() {
   // Bulk-charge the dispatches accumulated since the last sync. Unlike
-  // the tree walker (which batches through the thread-local cell), the
-  // VM owns its own counter, so it charges the governor directly — one
+  // kernel nodes (which batch through the thread-local cell), the VM
+  // owns its own counter, so it charges the governor directly — one
   // cold call per kFuelSyncInterval dispatches. The ambient governor is
   // re-read every sync: a setquota() mid-run, or a supervisor
   // terminate(), takes effect within one interval.
@@ -155,7 +212,7 @@ VmGen::Flow VmGen::performNext(std::int32_t depth, bool inBody) {
     loops_.resize(static_cast<std::size_t>(depth) + 1);
     return Flow::Forward;
   }
-  // `next` from inside the control expression (via an escape subtree).
+  // `next` from inside the control expression (via an escape operand).
   marks_.resize(static_cast<std::size_t>(rec.marksH));
   truncResume(rec.suspH);
   shrinkStack(static_cast<std::size_t>(rec.valH));
@@ -166,9 +223,9 @@ VmGen::Flow VmGen::performNext(std::int32_t depth, bool inBody) {
     pc_ = shape.topPc;
     return Flow::Forward;
   }
-  // `every <e containing next>`: the tree walker livelocks here (the
-  // signal re-drives the same control state forever); the machine ends
-  // the loop instead. Documented divergence (docs/INTERNALS.md).
+  // `every <e containing next>`: emitted code's LoopGen livelocks here
+  // (the signal re-drives the same control state forever); the machine
+  // ends the loop instead. Documented divergence (docs/INTERNALS.md).
   loops_.resize(static_cast<std::size_t>(depth));
   return Flow::Efail;
 }
@@ -201,7 +258,7 @@ bool VmGen::driveTop(Result& out, Flow& flow) {
     return false;
   }
   if (r.flags != Result::kNone) {
-    // suspend/return/fail escaping a driven body (escape subtrees inside
+    // suspend/return/fail escaping a driven body (escape operands inside
     // procedure bodies): yield it as this activation's result. Return
     // and fail also terminate the activation; suspend re-drives.
     phase_ = (r.flags & (Result::kReturn | Result::kFailBody)) != 0 ? Phase::Done : Phase::ReDrive;
@@ -292,7 +349,7 @@ bool VmGen::run(Result& out) {
       break;
     case Phase::ReDrive: {
       // The previous result was a flagged drive product (suspend through
-      // an escape subtree); re-drive that same gen.
+      // an escape operand); re-drive that same gen.
       if (driveTop(out, flow)) return true;
       break;
     }

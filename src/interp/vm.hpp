@@ -1,11 +1,12 @@
-// vm.hpp — the resumable stack machine over interp/chunk.hpp bytecode.
+// vm.hpp — the resumable stack machine over interp/chunk.hpp bytecode:
+// the interpreter's only execution engine.
 //
 // One VmGen is one activation of a compiled chunk, and it is itself a
-// Gen: procedure calls wrap it in the same BodyRootGen the tree backend
-// uses (pooling, parking, arg rebinding, flag stripping are inherited,
-// not reimplemented). Where the tree walker suspends by *being* a tree
-// of live doNext frames, the machine suspends by recording resume points
-// explicitly:
+// Gen: procedure calls wrap it in the same BodyRootGen emitted code uses
+// (pooling, parking, arg rebinding, flag stripping are inherited, not
+// reimplemented). Where a kernel iterator tree suspends by *being* a
+// tree of live doNext frames, the machine suspends by recording resume
+// points explicitly:
 //
 //  * the value stack holds {value, ref} entries (control flags never
 //    live on the stack — suspend/return yield immediately);
@@ -16,10 +17,11 @@
 //    the current mark, or pops the mark and jumps to its failure pc.
 //
 // Constructs the compiler does not flatten (scanning, case,
-// co-expressions, keyword variables, reversible assignment) run as
-// tree-compiled subtrees driven through Drive suspensions — semantics
-// are shared with the tree backend where they share code, and
-// differentially tested where they don't.
+// co-expressions and pipes, @ and ^, keyword variables, reversible
+// assignment) run as the kernel nodes emitted code builds, over
+// sub-machines for their operand chunks, driven through Drive
+// suspensions — semantics are shared with emitted code where they share
+// kernel code, and differentially tested where they don't.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +39,8 @@ class VmGen final : public Gen {
  public:
   /// Frame mode: `layout`/`frame` non-null (procedure bodies). Scope
   /// mode: both null, identifiers were baked to direct VarPtr loads.
-  /// Escape subtrees are tree-compiled here, eagerly — the same moment
-  /// the tree compiler would build them.
+  /// Escape sites' kernel nodes are built here, eagerly, over operand
+  /// sub-machines that share this activation's frame or scope.
   VmGen(Interpreter& interp, ChunkPtr chunk, ScopePtr scope, const FrameLayout* layout,
         FramePtr frame);
   static std::shared_ptr<VmGen> create(Interpreter& interp, ChunkPtr chunk, ScopePtr scope,
@@ -239,12 +241,19 @@ class VmGen final : public Gen {
 
   Susp& pushSusp(Susp::Kind kind);
 
+  /// The kernel node for one escape site.
+  [[nodiscard]] GenPtr buildEscape(const EscapeSite& site);
+  /// A sub-machine for one operand chunk — or, when the chunk is a single
+  /// load (`@c`, `s ? ...`, `x <- 1`), the ConstGen/VarGen that load
+  /// stands for: same results, a fraction of a machine's cost per drive.
+  [[nodiscard]] GenPtr operandGen(const ChunkPtr& chunk);
+
   Interpreter& interp_;
   ChunkPtr chunk_;
   ScopePtr scope_;
   const FrameLayout* layout_;
   FramePtr frame_;
-  std::vector<GenPtr> escapes_;  // one tree subgen per escape site
+  std::vector<GenPtr> escapes_;  // one kernel node per escape site
 
   std::vector<Entry> stack_;
   SuspStack resume_;
@@ -258,7 +267,7 @@ class VmGen final : public Gen {
   Phase phase_ = Phase::Start;
   std::uint64_t steps_ = 0;
   // The VM's fuel batch: dispatches between governor syncs. It bounds
-  // the fuel-budget overrun per VmGen the same way the tree walker's
+  // the fuel-budget overrun per VmGen the same way the kernel's
   // thread-local step batch does per thread.
   static constexpr std::uint64_t kFuelSyncInterval = 8192;
   std::uint64_t stepLimitTrip_ = kFuelSyncInterval;

@@ -192,8 +192,8 @@ bool ReturnGen::doNext(Result& out) {
 
 bool BodyRootGen::doNext(Result& out) {
   if (terminated_) return false;
-  // Every backend wraps procedure bodies in BodyRootGen, so this single
-  // guard gives cross-backend-deterministic recursion/suspension depth
+  // Both execution paths wrap procedure bodies in BodyRootGen, so this
+  // single guard gives path-independent recursion/suspension depth
   // accounting: one unit per live activation on this thread's C++ stack.
   governor::DepthGuard depthGuard;
   while (true) {

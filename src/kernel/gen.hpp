@@ -115,9 +115,9 @@ class Gen {
       doRestart();
       failed_ = false;
     }
-    // One fuel step per resumption on the tree spine; the VM charges the
-    // same budget in dispatch batches (interp/vm.cpp syncFuel), so the
-    // two backends drain one unified fuel counter.
+    // One fuel step per resumption on the kernel spine; the VM charges
+    // the same budget in dispatch batches (interp/vm.cpp syncFuel), so
+    // both execution paths drain one unified fuel counter.
     governor::onStep();
     if (trace::enabled()) [[unlikely]] {
       const int depth = trace::enter(*this);

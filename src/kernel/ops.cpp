@@ -14,7 +14,7 @@ namespace congen {
 
 // ---------------------------------------------------------------------
 // Shared per-tuple semantics (see ops.hpp: one implementation for the
-// tree kernel and the bytecode VM)
+// kernel nodes and the bytecode VM)
 // ---------------------------------------------------------------------
 
 std::optional<BinKind> binKindOf(std::string_view op) {

@@ -20,11 +20,11 @@
 namespace congen {
 
 // ---------------------------------------------------------------------
-// Per-tuple operator semantics, shared between the tree kernel and the
+// Per-tuple operator semantics, shared between the kernel nodes and the
 // bytecode VM (interp/vm). The Gen factories below wrap these; the VM
 // calls them directly from its dispatch loop. One implementation, two
-// backends — the differential harness checks the composition, not two
-// copies of the arithmetic.
+// execution paths — the differential harness checks the composition,
+// not two copies of the arithmetic.
 // ---------------------------------------------------------------------
 
 /// Value-level binary operators ("+", "<", "==", ...).
@@ -43,7 +43,7 @@ enum class UnKind : std::uint8_t {
   IfNull,   // /e
 };
 
-/// Operator spelling → kind (exact table the tree compiler uses; "!="
+/// Operator spelling → kind (the table the chunk compiler uses; "!="
 /// and "===" family alias onto value equality). nullopt: unknown.
 std::optional<BinKind> binKindOf(std::string_view op);
 std::optional<UnKind> unKindOf(std::string_view op);

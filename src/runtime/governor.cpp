@@ -31,7 +31,7 @@ namespace congen::governor {
 
 namespace {
 
-// Batch sizes for the thread-local reservations. Tree steps are whole
+// Batch sizes for the thread-local reservations. Kernel steps are whole
 // next() calls (heavier than VM dispatches), so they batch finer; the
 // heap batch bounds per-thread overrun of the byte budget.
 constexpr std::uint64_t kStepBatch = 256;

@@ -11,8 +11,7 @@
 //                   RcBase payload construction (governor_hooks.hpp),
 //                   batched through thread-local reservations;
 //  - fuel           a unified evaluation-step counter charged by both
-//                   the tree walker's next() spine and the VM dispatch
-//                   loop (replacing the VM-only vmStepLimit);
+//                   the kernel's next() spine and the VM dispatch loop;
 //  - pipes / co-expressions
 //                   live-object counts charged at construction (a pipe
 //                   also counts as a co-expression: it is one);
@@ -23,7 +22,7 @@
 //
 // Exhaustion raises a *catchable* typed Icon error (the 81x
 // errQuotaExceeded family in error.hpp) from the shared kernel nodes,
-// so tree, VM, and emitted backends trip identically and `&error`
+// so the VM and emitted code trip identically and `&error`
 // conversion applies as for any run-time error.
 //
 // Containment beyond quotas: every governor owns a StopSource. Pipes
@@ -62,7 +61,7 @@ namespace congen::governor {
 /// Hard budgets; 0 = unlimited.
 struct Limits {
   std::uint64_t maxHeapBytes = 0;  ///< live bytes reserved from the system
-  std::uint64_t maxFuel = 0;       ///< evaluation steps (tree next() / VM dispatches)
+  std::uint64_t maxFuel = 0;       ///< evaluation steps (kernel next() / VM dispatches)
   std::uint64_t maxPipes = 0;      ///< live |> pipes
   std::uint64_t maxCoexprs = 0;    ///< live co-expressions (pipes included)
   std::uint64_t maxPipeDepth = 0;  ///< clamp on per-pipe queue capacity
@@ -120,8 +119,8 @@ class ResourceGovernor : public std::enable_shared_from_this<ResourceGovernor> {
     return terminated_.load(std::memory_order_relaxed);
   }
 
-  /// Bulk fuel charge (the VM's dispatch-batch sync; the tree path goes
-  /// through the thread-local batcher in governor.cpp). Throws 810 when
+  /// Bulk fuel charge (the VM's dispatch-batch sync; kernel next() steps
+  /// go through the thread-local batcher in governor.cpp). Throws 810 when
   /// the budget is exhausted, 816 when the session was terminated.
   void chargeSteps(std::uint64_t n);
 
@@ -219,7 +218,7 @@ class ScopedGovernor {
 /// The current governor, or — for code running outside any Interpreter,
 /// e.g. an emitted module's main — a lazily-created, limitless governor
 /// owned by this thread. setquota() uses this so quotas work identically
-/// across the three backends.
+/// for interpreted and emitted code.
 [[nodiscard]] std::shared_ptr<ResourceGovernor> currentOrThreadDefault();
 
 /// Cooperative watchdog: a background thread that escalates watched

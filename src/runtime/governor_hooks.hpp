@@ -45,7 +45,7 @@ void leaveDepthSlow() noexcept;
 
 }  // namespace detail
 
-/// One evaluation step (a Gen::next on the tree spine; the VM charges
+/// One evaluation step (a Gen::next on the kernel spine; the VM charges
 /// dispatches in bulk via ResourceGovernor::chargeSteps). Disabled cost:
 /// one relaxed load.
 inline void onStep() {

@@ -48,7 +48,6 @@ class Session {
     governor::Limits quotas;  ///< per-tenant budgets (0 = unlimited)
     std::size_t pipeCapacity = 1024;
     std::size_t pipeBatch = 64;
-    interp::Backend backend = interp::defaultBackend();
     /// Per-request supervision (0 = off): soft-cancel after `soft`,
     /// diagnostics + hard terminate (816) after `hard`.
     std::chrono::milliseconds requestSoft{0};

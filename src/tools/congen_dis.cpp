@@ -1,4 +1,4 @@
-// congen-dis — disassembler for the bytecode VM backend.
+// congen-dis — disassembler for the bytecode VM.
 //
 // Compiles scripts (or single expressions) to interp/chunk.hpp chunks
 // and prints the stable textual disassembly (interp/chunk.cpp) — the
@@ -9,7 +9,7 @@
 //                                      defined ones, or just the named)
 //   congen-dis -e "<expr>"             disassemble one expression chunk
 //
-// Procedures are compiled exactly as the VM backend would at first
+// Procedures are compiled exactly as the interpreter would at first
 // invocation: the whole program's definitions are declared first (so
 // global references resolve the same way), then each body is resolved
 // and chunk-compiled. Top-level statements are NOT executed.
@@ -46,7 +46,7 @@ int disassembleScript(const std::string& path, const std::set<std::string>& only
   if (interp.options().normalize) prog = congen::transform::normalizeProgram(prog);
 
   // Declare every program-level name first so the resolver's Global vs
-  // Late split matches what the VM backend sees at first call.
+  // Late split matches what the interpreter sees at first call.
   const auto& globals = interp.globalScope();
   for (const auto& item : prog->kids) {
     switch (item->kind) {

@@ -25,9 +25,6 @@
 //   congen-run --trace-out <f> ...      collect a Chrome-trace-format
 //                                       JSON of the run (per-thread
 //                                       generator spans) into <f>
-//   congen-run --backend=vm|tree ...    pick the execution backend
-//                                       (default: CONGEN_BACKEND env,
-//                                       else the tree walker)
 //   congen-run --max-heap=64M ...       resource quotas (K/M/G suffixes
 //                                       where bytes make sense):
 //                                       --max-heap, --max-fuel,
@@ -197,22 +194,8 @@ int main(int argc, char** argv) {
   // Prefix options, in any order: --timeout <sec> arms the watchdog,
   // --trace enables iterator-protocol monitoring, --stats /
   // --metrics-json / --trace-out wire the metrics registry and the
-  // structured trace sink, --backend= picks the execution backend.
+  // structured trace sink.
   for (;;) {
-    if (argc >= 2 && std::string(argv[1]).rfind("--backend=", 0) == 0) {
-      const std::string which = std::string(argv[1]).substr(10);
-      if (which == "vm") {
-        options.backend = congen::interp::Backend::kVm;
-      } else if (which == "tree") {
-        options.backend = congen::interp::Backend::kTree;
-      } else {
-        std::cerr << "congen-run: unknown backend '" << which << "' (want vm or tree)\n";
-        return 2;
-      }
-      --argc;
-      ++argv;
-      continue;
-    }
     if (argc >= 3 && std::string(argv[1]) == "--timeout") {
       timeoutSeconds = std::strtol(argv[2], nullptr, 10);
       if (timeoutSeconds <= 0) {

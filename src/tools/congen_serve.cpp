@@ -12,7 +12,6 @@
 //                                              127.0.0.1:7117; port 0 =
 //                                              ephemeral, printed on
 //                                              stdout)
-//   --backend=vm|tree                          per-session backend
 //   --max-heap=64M --max-fuel=... etc.         per-session quotas, same
 //                                              spelling as congen-run
 //                                              (K/M/G suffixes)
@@ -90,16 +89,6 @@ int main(int argc, char** argv) {
       config.host = value("--host");
     } else if (arg == "--port") {
       config.port = static_cast<std::uint16_t>(std::strtoul(value("--port"), nullptr, 10));
-    } else if (arg.rfind("--backend=", 0) == 0) {
-      const std::string which = arg.substr(10);
-      if (which == "vm") {
-        config.session.backend = congen::interp::Backend::kVm;
-      } else if (which == "tree") {
-        config.session.backend = congen::interp::Backend::kTree;
-      } else {
-        std::cerr << "congen-serve: unknown backend '" << which << "' (want vm or tree)\n";
-        return 2;
-      }
     } else if (arg.rfind("--max-", 0) == 0) {
       auto& q = config.session.quotas;
       auto budgetFlag = [&](const std::string& prefix, std::uint64_t& slot) -> int {

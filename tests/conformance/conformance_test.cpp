@@ -1,10 +1,11 @@
-// conformance_test.cpp — differential testing of the three execution
+// conformance_test.cpp — differential testing of the two execution
 // paths. Every shipped example (examples/scripts/*.jn and
-// examples/embedded/*.ccg) runs through the tree-walking interpreter,
-// the bytecode VM, AND the congenc-emitted C++ module, and the result
-// sequences must be byte-identical. The paper's premise (Section VI) is
-// that the interactive and compiled harnesses execute the same
-// semantics; this suite keeps the three from drifting silently.
+// examples/embedded/*.ccg) runs through the interpreter (the bytecode
+// VM) AND the congenc-emitted C++ module, and the result sequences must
+// be byte-identical. The paper's premise (Section VI) is that the
+// interactive and compiled harnesses execute the same semantics; this
+// suite keeps the two independent implementations from drifting
+// silently.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -27,6 +28,8 @@
 #include "conf_timeout.hpp"
 #include "conf_wordcount.hpp"
 #include "conf_wordfreq.hpp"
+#include "confcase_escapes.hpp"
+#include "confcase_top_level_temps.hpp"
 #include "confembed_logstats_embedded.hpp"
 #include "confembed_wordcount_embedded.hpp"
 
@@ -46,13 +49,11 @@ std::string readFile(const std::string& path) {
 Value emptyArgs() { return Value::list(ListImpl::create()); }
 
 /// Drain main(args=[]) through the interpreter, capturing stdout.
-std::string interpMainOutput(const std::string& scriptPath, interp::Backend backend) {
+std::string interpMainOutput(const std::string& scriptPath) {
   const std::string src = readFile(scriptPath);
   ::testing::internal::CaptureStdout();
   {
-    interp::Interpreter::Options opts;
-    opts.backend = backend;
-    interp::Interpreter interp{opts};
+    interp::Interpreter interp;
     interp.load(src);
     auto gen = interp.call("main", {emptyArgs()});
     while (gen->nextValue()) {
@@ -76,14 +77,16 @@ std::string emittedMainOutput() {
 }
 
 template <class Module>
-void expectScriptConformance(const std::string& name) {
-  const std::string path = kRoot + "/examples/scripts/" + name + ".jn";
-  const std::string viaTree = interpMainOutput(path, interp::Backend::kTree);
-  const std::string viaVm = interpMainOutput(path, interp::Backend::kVm);
+void expectConformance(const std::string& path, const std::string& name) {
+  const std::string viaVm = interpMainOutput(path);
   const std::string viaEmitted = emittedMainOutput<Module>();
-  EXPECT_FALSE(viaTree.empty()) << name << " produced no output";
-  EXPECT_EQ(viaTree, viaVm) << name << ": tree and VM backends disagree";
-  EXPECT_EQ(viaTree, viaEmitted) << name << ": interpreter and emitted paths disagree";
+  EXPECT_FALSE(viaVm.empty()) << name << " produced no output";
+  EXPECT_EQ(viaVm, viaEmitted) << name << ": interpreter and emitted paths disagree";
+}
+
+template <class Module>
+void expectScriptConformance(const std::string& name) {
+  expectConformance<Module>(kRoot + "/examples/scripts/" + name + ".jn", name);
 }
 
 TEST(ConformanceScripts, Errors) { expectScriptConformance<Conf_errors>("errors"); }
@@ -94,6 +97,15 @@ TEST(ConformanceScripts, Retry) { expectScriptConformance<Conf_retry>("retry"); 
 TEST(ConformanceScripts, Timeout) { expectScriptConformance<Conf_timeout>("timeout"); }
 TEST(ConformanceScripts, Wordcount) { expectScriptConformance<Conf_wordcount>("wordcount"); }
 TEST(ConformanceScripts, Wordfreq) { expectScriptConformance<Conf_wordfreq>("wordfreq"); }
+
+TEST(ConformanceCases, Escapes) {
+  expectConformance<ConfCase_escapes>(kRoot + "/tests/conformance/cases/escapes.jn", "escapes");
+}
+
+TEST(ConformanceCases, TopLevelTemporaries) {
+  expectConformance<ConfCase_top_level_temps>(
+      kRoot + "/tests/conformance/cases/top_level_temps.jn", "top_level_temps");
+}
 
 /// The suite must cover every shipped example: a new .jn or .ccg file
 /// fails here until it is added to the conformance corpus above.
@@ -149,19 +161,14 @@ TEST(ConformanceEmbedded, WordcountPipelineStreamAgrees) {
     emittedHash.insert(emittedHash.end(), per.begin(), per.end());
   }
 
-  for (const auto backend : {interp::Backend::kTree, interp::Backend::kVm}) {
-    SCOPED_TRACE(backend == interp::Backend::kVm ? "vm backend" : "tree backend");
-    interp::Interpreter::Options opts;
-    opts.backend = backend;
-    interp::Interpreter interp{opts};
-    interp.defineGlobal("lines", Value::list(wordcountLines()));
-    interp.load(regionText(src, regions[0]));
-    const auto viaInterp = drainImages(interp.eval(regionText(src, regions[1])));
+  interp::Interpreter interp;
+  interp.defineGlobal("lines", Value::list(wordcountLines()));
+  interp.load(regionText(src, regions[0]));
+  const auto viaInterp = drainImages(interp.eval(regionText(src, regions[1])));
 
-    EXPECT_FALSE(viaInterp.empty());
-    EXPECT_EQ(viaInterp, viaEmitted) << "pipe-expression streams disagree";
-    EXPECT_EQ(drainImages(interp.eval("hashWords(readLines())")), emittedHash);
-  }
+  EXPECT_FALSE(viaInterp.empty());
+  EXPECT_EQ(viaInterp, viaEmitted) << "pipe-expression streams disagree";
+  EXPECT_EQ(drainImages(interp.eval("hashWords(readLines())")), emittedHash);
 }
 
 ListPtr logstatsLog() {
@@ -187,32 +194,27 @@ TEST(ConformanceEmbedded, LogstatsStreamsAgree) {
     emittedSev.push_back(mod.call("severity", {*e})->nextValue()->toDisplayString());
   }
 
-  for (const auto backend : {interp::Backend::kTree, interp::Backend::kVm}) {
-    SCOPED_TRACE(backend == interp::Backend::kVm ? "vm backend" : "tree backend");
-    interp::Interpreter::Options opts;
-    opts.backend = backend;
-    interp::Interpreter interp{opts};
-    interp.defineGlobal("log", Value::list(logstatsLog()));
-    interp.load(regionText(src, regions[0]));
+  interp::Interpreter interp;
+  interp.defineGlobal("log", Value::list(logstatsLog()));
+  interp.load(regionText(src, regions[0]));
 
-    // Parsed-entry streams (records, scanning) must agree element-wise,
-    // and so must the derived severity stream.
-    const auto interpEntries = drainImages(interp.eval("entries()"));
-    EXPECT_FALSE(interpEntries.empty());
-    EXPECT_EQ(interpEntries, emittedEntries);
+  // Parsed-entry streams (records, scanning) must agree element-wise,
+  // and so must the derived severity stream.
+  const auto interpEntries = drainImages(interp.eval("entries()"));
+  EXPECT_FALSE(interpEntries.empty());
+  EXPECT_EQ(interpEntries, emittedEntries);
 
-    std::vector<std::string> interpSev;
-    for (auto gen = interp.eval("entries()"); auto e = gen->nextValue();) {
-      interpSev.push_back(interp.call("severity", {*e})->nextValue()->toDisplayString());
-    }
-    EXPECT_EQ(interpSev, emittedSev);
+  std::vector<std::string> interpSev;
+  for (auto gen = interp.eval("entries()"); auto e = gen->nextValue();) {
+    interpSev.push_back(interp.call("severity", {*e})->nextValue()->toDisplayString());
+  }
+  EXPECT_EQ(interpSev, emittedSev);
 
-    for (const char* svc : {"auth", "db", "web", "absent"}) {
-      auto viaInterp = interp.call("worstLatency", {Value::string(svc)})->nextValue();
-      auto viaEmitted = mod.call("worstLatency", {Value::string(svc)})->nextValue();
-      ASSERT_EQ(viaInterp.has_value(), viaEmitted.has_value()) << svc;
-      if (viaInterp) EXPECT_EQ(viaInterp->toDisplayString(), viaEmitted->toDisplayString()) << svc;
-    }
+  for (const char* svc : {"auth", "db", "web", "absent"}) {
+    auto viaInterp = interp.call("worstLatency", {Value::string(svc)})->nextValue();
+    auto viaEmitted = mod.call("worstLatency", {Value::string(svc)})->nextValue();
+    ASSERT_EQ(viaInterp.has_value(), viaEmitted.has_value()) << svc;
+    if (viaInterp) EXPECT_EQ(viaInterp->toDisplayString(), viaEmitted->toDisplayString()) << svc;
   }
 }
 

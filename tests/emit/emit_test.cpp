@@ -148,6 +148,12 @@ TEST(EmitGolden, TopLevelStatements) {
   expectMatchesGolden("top_level_statements", emitDefs("x := 42;"));
 }
 
+TEST(EmitGolden, TopLevelTemporaries) {
+  // Normalization binds f() and (2 to 3) to iteration temporaries; a
+  // top-level statement must declare them like a procedure body does.
+  expectMatchesGolden("top_level_temporaries", emitDefs("write(f()); write(1 + (2 to 3));"));
+}
+
 TEST(EmitGolden, ScanningLowering) {
   expectMatchesGolden("scanning_lowering", emitDefs(R"(
     def fields(s) {

@@ -3,18 +3,17 @@
 //
 // Anything the parser accepts must compile and execute without crashing:
 // run-time faults must surface as IconError (including 810, the
-// evaluation-fuel trip that bounds runaway programs — vmStepLimit is now
-// an alias for the governor's unified fuel budget), syntax faults as
-// SyntaxError, and absurd literals as the BigInt constructor's
+// governor's evaluation-fuel trip that bounds runaway programs), syntax
+// faults as SyntaxError, and absurd literals as the BigInt constructor's
 // std::invalid_argument/out_of_range. Output is swallowed — generated
 // programs love write() — and the result drain is capped so a prolific
 // generator terminates the iteration quickly.
 //
-// Unlike the retired VM-only step limit, the fuel budget also meters the
-// tree-compiled escape subtrees (scanning, case, co-expressions) — every
-// Gen::next charges the same counter — so a pathological input spinning
-// inside one now trips 810 too; the libFuzzer -timeout flag (or the
-// ctest replay timeout) remains the backstop of last resort.
+// The fuel budget meters both the dispatch loop and the kernel nodes at
+// escape sites (scanning, case, co-expressions) — every Gen::next
+// charges the same counter — so a pathological input spinning inside
+// one trips 810 too; the libFuzzer -timeout flag (or the ctest replay
+// timeout) remains the backstop of last resort.
 #include <cstddef>
 #include <cstdint>
 #include <iostream>
@@ -45,8 +44,7 @@ void compileAndRun(const std::string& source) {
   SwallowStdout quiet;
   try {
     interp::Interpreter::Options opts;
-    opts.backend = interp::Backend::kVm;
-    opts.vmStepLimit = 200000;  // fuel alias: IconError 810 bounds runaway chunks
+    opts.quotas.maxFuel = 200000;  // IconError 810 bounds runaway programs
     interp::Interpreter interp{opts};
     interp.load(source);  // compiles every body; runs top-level stmts
     auto gen = interp.call("main", {Value::list(ListImpl::create())});

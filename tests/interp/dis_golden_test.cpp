@@ -48,7 +48,7 @@ void expectMatchesGolden(const std::string& name, const std::string& actual) {
       << "'. If intentional, regenerate with: dis_golden_test --update-golden";
 }
 
-/// Compile `procName` from a whole program exactly as the VM backend
+/// Compile `procName` from a whole program exactly as the interpreter
 /// would at first invocation (the congen-dis pipeline): declare every
 /// program-level name first so Global vs Late resolution matches, then
 /// resolve and chunk-compile the one body.

@@ -1,0 +1,209 @@
+// vm_diff_programs — build-time generator for the VM-vs-emitted
+// differential suite (vm_differential_test.cpp).
+//
+//   vm_diff_programs <shard> <outdir>
+//
+// writes the shard's 100 seeded programs as <outdir>/prog<i>.jn, plus
+// <outdir>/shard.cpp: a translation unit that includes the modules
+// congenc emits from them (<outdir>/prog<i>.hpp, module VmDiff_<shard>_<i>)
+// and registers each one's seed, source text and runner with the test.
+#include <filesystem>
+#include <fstream>
+#include <initializer_list>
+#include <iostream>
+#include <random>
+#include <sstream>
+#include <string>
+
+#include "vm_diff.hpp"
+
+namespace {
+
+/// Deterministic program generator over the constructs where the VM and
+/// emitted code have genuinely separate implementations — suspend/resume
+/// through procedure calls, goal-directed failure propagation,
+/// alternation/limit/repeated-alternation, `every` loops with
+/// break/next, co-expressions (`create`/`@`/`^`), pipes (`|>`), and
+/// &error conversion. Termination is by construction: ranges have
+/// literal bounds, repeated alternation only appears under a limit,
+/// `while` loops count a local up to a literal, and generated
+/// procedures only call lower-numbered procedures (the call graph is a
+/// DAG). Known, documented divergences are simply not in the grammar
+/// (see docs/INTERNALS.md §13).
+class ProgramGen {
+ public:
+  explicit ProgramGen(std::uint64_t seed) : rng_(seed) {}
+
+  std::string program() {
+    nProcs_ = irand(0, 2);
+    std::ostringstream os;
+    for (int i = 0; i < nProcs_; ++i) os << proc(i);
+    callLimit_ = nProcs_;
+    os << "procedure main(args)\n  local v, w, c\n";
+    const int stmts = irand(2, 4);
+    for (int i = 0; i < stmts; ++i) os << "  " << stmt() << ";\n";
+    os << "end\n";
+    return os.str();
+  }
+
+ private:
+  int irand(int lo, int hi) { return lo + static_cast<int>(rng_() % (hi - lo + 1)); }
+
+  std::string lit() { return std::to_string(irand(-3, 9)); }
+  std::string posLit() { return std::to_string(irand(1, 9)); }
+
+  /// Single-valued integer-ish expression (may fail, may call procs).
+  std::string expr(int depth) {
+    if (depth >= 3) return lit();
+    switch (irand(0, 7)) {
+      case 0:
+      case 1:
+        return lit();
+      case 2:
+        return "(" + expr(depth + 1) + " " + pick({"+", "-", "*"}) + " " + expr(depth + 1) + ")";
+      case 3:
+        return "(" + expr(depth + 1) + " ^ " + std::to_string(irand(0, 3)) + ")";
+      case 4:
+        return "(-" + expr(depth + 1) + ")";
+      case 5:
+        return "(" + expr(depth + 1) + " " + pick({"<", "<=", ">", ">=", "=", "~="}) + " " +
+               expr(depth + 1) + ")";
+      case 6:
+        // Only lower-numbered procedures are callable from here, so the
+        // generated call graph is a DAG and recursion is impossible.
+        if (callLimit_ > 0) {
+          return "p" + std::to_string(irand(0, callLimit_ - 1)) + "(" + expr(depth + 1) + ", " +
+                 expr(depth + 1) + ")";
+        }
+        return lit();
+      default:
+        return "isprime(" + expr(depth + 1) + ")";
+    }
+  }
+
+  /// Generator expression: a finite sequence of zero or more values.
+  std::string seq(int depth) {
+    if (depth >= 3) return "(" + lit() + " to " + lit() + ")";
+    switch (irand(0, 6)) {
+      case 0:
+        return "(" + lit() + " to " + lit() + ")";
+      case 1:
+        return "(" + lit() + " to " + lit() + " by " + pick({"-2", "-1", "1", "2", "3"}) + ")";
+      case 2:
+        return "(" + seq(depth + 1) + " | " + seq(depth + 1) + ")";
+      case 3:
+        // Repeated alternation stays finite only under a limit.
+        return "((|" + seq(depth + 1) + ") \\ " + posLit() + ")";
+      case 4:
+        return "(" + seq(depth + 1) + " \\ " + posLit() + ")";
+      case 5:
+        return "(" + seq(depth + 1) + " & " + seq(depth + 1) + ")";
+      default:
+        return expr(depth + 1);
+    }
+  }
+
+  std::string stmt() {
+    switch (irand(0, 9)) {
+      case 0:
+        return "every v := " + seq(0) + " do write(v + " + lit() + ")";
+      case 1:
+        return "every write(" + seq(0) + ")";
+      case 2:
+        return "w := " + expr(0) + "; write(w | \"failed\")";
+      case 3:
+        return "if " + expr(0) + " < " + expr(0) + " then write(\"t\") else write(\"f\")";
+      case 4:
+        return "v := 0; while v < " + posLit() + " do { write(v); v := v + 1 }";
+      case 5:
+        // `next` in body position: skip large elements.
+        return "every v := " + seq(0) + " do { if v > " + lit() + " then next; write(v) }";
+      case 6:
+        return "every v := " + seq(0) + " do { if v > " + lit() + " then break; write(v) }";
+      case 7:
+        // Co-expression activation plus a refreshed copy (`^`). Only
+        // `c` ever holds a co-expression, and `c` is only activated,
+        // never written raw: the display form of a co-expression embeds
+        // its heap address, which no two runs share.
+        return "c := create " + seq(0) + "; every 1 to " + posLit() +
+               " do write(@c | \"done\"); c := ^c; write(@c | \"no\")";
+      case 8:
+        // A pipe producer drained through promotion, then &error
+        // conversion of a coercion fault into failure.
+        return "every write(! (|> " + seq(0) + "))";
+      default:
+        return "&error := 2; every write((" + expr(0) +
+               " + \"x\") | \"converted\"); write(&errornumber | \"noerr\")";
+    }
+  }
+
+  std::string proc(int i) {
+    callLimit_ = i;
+    std::ostringstream os;
+    os << "procedure p" << i << "(a, b)\n  local i\n";
+    switch (irand(0, 2)) {
+      case 0:
+        os << "  every i := " << seq(1) << " do suspend i + a\n";
+        os << "  if a < b then return a + b\n  fail\n";
+        break;
+      case 1:
+        os << "  suspend " << seq(1) << "\n  suspend b\n";
+        break;
+      default:
+        os << "  if a > b then fail\n  return " << expr(1) << "\n";
+        break;
+    }
+    os << "end\n";
+    return os.str();
+  }
+
+  std::string pick(std::initializer_list<const char*> xs) {
+    return *(xs.begin() + irand(0, static_cast<int>(xs.size()) - 1));
+  }
+
+  std::mt19937_64 rng_;
+  int nProcs_ = 0;
+  int callLimit_ = 0;  // procedures callable from the current body
+};
+
+bool writeFile(const std::filesystem::path& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+  return out.good();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using congen::vmdiff::kProgramsPerShard;
+  if (argc != 3) {
+    std::cerr << "usage: vm_diff_programs <shard> <outdir>\n";
+    return 2;
+  }
+  const int shard = std::stoi(argv[1]);
+  const std::filesystem::path dir = argv[2];
+  std::filesystem::create_directories(dir);
+
+  std::ostringstream tu;
+  tu << "// Generated by vm_diff_programs (differential shard " << shard << "). Do not edit.\n"
+     << "#include \"vm_diff.hpp\"\n";
+  for (int i = 0; i < kProgramsPerShard; ++i) tu << "#include \"prog" << i << ".hpp\"\n";
+  tu << "\nnamespace congen::vmdiff {\nnamespace {\n\nconst EmittedProgram kPrograms[] = {\n";
+  for (int i = 0; i < kProgramsPerShard; ++i) {
+    const std::uint64_t seed = congen::vmdiff::seedOf(shard, i);
+    const std::string source = ProgramGen(seed).program();
+    if (!writeFile(dir / ("prog" + std::to_string(i) + ".jn"), source)) {
+      std::cerr << "vm_diff_programs: cannot write under " << dir << "\n";
+      return 1;
+    }
+    tu << "    {" << seed << "u, R\"jn(" << source << ")jn\", &runEmitted<VmDiff_" << shard << "_"
+       << i << ">},\n";
+  }
+  tu << "};\n\n[[maybe_unused]] const bool kRegistered = (registerShard(" << shard
+     << ", kPrograms), true);\n\n}  // namespace\n}  // namespace congen::vmdiff\n";
+  if (!writeFile(dir / "shard.cpp", tu.str())) {
+    std::cerr << "vm_diff_programs: cannot write " << dir / "shard.cpp" << "\n";
+    return 1;
+  }
+  return 0;
+}

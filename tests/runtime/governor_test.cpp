@@ -5,9 +5,10 @@
 //  - the ResourceGovernor accounting core (charges, trips, epochs,
 //    termination) through its direct API;
 //  - the process-level Admission gate and the Supervisor watchdog;
-//  - end-to-end enforcement through the Interpreter: both backends must
-//    raise the identical 81x error for the same exhausted budget (fuel
-//    parity is the headline — vmStepLimit used to be VM-only), and the
+//  - end-to-end enforcement through the Interpreter: the VM and the
+//    kernel trees emitted code builds must raise the identical 81x error
+//    for the same exhausted budget (fuel parity is the headline: the VM
+//    charges dispatches, the kernel charges next() steps), and the
 //    fault-injection allocation sites must surface as the same clean,
 //    catchable 305 a real bad_alloc produces.
 #include <gtest/gtest.h>
@@ -20,6 +21,10 @@
 
 #include "concur/fault_injection.hpp"
 #include "interp/interpreter.hpp"
+#include "kernel/basic.hpp"
+#include "kernel/compose.hpp"
+#include "kernel/control.hpp"
+#include "kernel/ops.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/error.hpp"
 #include "runtime/governor.hpp"
@@ -308,38 +313,37 @@ TEST(GovernorSupervisor, CancelledWatchNeverEscalates) {
 // End-to-end enforcement through the Interpreter
 // ---------------------------------------------------------------------------
 
-/// Drive a runaway loop under `quotas` on the given backend and return
-/// the IconError number it trips with.
-int runawayErrorNumber(interp::Backend backend, const Limits& quotas) {
+/// Drive a runaway loop under `quotas` in an interpreter and return the
+/// IconError number it trips with.
+int runawayErrorNumber(const Limits& quotas) {
   interp::Interpreter::Options opts;
-  opts.backend = backend;
   opts.quotas = quotas;
   interp::Interpreter interp{opts};
   interp.load("def spin() { while 1 do 0; }");
   return iconErrorNumber([&] { interp.evalAll("spin()"); });
 }
 
+GenPtr lit(std::int64_t v) { return ConstGen::create(Value::integer(v)); }
+
+/// The same runaway loop as the kernel tree congenc emits for it
+/// (`while 1 do 0`), driven under a governor with `quotas`.
+int kernelRunawayErrorNumber(const Limits& quotas) {
+  governor::ScopedGovernor governed(ResourceGovernor::create(quotas));
+  auto spin = LoopGen::whileDo(lit(1), lit(0));
+  return iconErrorNumber([&] { spin->nextValue(); });
+}
+
 TEST(GovernorInterpreter, FuelParityBothBackendsRaise810) {
   Limits quotas;
   quotas.maxFuel = 50000;
-  // The headline of the unified fuel counter: the tree walker trips the
-  // SAME typed error the VM does, at the same budget.
-  EXPECT_EQ(runawayErrorNumber(interp::Backend::kTree, quotas), 810);
-  EXPECT_EQ(runawayErrorNumber(interp::Backend::kVm, quotas), 810);
-}
-
-TEST(GovernorInterpreter, VmStepLimitIsAFuelAlias) {
-  interp::Interpreter::Options opts;
-  opts.backend = interp::Backend::kVm;
-  opts.vmStepLimit = 50000;  // legacy spelling, same budget
-  interp::Interpreter interp{opts};
-  interp.load("def spin() { while 1 do 0; }");
-  EXPECT_EQ(iconErrorNumber([&] { interp.evalAll("spin()"); }), 810);
+  // The headline of the unified fuel counter: emitted code's kernel
+  // trees trip the SAME typed error the VM does, at the same budget.
+  EXPECT_EQ(runawayErrorNumber(quotas), 810);
+  EXPECT_EQ(kernelRunawayErrorNumber(quotas), 810);
 }
 
 TEST(GovernorInterpreter, FuelTripIsCatchableViaErrorConversion) {
   interp::Interpreter::Options opts;
-  opts.backend = interp::Backend::kTree;
   opts.quotas.maxFuel = 50000;
   interp::Interpreter interp{opts};
   // One &error credit converts the 810 into failure of the expression it
@@ -353,23 +357,19 @@ TEST(GovernorInterpreter, FuelTripIsCatchableViaErrorConversion) {
 }
 
 TEST(GovernorInterpreter, SetquotaCannotEraseHostImposedBudgets) {
-  for (const auto backend : {interp::Backend::kTree, interp::Backend::kVm}) {
-    interp::Interpreter::Options opts;
-    opts.backend = backend;
-    opts.quotas.maxFuel = 50000;
-    interp::Interpreter interp{opts};
-    // The escape attempt: drop the fuel budget, then grab a huge one
-    // (either of which used to reset the spent counter too). Both must
-    // clamp to the host envelope and leave the epoch alone.
-    interp.load(
-        "def jail() { setquota(\"fuel\", 0); setquota(\"fuel\", 100000000); while 1 do 0; }");
-    EXPECT_EQ(iconErrorNumber([&] { interp.evalAll("jail()"); }), 810);
-  }
+  interp::Interpreter::Options opts;
+  opts.quotas.maxFuel = 50000;
+  interp::Interpreter interp{opts};
+  // The escape attempt: drop the fuel budget, then grab a huge one
+  // (either of which used to reset the spent counter too). Both must
+  // clamp to the host envelope and leave the epoch alone.
+  interp.load(
+      "def jail() { setquota(\"fuel\", 0); setquota(\"fuel\", 100000000); while 1 do 0; }");
+  EXPECT_EQ(iconErrorNumber([&] { interp.evalAll("jail()"); }), 810);
 }
 
 TEST(GovernorInterpreter, SupervisorTerminationIsNotConvertibleViaError) {
   interp::Interpreter::Options opts;
-  opts.backend = interp::Backend::kTree;
   opts.governed = true;
   interp::Interpreter interp{opts};
   // A script holding a mountain of &error credit still cannot convert
@@ -381,23 +381,52 @@ TEST(GovernorInterpreter, SupervisorTerminationIsNotConvertibleViaError) {
   EXPECT_EQ(iconErrorNumber([&] { interp.evalAll("resist()"); }), 816);
 }
 
-TEST(GovernorInterpreter, DepthQuotaParityBothBackendsRaise813) {
-  for (const auto backend : {interp::Backend::kTree, interp::Backend::kVm}) {
-    interp::Interpreter::Options opts;
-    opts.backend = backend;
-    opts.quotas.maxDepth = 16;
-    interp::Interpreter interp{opts};
-    interp.load("def down(n) { if n <= 0 then return 0; return 1 + down(n - 1); }");
-    EXPECT_EQ(iconErrorNumber([&] { interp.evalAll("down(100)"); }), 813);
-    // The depth guard unwinds exactly: the interpreter stays usable and
-    // recursion under the budget still completes.
-    EXPECT_EQ(interp.evalOne("down(8)")->smallInt(), 8);
+/// `def down(n) { if n <= 0 then return 0; return 1 + down(n - 1); }`
+/// as the kernel tree congenc emits: one BodyRootGen per activation.
+class KernelDown {
+ public:
+  KernelDown() {
+    self_->set(Value::proc(ProcImpl::create("down", [self = self_](std::vector<Value> args) {
+      auto n = CellVar::create(args.empty() ? Value::null() : args[0]);
+      std::vector<GenPtr> recurse;
+      recurse.push_back(makeBinaryOpGen("-", VarGen::create(n), lit(1)));
+      std::vector<GenPtr> body;
+      body.push_back(IfGen::create(makeBinaryOpGen("<=", VarGen::create(n), lit(0)),
+                                   ReturnGen::create(lit(0))));
+      body.push_back(ReturnGen::create(makeBinaryOpGen(
+          "+", lit(1), makeInvokeGen(VarGen::create(self), std::move(recurse)))));
+      return GenPtr(BodyRootGen::create(SeqGen::create(std::move(body), SeqGen::Mode::Body)));
+    })));
   }
+  ~KernelDown() { self_->set(Value::null()); }  // the procedure captures its own cell
+
+  [[nodiscard]] std::optional<Value> call(std::int64_t n) const {
+    return self_->get().proc()->invoke({Value::integer(n)})->nextValue();
+  }
+
+ private:
+  VarPtr self_ = CellVar::create();
+};
+
+TEST(GovernorInterpreter, DepthQuotaParityBothBackendsRaise813) {
+  interp::Interpreter::Options opts;
+  opts.quotas.maxDepth = 16;
+  interp::Interpreter interp{opts};
+  interp.load("def down(n) { if n <= 0 then return 0; return 1 + down(n - 1); }");
+  EXPECT_EQ(iconErrorNumber([&] { interp.evalAll("down(100)"); }), 813);
+  // The depth guard unwinds exactly: the interpreter stays usable and
+  // recursion under the budget still completes.
+  EXPECT_EQ(interp.evalOne("down(8)")->smallInt(), 8);
+
+  // The emitted path shares the guard (it lives in BodyRootGen).
+  governor::ScopedGovernor governed(ResourceGovernor::create(opts.quotas));
+  const KernelDown down;
+  EXPECT_EQ(iconErrorNumber([&] { (void)down.call(100); }), 813);
+  EXPECT_EQ(down.call(8)->smallInt(), 8);
 }
 
 TEST(GovernorInterpreter, HeapQuotaRaises811) {
   interp::Interpreter::Options opts;
-  opts.backend = interp::Backend::kTree;
   opts.quotas.maxHeapBytes = 1u << 20;
   interp::Interpreter interp{opts};
   // Accumulate live payload objects until the byte budget trips (each
@@ -411,7 +440,6 @@ TEST(GovernorInterpreter, HeapQuotaRaises811) {
 
 TEST(GovernorInterpreter, CoexprQuotaRaises812) {
   interp::Interpreter::Options opts;
-  opts.backend = interp::Backend::kTree;
   opts.quotas.maxCoexprs = 2;
   interp::Interpreter interp{opts};
   EXPECT_TRUE(interp.evalOne("c1 := |<> 1").has_value());
@@ -421,7 +449,6 @@ TEST(GovernorInterpreter, CoexprQuotaRaises812) {
 
 TEST(GovernorInterpreter, PipeQuotaRaises812) {
   interp::Interpreter::Options opts;
-  opts.backend = interp::Backend::kTree;
   opts.quotas.maxPipes = 1;
   interp::Interpreter interp{opts};
   EXPECT_TRUE(interp.evalOne("p1 := |> (1 to 3)").has_value());
@@ -430,7 +457,6 @@ TEST(GovernorInterpreter, PipeQuotaRaises812) {
 
 TEST(GovernorInterpreter, PipeDepthClampIsGracefulNotAnError) {
   interp::Interpreter::Options opts;
-  opts.backend = interp::Backend::kTree;
   opts.quotas.maxPipeDepth = 4;  // far below the 1024 default capacity
   interp::Interpreter interp{opts};
   // Degradation contract: the pipe shrinks to the budget and the full
@@ -440,7 +466,6 @@ TEST(GovernorInterpreter, PipeDepthClampIsGracefulNotAnError) {
 
 TEST(GovernorInterpreter, SupervisorHardTeardownInterruptsARunawayDrive) {
   interp::Interpreter::Options opts;
-  opts.backend = interp::Backend::kTree;
   opts.governed = true;  // limitless governor: containment without quotas
   interp::Interpreter interp{opts};
   interp.load("def spin() { while 1 do 0; }");
@@ -454,7 +479,7 @@ TEST(GovernorInterpreter, ObsRowsAccumulateFuelAndTrips) {
   const auto before = registry.snapshot();
   Limits quotas;
   quotas.maxFuel = 50000;
-  EXPECT_EQ(runawayErrorNumber(interp::Backend::kTree, quotas), 810);
+  EXPECT_EQ(runawayErrorNumber(quotas), 810);
   const auto after = registry.snapshot();
   EXPECT_GT(after.counterValue("governor.fuel_spent"), before.counterValue("governor.fuel_spent"));
   EXPECT_GE(after.counterValue("governor.quota_trips"),
@@ -498,16 +523,18 @@ TEST(GovernorFaultInjection, ArenaAllocFailureSurfacesAsCatchable305) {
     GTEST_SKIP() << "build without CONGEN_FAULT_INJECTION";
   }
   interp::Interpreter interp;
-  // A 400-deep alternation holds more same-class kernel nodes live than
-  // any bin caches (kMaxPerClass = 128), forcing the fall-through to
-  // operator new — the instrumented site — even with warm bins.
-  std::string expr = "1";
-  for (int i = 0; i < 400; ++i) expr = "(" + expr + " | 1)";
+  // Each reversible assignment is an escape site whose operands become
+  // kernel nodes (a VarGen and a ConstGen) when the machine is built, so
+  // 400 of them hold more same-class nodes live than any bin caches
+  // (kMaxPerClass = 128), forcing the fall-through to operator new — the
+  // instrumented site — even with warm bins.
+  std::string expr = "(x <- 1)";
+  for (int i = 1; i < 400; ++i) expr += " & (x <- 1)";
   {
     ScopedAllocFault fault(testing::FaultSite::ArenaAlloc);
     EXPECT_EQ(iconErrorNumber([&] { interp.evalAll(expr); }), 305);
   }
-  EXPECT_EQ(interp.evalAll(expr).size(), 401u) << "nodes freed on unwind, arena intact";
+  EXPECT_EQ(interp.evalAll(expr).size(), 1u) << "nodes freed on unwind, arena intact";
 }
 
 TEST(GovernorFaultInjection, ProducerSideAllocFailureDoesNotDeadlockThePipe) {

@@ -1,6 +1,6 @@
 // frame_stress_test.cpp — pooled procedure bodies and slot frames under
 // concurrency. Pipes and mapReduce invoke the same procedures from pool
-// threads, so parked body trees are taken and re-parked across threads;
+// threads, so parked bodies are taken and re-parked across threads;
 // every round must see fully rebound frames (no state bleeding between
 // activations) and the sanitizer presets must stay clean.
 #include <gtest/gtest.h>
@@ -30,22 +30,11 @@ std::string readFile(const std::string& path) {
   return buffer.str();
 }
 
-/// Both execution backends recycle the same pooled frames (the VM's
-/// machines live inside the same BodyRootGen pooling the tree uses), so
-/// the whole suite runs once per backend.
-class FrameStress : public ::testing::TestWithParam<interp::Backend> {
- protected:
-  static interp::Interpreter::Options opts() {
-    interp::Interpreter::Options o;
-    o.backend = GetParam();
-    return o;
-  }
-};
 
-TEST_P(FrameStress, PipesRecycleBodiesAcrossThreads) {
+TEST(FrameStress, PipesRecycleBodiesAcrossThreads) {
   // Each round drives two pipe stages: sq() runs on a pool thread, so
   // its parked body is recycled between the consumer and pool threads.
-  interp::Interpreter interp{opts()};
+  interp::Interpreter interp;
   interp.load("def sq(x) { local y; y := x * x; return y; }");
   const int rounds = 20 * stress::scale();
   for (int round = 0; round < rounds; ++round) {
@@ -55,12 +44,12 @@ TEST_P(FrameStress, PipesRecycleBodiesAcrossThreads) {
   }
 }
 
-TEST_P(FrameStress, MapReduceRecyclesFramesAcrossThreads) {
+TEST(FrameStress, MapReduceRecyclesFramesAcrossThreads) {
   // The Fig. 4 program: every round spawns one pipe per chunk, and each
   // pipe body calls square/add — poolable procedures — from its own
   // thread. Rounds must agree exactly; a body handed to two call sites
   // or a frame rebound under a live reader would corrupt the sums.
-  interp::Interpreter interp{opts()};
+  interp::Interpreter interp;
   interp.load(readFile(std::string(CONGEN_SOURCE_DIR) + "/examples/scripts/mapreduce.jn"));
   const std::vector<std::int64_t> expected{14, 77, 194, 100};
   const int rounds = 15 * stress::scale();
@@ -70,13 +59,13 @@ TEST_P(FrameStress, MapReduceRecyclesFramesAcrossThreads) {
   }
 }
 
-TEST_P(FrameStress, ConcurrentInterpretersShareInternedTables) {
+TEST(FrameStress, ConcurrentInterpretersShareInternedTables) {
   // Independent interpreters on independent threads still share the
   // process-wide atom table, builtin constant table, and (thread-cached)
   // node arena; hammer all three from racing compiles and pipe runs.
   std::atomic<int> failures{0};
   stress::onThreads(4, [&](int t) {
-    interp::Interpreter interp{opts()};
+    interp::Interpreter interp;
     interp.load("def dbl(x) { local s; s := \"ab\"; return x + x + *s; }");
     for (int round = 0; round < 10 * stress::scale(); ++round) {
       std::int64_t sum = 0;
@@ -92,12 +81,6 @@ TEST_P(FrameStress, ConcurrentInterpretersShareInternedTables) {
   });
   EXPECT_EQ(failures.load(), 0);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, FrameStress,
-                         ::testing::Values(interp::Backend::kTree, interp::Backend::kVm),
-                         [](const auto& info) {
-                           return info.param == interp::Backend::kVm ? "vm" : "tree";
-                         });
 
 }  // namespace
 }  // namespace congen

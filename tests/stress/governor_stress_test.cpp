@@ -53,7 +53,6 @@ TEST(GovernorStress, PipelinesRacingASharedHeapBudgetTripCleanly) {
   // after the already-published prefix was delivered.
   for (int round = 0; round < 3 * stress::scale(); ++round) {
     interp::Interpreter::Options opts;
-    opts.backend = interp::Backend::kTree;
     opts.quotas.maxHeapBytes = 256u << 10;
     interp::Interpreter interp{opts};
     // 20 bytes of prefix pushes every element past the SSO capacity, so
@@ -87,7 +86,6 @@ TEST(GovernorStress, SupervisorHardTeardownContainsARunawaySession) {
   const std::uint64_t hard0 = supervisor.hardTeardownsIssued();
   for (int round = 0; round < 3 * stress::scale(); ++round) {
     interp::Interpreter::Options opts;
-    opts.backend = interp::Backend::kTree;
     opts.governed = true;
     interp::Interpreter interp{opts};
     interp.load("def spin() { local g; while 1 do { g := |> (1 to 1000000); every !g do 0; } }");

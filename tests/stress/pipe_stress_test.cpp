@@ -196,9 +196,7 @@ TEST(PipeStress, DeepRecursivePipeNesting) {
   EXPECT_EQ(expect, 21) << "all 20 values crossed " << depth << " thread hops";
 }
 
-class PipeStressBackend : public ::testing::TestWithParam<interp::Backend> {};
-
-TEST_P(PipeStressBackend, InterpreterTeardownReleasesGlobalPipes) {
+TEST(PipeStress, InterpreterTeardownReleasesGlobalPipes) {
   // Regression: a pipe stored in an interpreter *global* (`p := |> e`)
   // cycles back to the global scope through its refresh factory, so
   // neither was ever destroyed — the producer stayed blocked in put()
@@ -208,9 +206,7 @@ TEST_P(PipeStressBackend, InterpreterTeardownReleasesGlobalPipes) {
   auto& pool = ThreadPool::global();
   const auto before = pool.tasksCompleted();
   {
-    interp::Interpreter::Options opts;
-    opts.backend = GetParam();
-    interp::Interpreter interp{opts};
+    interp::Interpreter interp;
     // The producer outruns the queue capacity and blocks mid-stream.
     interp.evalOne("p := |> (1 to 1000000)");
     ASSERT_EQ(interp.evalOne("@p")->requireInt64(), 1);
@@ -218,12 +214,6 @@ TEST_P(PipeStressBackend, InterpreterTeardownReleasesGlobalPipes) {
   ASSERT_TRUE(eventually([&] { return pool.tasksCompleted() >= before + 1; }))
       << "interpreter teardown left the stored pipe's producer blocked";
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, PipeStressBackend,
-                         ::testing::Values(interp::Backend::kTree, interp::Backend::kVm),
-                         [](const auto& info) {
-                           return info.param == interp::Backend::kVm ? "vm" : "tree";
-                         });
 
 }  // namespace
 }  // namespace congen
