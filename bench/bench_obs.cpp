@@ -33,7 +33,7 @@ void queueHandoffInstrumented(benchmark::State& state) {
   constexpr int kItems = 20000;
   constexpr std::size_t kCapacity = 1024;
   for (auto _ : state) {
-    BlockingQueue<int> q(kCapacity);
+    SpscRing<int> q(kCapacity);
     std::jthread producer([&q] {
       for (int i = 0; i < kItems; ++i) {
         if (!q.put(i)) return;

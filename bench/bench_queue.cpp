@@ -3,13 +3,11 @@
 // queue buffer size can also be used to throttle a threaded
 // co-expression", Section III.B).
 //
-// The hand-off benches run through Channel, so the default rows measure
-// what a pipe actually uses — the lock-free SPSC ring — while the
-// `_mutex` rows pin the BlockingQueue fallback for an apples-to-apples
-// ablation of the transport swap. `queue/pipelines_scaling/N` runs N
-// independent pipelines concurrently: with the sharded work-stealing
-// pool and per-pipe rings there is no shared lock left between them, so
-// items/s should hold near-flat as N grows.
+// The hand-off benches run on SpscRing, the channel every pipe owns.
+// `queue/pipelines_scaling/N` runs N independent pipelines concurrently:
+// with the sharded work-stealing pool and per-pipe rings there is no
+// shared lock left between them, so items/s should hold near-flat as N
+// grows.
 #include <benchmark/benchmark.h>
 
 #include <thread>
@@ -21,11 +19,11 @@ namespace {
 
 using namespace congen;
 
-void queueHandoffImpl(benchmark::State& state, ChannelTransport transport) {
+void queueHandoff(benchmark::State& state) {
   const auto capacity = static_cast<std::size_t>(state.range(0));
   constexpr int kItems = 20000;
   for (auto _ : state) {
-    Channel<int> q(capacity, transport);
+    SpscRing<int> q(capacity);
     std::jthread producer([&q] {
       for (int i = 0; i < kItems; ++i) {
         if (!q.put(i)) return;
@@ -39,15 +37,7 @@ void queueHandoffImpl(benchmark::State& state, ChannelTransport transport) {
   state.SetItemsProcessed(state.iterations() * kItems);
 }
 
-void queueHandoff(benchmark::State& state) {
-  queueHandoffImpl(state, ChannelTransport::kAuto);
-}
-
-void queueHandoffMutex(benchmark::State& state) {
-  queueHandoffImpl(state, ChannelTransport::kMutex);
-}
-
-void queueHandoffBatchedImpl(benchmark::State& state, ChannelTransport transport) {
+void queueHandoffBatched(benchmark::State& state) {
   // Bulk hand-off: the producer accumulates `batch` elements and
   // publishes them with one putAll; the consumer drains with takeUpTo.
   // batch == 1 runs the per-element protocol (scalar put/take) — the
@@ -57,7 +47,7 @@ void queueHandoffBatchedImpl(benchmark::State& state, ChannelTransport transport
   const auto batch = static_cast<std::size_t>(state.range(1));
   constexpr int kItems = 20000;
   for (auto _ : state) {
-    Channel<int> q(capacity, transport);
+    SpscRing<int> q(capacity);
     std::jthread producer([&q, batch] {
       if (batch == 1) {
         for (int i = 0; i < kItems; ++i) {
@@ -93,28 +83,10 @@ void queueHandoffBatchedImpl(benchmark::State& state, ChannelTransport transport
   state.SetItemsProcessed(state.iterations() * kItems);
 }
 
-void queueHandoffBatched(benchmark::State& state) {
-  queueHandoffBatchedImpl(state, ChannelTransport::kAuto);
-}
-
-void queueHandoffBatchedMutex(benchmark::State& state) {
-  queueHandoffBatchedImpl(state, ChannelTransport::kMutex);
-}
-
 void queueUncontended(benchmark::State& state) {
   // Same-thread put/take on the ring: the raw acquire/release cost
   // without blocking (one release store + one acquire load per op).
-  Channel<int> q(64);
-  for (auto _ : state) {
-    q.put(1);
-    benchmark::DoNotOptimize(q.take());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-
-void queueUncontendedMutex(benchmark::State& state) {
-  // The same loop on the mutex queue: lock + CV bookkeeping per op.
-  Channel<int> q(64, ChannelTransport::kMutex);
+  SpscRing<int> q(64);
   for (auto _ : state) {
     q.put(1);
     benchmark::DoNotOptimize(q.take());
@@ -179,16 +151,10 @@ void futureLatency(benchmark::State& state) {
 
 BENCHMARK(queueHandoff)->Name("queue/handoff_capacity")->Arg(1)->Arg(4)->Arg(64)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(queueHandoffMutex)->Name("queue/handoff_capacity_mutex")->Arg(4)->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(queueHandoffBatched)->Name("queue/handoff_batched")
     ->Args({1024, 1})->Args({1024, 8})->Args({1024, 64})->Args({1024, 256})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(queueHandoffBatchedMutex)->Name("queue/handoff_batched_mutex")
-    ->Args({1024, 1})->Args({1024, 64})
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(queueUncontended)->Name("queue/uncontended");
-BENCHMARK(queueUncontendedMutex)->Name("queue/uncontended_mutex");
 BENCHMARK(pipeThroughput)->Name("queue/pipe_capacity")
     ->Args({4, 1})->Args({64, 1})->Args({1024, 1})
     ->Args({4, 4})->Args({64, 64})->Args({1024, 64})

@@ -1,6 +1,10 @@
 #include "wordcount.hpp"
 
 #include <cmath>
+#include <condition_variable>
+#include <deque>
+#include <mutex>
+#include <optional>
 #include <random>
 #include <thread>
 
@@ -50,6 +54,50 @@ double hashHeavy(const BigInt& n) {
 namespace {
 
 double hashOf(const BigInt& n, const Params& p) { return p.heavy ? hashHeavy(n) : hashLight(n); }
+
+/// The native pipeline's channel, standing in for Java's
+/// ArrayBlockingQueue: a mutex and two condition variables around a
+/// bounded deque. put() blocks while full and fails once closed; take()
+/// blocks while empty and drains what is buffered after close.
+template <class T>
+class BlockingQueue {
+ public:
+  explicit BlockingQueue(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
+
+  bool put(T v) {
+    std::unique_lock lock(m_);
+    notFull_.wait(lock, [&] { return closed_ || q_.size() < capacity_; });
+    if (closed_) return false;
+    q_.push_back(std::move(v));
+    notEmpty_.notify_one();
+    return true;
+  }
+
+  std::optional<T> take() {
+    std::unique_lock lock(m_);
+    notEmpty_.wait(lock, [&] { return closed_ || !q_.empty(); });
+    if (q_.empty()) return std::nullopt;
+    T v = std::move(q_.front());
+    q_.pop_front();
+    notFull_.notify_one();
+    return v;
+  }
+
+  void close() {
+    std::lock_guard lock(m_);
+    closed_ = true;
+    notFull_.notify_all();
+    notEmpty_.notify_all();
+  }
+
+ private:
+  std::mutex m_;
+  std::condition_variable notFull_;
+  std::condition_variable notEmpty_;
+  std::deque<T> q_;
+  std::size_t capacity_;
+  bool closed_ = false;
+};
 
 std::vector<std::string> splitWords(const std::string& line) {
   std::vector<std::string> out;

@@ -10,7 +10,7 @@
 // Java methods invoked from both the embedded Unicon and the Java
 // stream programs. What differs is the coordination:
 //
-//   native suite   — plain C++: a loop; a two-thread BlockingQueue
+//   native suite   — plain C++: a loop; a two-thread blocking-queue
 //                    pipeline; a thread-pool data-parallel map with
 //                    serial reduction; a chunked map-reduce (the "Java
 //                    parallel streams" analogue that normalizes Fig. 6).
@@ -48,8 +48,9 @@ struct Params {
 
 // -- native C++ suite ----------------------------------------------------
 double nativeSequential(const std::vector<std::string>& lines, const Params& p);
-/// Two threads connected by a BlockingQueue: producer does split +
-/// wordToNumber, consumer hashes and sums.
+/// Two threads connected by a bounded mutex queue (the stand-in for
+/// java.util.concurrent): producer does split + wordToNumber, consumer
+/// hashes and sums.
 double nativePipeline(const std::vector<std::string>& lines, const Params& p);
 /// Chunked parallel map producing hash vectors; serial reduction
 /// ("split out the reduction and effecting serialization").

@@ -28,15 +28,15 @@ namespace congen::testing {
 
 /// Instrumented boundaries in src/concur. kCount is a sentinel.
 enum class FaultSite : std::uint8_t {
-  QueuePut = 0,   // BlockingQueue::put entry (failure-capable)
-  QueueTake,      // BlockingQueue::take entry (delay only)
-  QueueTryPut,    // BlockingQueue::tryPut entry (failure-capable)
-  QueueTryTake,   // BlockingQueue::tryTake entry (failure-capable)
-  QueueClose,     // BlockingQueue::close entry (delay only)
+  QueuePut = 0,   // SpscRing::put/putFor entry (failure-capable)
+  QueueTake,      // SpscRing::take/takeFor entry (delay only)
+  QueueTryPut,    // SpscRing::tryPut entry (failure-capable)
+  QueueTryTake,   // SpscRing::tryTake entry (failure-capable)
+  QueueClose,     // SpscRing::close entry (delay only)
   PoolSubmit,     // ThreadPool::submit entry (failure-capable)
   PoolTaskRun,    // worker about to run a task (delay only)
-  QueuePutAll,    // BlockingQueue::putAll entry (failure-capable)
-  QueueTakeUpTo,  // BlockingQueue::takeUpTo entry (delay only)
+  QueuePutAll,    // SpscRing::putAll/putAllFor entry (failure-capable)
+  QueueTakeUpTo,  // SpscRing::takeUpTo/takeUpToFor entry (delay only)
   PipeBatchFlush, // Pipe producer about to publish a batch (delay only)
   QueueTimedWait, // timed/cancellable queue op (putFor family) entry (delay only)
   CancelSignal,   // StopSource::requestStop entry (delay only)

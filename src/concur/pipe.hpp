@@ -8,11 +8,17 @@
 //      c=|<>e; while (!fail) { out.put(@c); }}}.start() }}
 //
 // The producer drives the co-expression on a pool thread, putting each
-// result into a bounded queue; activation (@) is queue take. Bounding the
-// queue capacity throttles the producer. Destroying a pipe closes the
-// queue, which makes the producer's put() fail so an abandoned pipe can
-// never deadlock a worker. A capacity-1 pipe over a singleton expression
-// is a future.
+// result into a bounded SPSC ring (spsc_ring.hpp — one producer, one
+// consumer, exactly the shape of `|>`); activation (@) is ring take.
+// Bounding the capacity throttles the producer. Destroying a pipe closes
+// the ring, which makes the producer's put() fail so an abandoned pipe
+// can never deadlock a worker. A capacity-1 pipe over a singleton
+// expression is a future.
+//
+// Keyword isolation: the producer runs its body on fresh keyword state
+// (&error, &subject, &pos — see kernel/keyword_state.hpp), so a stage's
+// error-conversion credit or scanning subject never leaks into whatever
+// runs next on the same pool thread.
 //
 // Structured cancellation (see cancel.hpp): every pipe owns a
 // StopSource, and every queue wait on either side uses that pipe's own
@@ -42,7 +48,7 @@
 #include <vector>
 
 #include "concur/cancel.hpp"
-#include "concur/channel.hpp"
+#include "concur/spsc_ring.hpp"
 #include "concur/thread_pool.hpp"
 #include "kernel/coexpression.hpp"
 
@@ -50,31 +56,30 @@ namespace congen {
 
 class Pipe final : public CoExpression {
  public:
+  /// Capacity of a pipe created with capacity 0.
   static constexpr std::size_t kDefaultCapacity = 1024;
+  /// Largest capacity a pipe honors: the ring commits its slot array up
+  /// front, so larger requests clamp to this (2^20 slots).
+  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 20;
   /// Upper bound for the adaptive producer-side batch. Batching moves
-  /// whole segments through the queue (one lock + one notify per batch)
-  /// instead of paying that cost per element. A cap of 1 disables
-  /// batching entirely; capacity <= 1 pipes (futures/mailboxes) are
-  /// always unbatched regardless of the cap.
+  /// whole segments through the ring (one release store and at most one
+  /// wakeup per batch) instead of paying that cost per element. A cap of
+  /// 1 disables batching entirely; capacity-1 pipes (futures/mailboxes)
+  /// are always unbatched regardless of the cap.
   static constexpr std::size_t kDefaultBatch = 64;
 
-  /// Create and immediately start producing on a pool thread. The
-  /// transport defaults to kAuto: a bounded pipe (every future, default
-  /// pipe, and pipeline stage) rides the lock-free SPSC ring; unbounded
-  /// capacities fall back to the mutex queue. Pass kMutex when the
-  /// channel will be shared across threads beyond the pipe's own 1P/1C
-  /// pair (fan-in/fan-out built on queue()).
+  /// Create and immediately start producing on a pool thread. Capacity
+  /// 0 means kDefaultCapacity, a request above kMaxCapacity clamps to
+  /// it, and the ambient governor's pipe-depth budget clamps further.
   Pipe(GenFactory factory, std::size_t capacity, ThreadPool& pool,
-       std::size_t batchCap = kDefaultBatch,
-       ChannelTransport transport = ChannelTransport::kAuto);
+       std::size_t batchCap = kDefaultBatch);
   ~Pipe() override;
 
   static Rc<Pipe> create(GenFactory factory,
                          std::size_t capacity = kDefaultCapacity,
                          ThreadPool& pool = ThreadPool::global(),
-                         std::size_t batchCap = kDefaultBatch,
-                         ChannelTransport transport = ChannelTransport::kAuto) {
-    return makeRc<Pipe>(std::move(factory), capacity, pool, batchCap, transport);
+                         std::size_t batchCap = kDefaultBatch) {
+    return makeRc<Pipe>(std::move(factory), capacity, pool, batchCap);
   }
 
   /// Activation = take from the output channel. A run-time error raised
@@ -112,18 +117,11 @@ class Pipe final : public CoExpression {
   [[nodiscard]] CoExprPtr refreshed() const override;
 
   /// The output channel, "exposed as a public field to permit further
-  /// manipulation" (Section III.B). NOTE: on the default transport this
-  /// is a 1-producer/1-consumer ring — manipulation from extra threads
-  /// requires constructing the pipe with ChannelTransport::kMutex.
-  /// Debug builds enforce this: concurrent same-side ring ops trip an
-  /// assert naming the kMutex escape hatch (size/closed/capacity stay
-  /// any-thread safe).
-  [[nodiscard]] const std::shared_ptr<Channel<Value>>& queue() const noexcept {
-    return state_->queue;
-  }
-
-  /// True when this pipe's channel runs on the lock-free SPSC ring.
-  [[nodiscard]] bool lockFree() const noexcept { return state_->queue->lockFree(); }
+  /// manipulation" (Section III.B). It is a 1-producer/1-consumer ring
+  /// already driven by the pipe's own producer and consumer, so extra
+  /// threads may only use the any-thread ops (size/closed/capacity/
+  /// close); debug builds assert on concurrent same-side calls.
+  [[nodiscard]] SpscRing<Value>& queue() const noexcept { return state_->queue; }
 
   /// Effective batch cap after clamping to the queue capacity (1 means
   /// the pipe runs the unbatched per-element protocol).
@@ -139,22 +137,12 @@ class Pipe final : public CoExpression {
   /// State shared with the producer task; outlives the Pipe if the
   /// consumer abandons it mid-stream.
   struct State {
-    State(std::size_t capacity, ChannelTransport transport)
-        : queue(std::make_shared<Channel<Value>>(capacity, transport)) {}
-    std::shared_ptr<Channel<Value>> queue;
+    explicit State(std::size_t capacity) : queue(capacity) {}
+    SpscRing<Value> queue;
     StopSource source;              // the pipe's cancellation channel
     std::exception_ptr error;       // producer-side run-time error
     std::mutex errorMutex;
   };
-
-  /// Tag for the delegated constructor: `capacity` has already been
-  /// through the governor's pipe-depth clamp. The public constructor
-  /// resolves the clamp exactly once and delegates, so a concurrent
-  /// setquota("pipedepth") can never leave state_ and capacity_
-  /// disagreeing about the actual queue capacity.
-  struct Resolved {};
-  Pipe(Resolved, GenFactory factory, std::size_t capacity, ThreadPool& pool,
-       std::size_t batchCap, ChannelTransport transport);
 
   std::optional<Value> step(QueueDeadline deadline);
   [[nodiscard]] bool producerErrorPending() const;
@@ -164,19 +152,20 @@ class Pipe final : public CoExpression {
   // charged the co-expression budget — a pipe is one, and counts there
   // too.
   governor::PipeCharge quotaCharge_;
+  // The ring is the one record of the capacity, resolved exactly once,
+  // so a concurrent setquota("pipedepth") cannot desync it from
+  // batchCap_ or from a refreshed copy.
   std::shared_ptr<State> state_;
-  std::size_t capacity_;
   ThreadPool* pool_;
   std::size_t batchCap_;
-  ChannelTransport transport_;
   // produced_/finished_ are relaxed atomics solely so the watchdog's
   // dumpAll can read them from another thread; there is no ordering
   // requirement (single consumer).
   std::atomic<std::size_t> produced_{0};
   std::atomic<bool> finished_{false};
   // Consumer-side prefetch: activate() refills this from takeUpToFor()
-  // so a burst of buffered results costs one lock acquisition, not one
-  // each.
+  // so a burst of buffered results costs one acquire load and one
+  // release store, not one pair each.
   std::vector<Value> drained_;
   std::size_t drainedPos_ = 0;
 };
@@ -184,8 +173,7 @@ class Pipe final : public CoExpression {
 /// Kernel node for `|> e`: yields a started pipe once per cycle.
 GenPtr makePipeCreateGen(GenFactory bodyFactory, std::size_t capacity = Pipe::kDefaultCapacity,
                          ThreadPool& pool = ThreadPool::global(),
-                         std::size_t batchCap = Pipe::kDefaultBatch,
-                         ChannelTransport transport = ChannelTransport::kAuto);
+                         std::size_t batchCap = Pipe::kDefaultBatch);
 
 /// A future: a capacity-1 pipe computing a single value in the
 /// background; get() blocks for the result.

@@ -1,4 +1,5 @@
-// spsc_ring.hpp — bounded lock-free single-producer/single-consumer ring.
+// spsc_ring.hpp — bounded lock-free single-producer/single-consumer ring,
+// the one pipe transport.
 //
 // The paper models every `|> e` as exactly one producer (the pool thread
 // driving the co-expression) feeding exactly one consumer (the activation
@@ -9,13 +10,12 @@
 // no lock and performs no syscall; blocking is handled by futex parking
 // (std::atomic-wait on non-Linux) that only the slow path touches.
 //
-// The ring implements the full BlockingQueue contract — scalar and bulk
+// The ring is the blocking channel of Section III.B: scalar and bulk
 // ops, the timed/cancellable *For family with QueueOpStatus precedence
 // (kCancelled > transfer > kClosed > kTimedOut), close/drain semantics,
-// and the exact conservation metrics of obs/runtime_stats.hpp — so
-// `Pipe` can select it transparently (see channel.hpp). Memory-order
-// audit lives in docs/INTERNALS.md, "Lock-free transport & work
-// stealing"; the short version:
+// and the exact conservation metrics of obs/runtime_stats.hpp. Every
+// `Pipe` owns one. Memory-order audit lives in docs/INTERNALS.md,
+// "Lock-free transport & work stealing"; the short version:
 //
 //  * publication:  producer writes slot, then `tail_.store(release)`;
 //    consumer `tail_.load(acquire)`, then reads the slot. Symmetrically
@@ -62,12 +62,22 @@
 #include <thread>
 #endif
 
-#include "concur/blocking_queue.hpp"  // QueueOpStatus, QueueDeadline
 #include "concur/cancel.hpp"
 #include "concur/fault_injection.hpp"
 #include "obs/runtime_stats.hpp"
 
 namespace congen {
+
+/// Outcome of a cancellable / deadline-bounded ring operation. The
+/// precedence when several hold at once is kCancelled > element transfer
+/// > kClosed > kTimedOut: cancellation is checked first so a cancelled
+/// consumer stops within one operation even with elements buffered,
+/// while a *closed* ring still drains (close means end-of-stream, not
+/// abandonment).
+enum class QueueOpStatus : std::uint8_t { kOk, kClosed, kCancelled, kTimedOut };
+
+/// Absent deadline = wait indefinitely (cancellation/close still apply).
+using QueueDeadline = std::optional<std::chrono::steady_clock::time_point>;
 
 namespace spsc_detail {
 
@@ -139,8 +149,8 @@ class SideGuard {
   explicit SideGuard(std::atomic<bool>& busy) noexcept : busy_(busy) {
     const bool wasBusy = busy_.exchange(true, std::memory_order_relaxed);
     assert(!wasBusy &&
-           "SpscRing: concurrent calls on one side; build the Pipe/Channel with "
-           "ChannelTransport::kMutex to share a side across threads");
+           "SpscRing: concurrent calls on one side; a ring has one producer and one "
+           "consumer, so serialize each side's callers externally");
     (void)wasBusy;
   }
   ~SideGuard() { busy_.store(false, std::memory_order_relaxed); }
@@ -160,9 +170,9 @@ class SideGuard {
 template <class T>
 class SpscRing {
  public:
-  /// `capacity` must be >= 1 and is honored exactly (the backing buffer
-  /// rounds up to a power of two, but the full-test uses `capacity`, so
-  /// a capacity-1000 ring throttles at 1000 elements like the queue).
+  /// `capacity` is honored exactly (0 is treated as 1; the backing
+  /// buffer rounds up to a power of two, but the full-test uses
+  /// `capacity`, so a capacity-1000 ring throttles at 1000 elements).
   explicit SpscRing(std::size_t capacity) : bound_(capacity == 0 ? 1 : capacity) {
     std::size_t slots = 1;
     while (slots < bound_) slots <<= 1;
@@ -176,8 +186,9 @@ class SpscRing {
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
-  /// Conservation accounting, mirroring ~BlockingQueue: elements still
-  /// buffered at destruction were produced but never consumed. The
+  /// Conservation accounting: elements still buffered at destruction
+  /// were produced but never consumed — they count as dropped, and leave
+  /// the aggregate depth gauge (see obs/runtime_stats.hpp). The
   /// destructor runs strictly after the last operation on either side,
   /// so the relaxed reads see the final indices.
   ~SpscRing() {
@@ -190,7 +201,7 @@ class SpscRing {
     }
   }
 
-  // ---- plain blocking ops (BlockingQueue-compatible) -------------------
+  // ---- plain blocking ops ----------------------------------------------
 
   /// Blocking put; returns false if the ring is (or becomes) closed.
   bool put(T v) {
@@ -289,12 +300,12 @@ class SpscRing {
 
   // ---- cancellable / deadline-bounded ops ------------------------------
   //
-  // Same register-then-recheck protocol as BlockingQueue: the first wait
-  // cycle only registers the cancel wakeup and returns so the caller
-  // re-checks its exit conditions — a cancel landing before registration
-  // is otherwise lost. The wakeup callback bumps both sequence words and
-  // futex-wakes both sides; it touches only atomics, so the lock-order
-  // audit of cancel.hpp is trivially satisfied (there is no lock).
+  // Register-then-recheck: the first wait cycle only registers the
+  // cancel wakeup and returns so the caller re-checks its exit
+  // conditions — a cancel landing before registration is otherwise
+  // lost. The wakeup callback bumps both sequence words and futex-wakes
+  // both sides; it touches only atomics, so the lock-order audit of
+  // cancel.hpp is trivially satisfied (there is no lock).
 
   /// put() with cancellation and an optional deadline.
   QueueOpStatus putFor(T v, const CancelToken& token, QueueDeadline deadline = {}) {
@@ -454,7 +465,7 @@ class SpscRing {
 
   // ---- lifecycle / introspection ---------------------------------------
 
-  /// Close the channel: the producer's put fails, the consumer drains
+  /// Close the ring: the producer's put fails, the consumer drains
   /// what is buffered and then fails. Idempotent, callable from any
   /// thread (only atomics are touched).
   void close() {
@@ -634,9 +645,8 @@ class SpscRing {
   void parkProducer(bool metrics) { parkProducerFor(CancelToken{}, QueueDeadline{}, metrics); }
   void parkConsumer(bool metrics) { parkConsumerFor(CancelToken{}, QueueDeadline{}, metrics); }
 
-  // ---- metrics (same ledger as BlockingQueue; relaxed striped atomics,
-  // exact at quiescence — the conservation Environment polls teardown
-  // until the books settle) ---------------------------------------------
+  // ---- metrics (relaxed striped atomics, exact at quiescence — the
+  // conservation Environment polls teardown until the books settle) ----
 
   static std::uint64_t microsSince(std::chrono::steady_clock::time_point t0) {
     return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(

@@ -11,7 +11,6 @@
 #include "bignum/bigint.hpp"
 #include "builtins/builtins.hpp"
 #include "coexpr/shadow.hpp"
-#include "concur/blocking_queue.hpp"
 #include "concur/cancel.hpp"
 #include "concur/pipe.hpp"
 #include "concur/thread_pool.hpp"

@@ -9,9 +9,10 @@
 //
 // The environment is thread-local (like the scanning environment in
 // scan.hpp): each pipe producer runs on its own pool thread with its
-// own, initially-zero credit, so a stage that opts into conversion
-// never silently swallows errors raised in a concurrent stage. The
-// conversion itself happens at the generator-tree operator nodes
+// own, initially-zero credit (keyword_state.hpp swaps it in), so a stage
+// that opts into conversion never silently swallows errors raised in a
+// concurrent stage. The conversion itself happens at the generator-tree
+// operator nodes
 // (UnOpGen / BinOpGen / DelegateGen in ops.cpp) — the granularity at
 // which an "expression" exists after translation — and those nodes are
 // shared by the interpreter and the emitted C++, so both execution

@@ -28,6 +28,8 @@ ScanEnv::State& ScanEnv::current() {
   return s.stack.empty() ? s.base : s.stack.top();
 }
 
+ScanEnv::State& ScanEnv::base() { return tls().base; }
+
 void ScanEnv::push(State state) { tls().stack.push(std::move(state)); }
 
 ScanEnv::State ScanEnv::pop() {
@@ -56,9 +58,16 @@ bool ScanGen::doNext(Result& out) {
       // Swap the inner environment in around every body step (Icon swaps
       // on each suspension crossing the scan boundary). This keeps the
       // outer environment current while the scan is suspended, and an
-      // abandoned scan can never leak its environment.
+      // abandoned scan — or one a run-time error unwinds — can never
+      // leak its environment.
       ScanEnv::push(std::move(saved_));
-      const bool produced = body_->next(out);
+      bool produced = false;
+      try {
+        produced = body_->next(out);
+      } catch (...) {
+        saved_ = ScanEnv::pop();
+        throw;
+      }
       saved_ = ScanEnv::pop();
       if (produced) return true;  // scan results are the body's results
       scanning_ = false;          // body exhausted: backtrack into the subject

@@ -40,6 +40,10 @@ class ScanEnv {
   /// subject when no scan is active, as in Icon).
   static State& current();
 
+  /// This thread's environment outside any scan — what current() is
+  /// when the scan stack is empty (see kernel/keyword_state.hpp).
+  static State& base();
+
   /// Enter/leave a scan (used by ScanGen).
   static void push(State s);
   static State pop();

@@ -9,8 +9,8 @@ namespace congen::trace {
 
 namespace {
 
-std::mutex g_hookMutex;
-Hook g_hook;  // guarded by g_hookMutex for install/remove; events copy it
+std::mutex g_hookLock;
+Hook g_hook;  // guarded by g_hookLock for install/remove; events copy it
 
 thread_local int t_depth = 0;
 
@@ -28,7 +28,7 @@ std::string demangle(const char* name) {
 void dispatch(const Event& event) {
   Hook hook;
   {
-    std::lock_guard lock(g_hookMutex);
+    std::lock_guard lock(g_hookLock);
     hook = g_hook;
   }
   if (hook) hook(event);
@@ -39,13 +39,13 @@ void dispatch(const Event& event) {
 std::atomic<bool> g_enabled{false};
 
 void install(Hook hook) {
-  std::lock_guard lock(g_hookMutex);
+  std::lock_guard lock(g_hookLock);
   g_hook = std::move(hook);
   g_enabled.store(true, std::memory_order_relaxed);
 }
 
 void remove() {
-  std::lock_guard lock(g_hookMutex);
+  std::lock_guard lock(g_hookLock);
   g_enabled.store(false, std::memory_order_relaxed);
   g_hook = nullptr;
 }

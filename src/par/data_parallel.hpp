@@ -34,13 +34,8 @@ class DataParallel {
   explicit DataParallel(std::int64_t chunkSize = 1000,
                         std::size_t pipeCapacity = Pipe::kDefaultCapacity,
                         ThreadPool& pool = ThreadPool::global(),
-                        std::size_t pipeBatch = Pipe::kDefaultBatch,
-                        ChannelTransport transport = ChannelTransport::kAuto)
-      : chunkSize_(chunkSize),
-        pipeCapacity_(pipeCapacity),
-        pool_(&pool),
-        pipeBatch_(pipeBatch),
-        transport_(transport) {}
+                        std::size_t pipeBatch = Pipe::kDefaultBatch)
+      : chunkSize_(chunkSize), pipeCapacity_(pipeCapacity), pool_(&pool), pipeBatch_(pipeBatch) {}
 
   /// Bounded per-chunk retry with exponential backoff. When a chunk's
   /// pipe dies with an error, the chunk is re-run on a fresh
@@ -78,7 +73,6 @@ class DataParallel {
   std::size_t pipeCapacity_;
   ThreadPool* pool_;
   std::size_t pipeBatch_;
-  ChannelTransport transport_;
   int maxRetries_ = 0;
   std::int64_t backoffBaseMicros_ = 100;
 };

@@ -31,9 +31,8 @@ class Pipeline {
  public:
   explicit Pipeline(std::size_t pipeCapacity = Pipe::kDefaultCapacity,
                     ThreadPool& pool = ThreadPool::global(),
-                    std::size_t pipeBatch = Pipe::kDefaultBatch,
-                    ChannelTransport transport = ChannelTransport::kAuto)
-      : capacity_(pipeCapacity), pool_(&pool), batch_(pipeBatch), transport_(transport) {}
+                    std::size_t pipeBatch = Pipe::kDefaultBatch)
+      : capacity_(pipeCapacity), pool_(&pool), batch_(pipeBatch) {}
 
   /// Append a stage: f is mapped (goal-directed invocation, so all of
   /// f's results per element join the stream) over the previous stage's
@@ -68,7 +67,6 @@ class Pipeline {
   std::size_t capacity_;
   ThreadPool* pool_;
   std::size_t batch_;
-  ChannelTransport transport_;
 };
 
 }  // namespace congen

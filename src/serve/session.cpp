@@ -28,8 +28,11 @@ Session::Session(const Config& config)
 Session::~Session() {
   // The generator tree must unwind under the session governor (its heap
   // credits balance the charges); GovernedRootGen's destructor handles
-  // that, the interpreter destructor covers the globals.
+  // that, the interpreter destructor covers the globals. The session's
+  // keywords (a long &subject is heap) were charged to it too.
   gen_.reset();
+  governor::ScopedGovernor governed(interp_.resourceGovernor());
+  keywords_ = KeywordState{};
 }
 
 void Session::onDisconnect() noexcept {
@@ -42,6 +45,7 @@ std::string Session::handle(const Request& request) {
   // — runs with this session's governor installed on the worker thread,
   // so accounting follows the session, not the thread.
   governor::ScopedGovernor governed(interp_.resourceGovernor());
+  ScopedKeywordState keywords(keywords_);
   const auto& gov = interp_.resourceGovernor();
   if (gov != nullptr && gov->terminated()) {
     dead_ = true;

@@ -24,10 +24,13 @@
 //
 // Containment: every drive runs under ScopedGovernor so heap charges
 // and credits land on this session's budget regardless of which pool
-// thread executes the request. When configured, a Supervisor watch
-// brackets each drive: requests that blow the hard deadline are
-// terminated (816), which also marks the whole session dead — 816 is
-// the one error a session does not survive. Client disconnect calls
+// thread executes the request, and under ScopedKeywordState so the
+// session's &error, &subject and &pos follow it from request to request
+// and never reach another tenant served by the same pool thread. When
+// configured, a Supervisor watch brackets each drive: requests that
+// blow the hard deadline are terminated (816), which also marks the
+// whole session dead — 816 is the one error a session does not
+// survive. Client disconnect calls
 // onDisconnect(), which terminates the governor: every thread still
 // driving this session throws 816 at its next charge point and every
 // pipe linked under the session root is cancelled, unblocking parked
@@ -38,6 +41,7 @@
 #include <string>
 
 #include "interp/interpreter.hpp"
+#include "kernel/keyword_state.hpp"
 #include "serve/protocol.hpp"
 
 namespace congen::serve {
@@ -81,6 +85,7 @@ class Session {
 
   Config config_;
   interp::Interpreter interp_;
+  KeywordState keywords_;
   GenPtr gen_;
   bool closeRequested_ = false;
   bool dead_ = false;

@@ -22,6 +22,8 @@
 //   --request-soft MS --request-hard MS        per-request supervision:
 //                                              soft-cancel / hard 816
 //   --pipe-capacity N --pipe-batch N           session pipe knobs
+//                                              (capacity 0 = the
+//                                              default, 1024)
 //   --duration S                               exit after S seconds
 //                                              (CI smoke; 0 = run until
 //                                              SIGINT/SIGTERM)
@@ -29,18 +31,26 @@
 //                                              stderr at exit
 //   --metrics-json FILE                        JSON snapshot at exit
 //
+// Every numeric value must be a decimal integer in range (port 0-65535,
+// pipe capacity 0-2^20, pipe batch >= 1, durations < 2^31); anything
+// else is refused with a message and exit status 2.
+//
 // On a successful bind the daemon prints exactly one line to stdout:
 //   congen-serve: listening on HOST:PORT
 // and flushes it — scripts wait for that line before connecting.
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
 
+#include "concur/pipe.hpp"
 #include "obs/metrics.hpp"
 #include "serve/server.hpp"
 
@@ -48,12 +58,24 @@ namespace {
 
 volatile std::sig_atomic_t g_signalled = 0;
 
+// Upper bound for the millisecond and second flags: far past any real
+// deadline, and small enough that now() + duration cannot overflow.
+constexpr std::uint64_t kMaxDuration = INT32_MAX;
+
 void onSignal(int) { g_signalled = 1; }
 
+// Reads the decimal digits at the front of `text` into `out`. Returns
+// the first character after them, or nullptr when there are none (a
+// sign, a space, an empty string) or the value does not fit.
+const char* parseDigits(const char* text, std::uint64_t& out) {
+  const auto [end, ec] = std::from_chars(text, text + std::strlen(text), out);
+  return ec == std::errc{} ? end : nullptr;
+}
+
 bool parseBudget(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long raw = std::strtoull(text.c_str(), &end, 10);
+  std::uint64_t raw = 0;
+  const char* end = parseDigits(text.c_str(), raw);
+  if (end == nullptr) return false;
   std::uint64_t scale = 1;
   if (*end == 'K' || *end == 'k') {
     scale = 1024, ++end;
@@ -62,9 +84,15 @@ bool parseBudget(const std::string& text, std::uint64_t& out) {
   } else if (*end == 'G' || *end == 'g') {
     scale = 1024ULL * 1024 * 1024, ++end;
   }
-  if (end == text.c_str() || *end != '\0') return false;
-  out = static_cast<std::uint64_t>(raw) * scale;
+  if (*end != '\0' || raw > UINT64_MAX / scale) return false;
+  out = raw * scale;
   return true;
+}
+
+/// A plain decimal integer in [lo, hi].
+bool parseCount(const char* text, std::uint64_t lo, std::uint64_t hi, std::uint64_t& out) {
+  const char* end = parseDigits(text, out);
+  return end != nullptr && *end == '\0' && out >= lo && out <= hi;
 }
 
 }  // namespace
@@ -85,10 +113,20 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto count = [&](const char* flag, std::uint64_t lo, std::uint64_t hi) -> std::uint64_t {
+      const char* text = value(flag);
+      std::uint64_t n = 0;
+      if (!parseCount(text, lo, hi, n)) {
+        std::cerr << "congen-serve: bad " << flag << " value '" << text
+                  << "' (want a decimal integer in " << lo << ".." << hi << ")\n";
+        std::exit(2);
+      }
+      return n;
+    };
     if (arg == "--host") {
       config.host = value("--host");
     } else if (arg == "--port") {
-      config.port = static_cast<std::uint16_t>(std::strtoul(value("--port"), nullptr, 10));
+      config.port = static_cast<std::uint16_t>(count("--port", 0, 65535));
     } else if (arg.rfind("--max-", 0) == 0) {
       auto& q = config.session.quotas;
       auto budgetFlag = [&](const std::string& prefix, std::uint64_t& slot) -> int {
@@ -113,7 +151,7 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--admission-sessions") {
       config.admission.maxSessions =
-          static_cast<std::size_t>(std::strtoull(value("--admission-sessions"), nullptr, 10));
+          static_cast<std::size_t>(count("--admission-sessions", 0, SIZE_MAX));
     } else if (arg == "--admission-heap") {
       std::uint64_t bytes = 0;
       if (!parseBudget(value("--admission-heap"), bytes)) {
@@ -123,18 +161,17 @@ int main(int argc, char** argv) {
       config.admission.maxCommittedHeapBytes = bytes;
     } else if (arg == "--request-soft") {
       config.session.requestSoft =
-          std::chrono::milliseconds(std::strtol(value("--request-soft"), nullptr, 10));
+          std::chrono::milliseconds(count("--request-soft", 0, kMaxDuration));
     } else if (arg == "--request-hard") {
       config.session.requestHard =
-          std::chrono::milliseconds(std::strtol(value("--request-hard"), nullptr, 10));
+          std::chrono::milliseconds(count("--request-hard", 0, kMaxDuration));
     } else if (arg == "--pipe-capacity") {
       config.session.pipeCapacity =
-          static_cast<std::size_t>(std::strtoull(value("--pipe-capacity"), nullptr, 10));
+          static_cast<std::size_t>(count("--pipe-capacity", 0, congen::Pipe::kMaxCapacity));
     } else if (arg == "--pipe-batch") {
-      config.session.pipeBatch =
-          static_cast<std::size_t>(std::strtoull(value("--pipe-batch"), nullptr, 10));
+      config.session.pipeBatch = static_cast<std::size_t>(count("--pipe-batch", 1, SIZE_MAX));
     } else if (arg == "--duration") {
-      durationSec = std::strtol(value("--duration"), nullptr, 10);
+      durationSec = static_cast<long>(count("--duration", 0, kMaxDuration));
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--metrics-json") {

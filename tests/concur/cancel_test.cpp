@@ -1,5 +1,5 @@
 // cancel_test.cpp — structured cancellation, deadlines, and failure
-// containment (cancel.hpp, the queue *For family, and the pipe layer).
+// containment (cancel.hpp, the ring's *For family, and the pipe layer).
 #include "concur/cancel.hpp"
 
 #include <gtest/gtest.h>
@@ -9,8 +9,8 @@
 #include <thread>
 
 #include "../testutil.hpp"
-#include "concur/blocking_queue.hpp"
 #include "concur/pipe.hpp"
+#include "concur/spsc_ring.hpp"
 #include "par/pipeline.hpp"
 #include "runtime/error.hpp"
 
@@ -132,7 +132,7 @@ TEST(CancelScope, AmbientTokenNestsAndRestores) {
 // ---------------------------------------------------------------------
 
 TEST(QueueFor, FastPathsMatchPlainOperations) {
-  BlockingQueue<int> q(4);
+  SpscRing<int> q(4);
   StopSource s;
   const auto t = s.token();
   EXPECT_EQ(q.putFor(1, t), QueueOpStatus::kOk);
@@ -146,7 +146,7 @@ TEST(QueueFor, FastPathsMatchPlainOperations) {
 }
 
 TEST(QueueFor, DeadlineExpiryReturnsTimedOut) {
-  BlockingQueue<int> q(1);
+  SpscRing<int> q(1);
   StopSource s;
   EXPECT_EQ(q.putFor(1, s.token()), QueueOpStatus::kOk);
   EXPECT_EQ(q.putFor(2, s.token(), after(30ms)), QueueOpStatus::kTimedOut) << "queue full";
@@ -158,7 +158,7 @@ TEST(QueueFor, DeadlineExpiryReturnsTimedOut) {
 }
 
 TEST(QueueFor, CancelWakesBlockedPutWithinOneOperation) {
-  BlockingQueue<int> q(1);
+  SpscRing<int> q(1);
   StopSource s;
   ASSERT_EQ(q.putFor(1, s.token()), QueueOpStatus::kOk);  // now full
   std::atomic<bool> returned{false};
@@ -175,7 +175,7 @@ TEST(QueueFor, CancelWakesBlockedPutWithinOneOperation) {
 }
 
 TEST(QueueFor, CancelWakesBlockedTake) {
-  BlockingQueue<int> q(4);
+  SpscRing<int> q(4);
   StopSource s;
   std::thread consumer([&] {
     std::optional<int> out;
@@ -190,7 +190,7 @@ TEST(QueueFor, CancelWakesBlockedTake) {
 TEST(QueueFor, CancelledTakeSkipsBufferedElements) {
   // Precedence: kCancelled beats element transfer. Cancellation is
   // abandonment — a cancelled consumer must not consume.
-  BlockingQueue<int> q(4);
+  SpscRing<int> q(4);
   StopSource s;
   ASSERT_EQ(q.putFor(7, s.token()), QueueOpStatus::kOk);
   s.requestStop();
@@ -203,7 +203,7 @@ TEST(QueueFor, CancelledTakeSkipsBufferedElements) {
 }
 
 TEST(QueueFor, ClosedQueueStillDrains) {
-  BlockingQueue<int> q(4);
+  SpscRing<int> q(4);
   StopSource s;
   ASSERT_EQ(q.putFor(7, s.token()), QueueOpStatus::kOk);
   q.close();
@@ -214,7 +214,7 @@ TEST(QueueFor, ClosedQueueStillDrains) {
 }
 
 TEST(QueueFor, PutAllForReportsAcceptedPrefixOnCancel) {
-  BlockingQueue<int> q(2);
+  SpscRing<int> q(2);
   StopSource s;
   std::vector<int> batch{1, 2, 3, 4};
   std::size_t accepted = 0;
@@ -230,7 +230,7 @@ TEST(QueueFor, PutAllForReportsAcceptedPrefixOnCancel) {
 }
 
 TEST(QueueFor, DetachedTokenWorksWithDeadlines) {
-  BlockingQueue<int> q(1);
+  SpscRing<int> q(1);
   ASSERT_EQ(q.putFor(1, CancelToken{}), QueueOpStatus::kOk);
   EXPECT_EQ(q.putFor(2, CancelToken{}, after(30ms)), QueueOpStatus::kTimedOut);
 }
@@ -258,13 +258,13 @@ TEST(PipeCancel, CancelUnblocksProducerOnFullQueue) {
   ThreadPool pool;
   auto pipe = Pipe::create([] { return infinite(); }, /*capacity=*/2, pool);
   // Wait until the producer has filled the queue and is blocked in put.
-  while (pipe->queue()->size() < 2) std::this_thread::sleep_for(1ms);
+  while (pipe->queue().size() < 2) std::this_thread::sleep_for(1ms);
   pipe->cancel();
   // The producer must return within one queue operation: its task
   // completes and closes the queue without anyone draining it.
   pool.shutdown();
   EXPECT_EQ(pool.tasksCompleted(), 1u);
-  EXPECT_TRUE(pipe->queue()->closed());
+  EXPECT_TRUE(pipe->queue().closed());
   EXPECT_FALSE(pipe->activate().has_value()) << "cancelled pipe fails, not blocks";
   EXPECT_FALSE(pipe->activate().has_value()) << "and stays failed";
 }
@@ -285,17 +285,17 @@ TEST(PipeCancel, FourStageChainUnblocksEveryProducer) {
   p3->cancelWith(p4->cancelToken());
   // Let every stage fill: all four queues at capacity, all four
   // producers blocked in a put.
-  while (p1->queue()->size() < 2 || p2->queue()->size() < 2 || p3->queue()->size() < 2 ||
-         p4->queue()->size() < 2) {
+  while (p1->queue().size() < 2 || p2->queue().size() < 2 || p3->queue().size() < 2 ||
+         p4->queue().size() < 2) {
     std::this_thread::sleep_for(1ms);
   }
   p4->cancel();
   pool.shutdown();  // joins all workers: hangs (and times out) if any producer stayed blocked
   EXPECT_EQ(pool.tasksCompleted(), 4u);
-  EXPECT_TRUE(p1->queue()->closed());
-  EXPECT_TRUE(p2->queue()->closed());
-  EXPECT_TRUE(p3->queue()->closed());
-  EXPECT_TRUE(p4->queue()->closed());
+  EXPECT_TRUE(p1->queue().closed());
+  EXPECT_TRUE(p2->queue().closed());
+  EXPECT_TRUE(p3->queue().closed());
+  EXPECT_TRUE(p4->queue().closed());
 }
 
 TEST(PipeCancel, PipelineBuildCancellableStopsAllStages) {
@@ -313,7 +313,7 @@ TEST(PipeCancel, PipelineBuildCancellableStopsAllStages) {
 
 TEST(PipeDeadline, ActivateUntilTimesOutAndStaysReactivatable) {
   ThreadPool pool;
-  auto gate = std::make_shared<BlockingQueue<Value>>(4);
+  auto gate = std::make_shared<SpscRing<Value>>(4);
   // Producer forwards whatever the gate supplies — controllable latency.
   auto pipe = Pipe::create(
       [gate]() -> GenPtr {
@@ -429,7 +429,7 @@ TEST(FutureError, FailureIsNotAnError) {
 TEST(PipeDump, DumpAllReportsLivePipes) {
   ThreadPool pool;
   auto pipe = Pipe::create([] { return test::range(1, 4); }, 8, pool);
-  while (!pipe->queue()->closed()) std::this_thread::sleep_for(1ms);
+  while (!pipe->queue().closed()) std::this_thread::sleep_for(1ms);
   std::ostringstream os;
   Pipe::dumpAll(os);
   const std::string dump = os.str();

@@ -8,7 +8,10 @@
 #include <thread>
 
 #include "../testutil.hpp"
+#include "kernel/error_env.hpp"
+#include "kernel/scan.hpp"
 #include "runtime/error.hpp"
+#include "runtime/governor.hpp"
 #include "runtime/var.hpp"
 
 namespace congen {
@@ -151,8 +154,70 @@ TEST(PipeQueueExposure, PublicQueueAllowsExtraManipulation) {
   // "The output blocking queue ... is exposed as a public field to
   // permit further manipulation."
   auto pipe = Pipe::create([] { return test::range(1, 3); }, 8);
-  ASSERT_NE(pipe->queue(), nullptr);
-  EXPECT_EQ(pipe->queue()->capacity(), 8u);
+  EXPECT_EQ(pipe->queue().capacity(), 8u);
+}
+
+TEST(PipeCapacity, ZeroMeansTheDefault) {
+  auto pipe = Pipe::create([] { return test::range(1, 3); }, 0);
+  EXPECT_EQ(pipe->queue().capacity(), Pipe::kDefaultCapacity) << "0 is not unbounded";
+}
+
+TEST(PipeCapacity, OversizedRequestClampsToTheMaximum) {
+  auto pipe = Pipe::create([] { return test::range(1, 3); }, Pipe::kMaxCapacity + 1);
+  EXPECT_EQ(pipe->queue().capacity(), Pipe::kMaxCapacity);
+}
+
+TEST(PipeCapacity, PipeDepthBudgetClampsBelowBoth) {
+  governor::Limits limits;
+  limits.maxPipeDepth = 8;
+  governor::ScopedGovernor governed(governor::ResourceGovernor::create(limits));
+  auto byDefault = Pipe::create([] { return test::range(1, 3); }, 0);
+  auto oversized = Pipe::create([] { return test::range(1, 3); }, Pipe::kMaxCapacity + 1);
+  EXPECT_EQ(byDefault->queue().capacity(), 8u);
+  EXPECT_EQ(oversized->queue().capacity(), 8u);
+}
+
+/// Yields this thread's &error credit, then its &subject.
+GenPtr keywordProbe() {
+  return CallbackGen::create([]() -> CallbackGen::Puller {
+    int step = 0;
+    return [step]() mutable -> std::optional<Value> {
+      switch (step++) {
+        case 0: return Value::integer(ErrorEnv::current().credit);
+        case 1: return ScanEnv::current().subject;
+        default: return std::nullopt;
+      }
+    };
+  });
+}
+
+TEST(PipeKeywords, ProducerStartsFromFreshKeywordState) {
+  // One worker, so both producers run on the same pool thread. The
+  // first leaves &error credit and a &subject behind; the second must
+  // see neither.
+  ThreadPool pool(/*maxThreads=*/1);
+  auto first = Pipe::create(
+      []() -> GenPtr {
+        return CallbackGen::create([]() -> CallbackGen::Puller {
+          return []() -> std::optional<Value> {
+            ErrorEnv::current().credit = 1000000;
+            ScanEnv::current().subject = Value::string("tenant-A-secret");
+            return std::nullopt;
+          };
+        });
+      },
+      4, pool);
+  EXPECT_FALSE(first->activate().has_value());
+  // The worker must be idle again before the capped pool takes more.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (pool.tasksCompleted() < 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  auto second = Pipe::create(keywordProbe, 4, pool);
+  EXPECT_EQ(second->activate()->requireInt64(), 0) << "&error credit leaked between producers";
+  EXPECT_EQ(second->activate()->requireString("&subject"), "")
+      << "&subject leaked between producers";
+  EXPECT_EQ(ErrorEnv::current().credit, 0);
 }
 
 TEST(FutureTest, SingletonPipeIsAFuture) {

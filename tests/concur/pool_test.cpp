@@ -5,9 +5,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <thread>
-
-#include "concur/blocking_queue.hpp"
 
 namespace congen {
 namespace {
@@ -43,14 +42,14 @@ TEST(PoolBasics, WorkersAreReused) {
 TEST(PoolGrowth, GrowsWhenAllWorkersBlocked) {
   // This is the property that makes nested pipelines deadlock-free: a
   // task blocked on a queue must not starve later submissions.
+  std::latch gate(1);
   ThreadPool pool;
-  BlockingQueue<int> gate(1);
   constexpr int kBlocked = 6;
   std::atomic<int> started{0};
   for (int i = 0; i < kBlocked; ++i) {
     pool.submit([&] {
       ++started;
-      gate.take();  // blocks until the gate is closed
+      gate.wait();  // blocks until the gate opens
     });
   }
   waitFor([&] { return started.load() == kBlocked; });
@@ -61,7 +60,7 @@ TEST(PoolGrowth, GrowsWhenAllWorkersBlocked) {
   pool.submit([&] { extraRan = true; });
   waitFor([&] { return extraRan.load(); });
   EXPECT_TRUE(extraRan.load()) << "new work proceeds while others block";
-  gate.close();
+  gate.count_down();
 }
 
 TEST(PoolShutdown, SubmitAfterDestructionScopeIsSafe) {
@@ -73,13 +72,13 @@ TEST(PoolShutdown, SubmitAfterDestructionScopeIsSafe) {
 }
 
 TEST(PoolShutdown, ThreadCapIsEnforced) {
+  std::latch gate(1);
   ThreadPool pool(/*maxThreads=*/2);
-  BlockingQueue<int> gate(1);
-  pool.submit([&] { gate.take(); });
-  pool.submit([&] { gate.take(); });
+  pool.submit([&] { gate.wait(); });
+  pool.submit([&] { gate.wait(); });
   waitFor([&] { return pool.idleThreads() == 0; });
   EXPECT_THROW(pool.submit([] {}), std::runtime_error);
-  gate.close();
+  gate.count_down();
 }
 
 TEST(PoolShutdown, ExplicitShutdownIsIdempotent) {
@@ -96,13 +95,13 @@ TEST(PoolShutdown, ExplicitShutdownIsIdempotent) {
 TEST(PoolShutdown, CapRejectionDoesNotEnqueueTheTask) {
   // Regression: submit() used to push the task *before* the cap check,
   // so a "rejected" task was still queued and ran later anyway.
+  std::latch gate(1);
   ThreadPool pool(/*maxThreads=*/1);
-  BlockingQueue<int> gate(1);
-  pool.submit([&] { gate.take(); });  // occupies the only worker
+  pool.submit([&] { gate.wait(); });  // occupies the only worker
   waitFor([&] { return pool.idleThreads() == 0; });
   std::atomic<bool> phantomRan{false};
   EXPECT_THROW(pool.submit([&] { phantomRan = true; }), std::runtime_error);
-  gate.close();  // release the worker; it would now drain any stale queue
+  gate.count_down();  // release the worker; it would now drain any stale queue
   waitFor([&] { return pool.tasksCompleted() == 1u; });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(phantomRan.load()) << "a rejected task must never run";
@@ -143,20 +142,20 @@ TEST(PoolStats, ThreadsCreatedSurvivesShutdown) {
 }
 
 TEST(PoolStats, BurstGrowthMatchesBlockedWorkers) {
+  std::latch gate(1);
   ThreadPool pool;
-  BlockingQueue<int> gate(1);
   constexpr int kBlocked = 4;
   std::atomic<int> started{0};
   for (int i = 0; i < kBlocked; ++i) {
     pool.submit([&] {
       ++started;
-      gate.take();
+      gate.wait();
     });
   }
   waitFor([&] { return started.load() == kBlocked; });
   EXPECT_EQ(pool.threadsCreated(), static_cast<std::size_t>(kBlocked))
       << "every burst submit outran the blocked/parked workers, so each grew the pool";
-  gate.close();
+  gate.count_down();
 }
 
 TEST(PoolGlobal, SingletonIsStable) {

@@ -2,19 +2,21 @@
 //
 // Single-threaded tests exercise the index arithmetic (wrap-around,
 // exact capacity, close/drain ordering); two-thread tests pin down the
-// blocking contract the ring shares with BlockingQueue — QueueOpStatus
-// precedence, timed expiry, and the register-then-recheck cancel path.
+// blocking contract of the pipe's channel — QueueOpStatus precedence,
+// timed expiry, and the register-then-recheck cancel path. The Queue*
+// suites are the channel contract of Section III.B (put/take, bulk,
+// try, close), one producer and one consumer at a time.
 #include "concur/spsc_ring.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
 
 #include "concur/cancel.hpp"
-#include "concur/channel.hpp"
 
 namespace congen {
 namespace {
@@ -268,48 +270,272 @@ TEST(SpscRingHandoff, BulkHandoffAcrossThreads) {
   EXPECT_EQ(expect, kItems);
 }
 
-TEST(SpscRingChannel, AutoSelectsRingForBoundedCapacity) {
-  Channel<int> bounded(8);
-  EXPECT_TRUE(bounded.lockFree());
-  EXPECT_EQ(bounded.capacity(), 8u);
-  Channel<int> future(1);
-  EXPECT_TRUE(future.lockFree()) << "futures are capacity-1 pipes";
+// ---- the channel contract: put/take, bulk, try, close ----------------
+
+TEST(QueueBasics, FifoOrder) {
+  SpscRing<int> q(4);
+  q.put(1);
+  q.put(2);
+  q.put(3);
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.take(), 1);
+  EXPECT_EQ(q.take(), 2);
+  EXPECT_EQ(q.take(), 3);
 }
 
-TEST(SpscRingChannel, AutoFallsBackToMutexQueue) {
-  Channel<int> unbounded(0);
-  EXPECT_FALSE(unbounded.lockFree()) << "a ring cannot be unbounded";
-  Channel<int> huge(Channel<int>::kMaxSpscCapacity + 1);
-  EXPECT_FALSE(huge.lockFree()) << "absurd capacities skip the pre-sized slot array";
+TEST(QueueBasics, TryOperations) {
+  SpscRing<int> q(2);
+  EXPECT_FALSE(q.tryTake().has_value()) << "empty tryTake fails without blocking";
+  EXPECT_TRUE(q.tryPut(1));
+  EXPECT_TRUE(q.tryPut(2));
+  EXPECT_FALSE(q.tryPut(3)) << "full tryPut fails without blocking";
+  EXPECT_EQ(q.tryTake(), 1);
+  EXPECT_TRUE(q.tryPut(3));
 }
 
-TEST(SpscRingChannel, ExplicitTransportWins) {
-  Channel<int> forcedMutex(8, ChannelTransport::kMutex);
-  EXPECT_FALSE(forcedMutex.lockFree());
-  Channel<int> forcedRing(16, ChannelTransport::kSpsc);
-  EXPECT_TRUE(forcedRing.lockFree());
+TEST(QueueBasics, TryPutAfterCloseFails) {
+  SpscRing<int> q(4);
+  EXPECT_TRUE(q.tryPut(1));
+  q.close();
+  EXPECT_FALSE(q.tryPut(2)) << "closed tryPut is refused even with room";
+  EXPECT_EQ(q.size(), 1u) << "the refused element was not half-enqueued";
 }
 
-TEST(SpscRingChannel, ForwardsTheFullContract) {
-  // One pass over every forwarded operation on the ring arm.
-  Channel<int> ch(4);
-  EXPECT_TRUE(ch.put(1));
-  EXPECT_TRUE(ch.tryPut(2));
-  std::vector<int> batch{3, 4};
-  EXPECT_EQ(ch.putAll(batch), 2u);
-  EXPECT_EQ(ch.size(), 4u);
-  EXPECT_EQ(ch.waitingConsumers(), 0u);
-  EXPECT_EQ(ch.take(), 1);
-  EXPECT_EQ(ch.tryTake(), 2);
-  EXPECT_EQ(ch.takeUpTo(4), (std::vector<int>{3, 4}));
-  std::optional<int> out;
-  EXPECT_EQ(ch.putFor(5, CancelToken{}, {}), QueueOpStatus::kOk);
-  EXPECT_EQ(ch.takeFor(out, CancelToken{}, {}), QueueOpStatus::kOk);
-  EXPECT_EQ(out, 5);
-  ch.close();
-  EXPECT_TRUE(ch.closed());
-  std::vector<int> rest;
-  EXPECT_EQ(ch.takeUpToFor(rest, 4, CancelToken{}, {}), QueueOpStatus::kClosed);
+TEST(QueueBasics, TryTakeDrainsAfterClose) {
+  SpscRing<int> q(4);
+  q.put(1);
+  q.put(2);
+  q.close();
+  EXPECT_EQ(q.tryTake(), 1) << "buffered elements survive close via the try-API too";
+  EXPECT_EQ(q.tryTake(), 2);
+  EXPECT_FALSE(q.tryTake().has_value());
+  EXPECT_FALSE(q.tryTake().has_value()) << "drained + closed stays failed";
+}
+
+TEST(QueueBasics, TryOpsOnMailbox) {
+  // Capacity 1: tryPut toggles between accepted and refused as the slot
+  // fills and empties — the non-blocking view of the M-var.
+  SpscRing<int> mailbox(1);
+  EXPECT_TRUE(mailbox.tryPut(1));
+  EXPECT_FALSE(mailbox.tryPut(2)) << "occupied mailbox refuses";
+  EXPECT_EQ(mailbox.tryTake(), 1);
+  EXPECT_FALSE(mailbox.tryTake().has_value());
+  EXPECT_TRUE(mailbox.tryPut(3)) << "slot reusable after tryTake";
+  EXPECT_EQ(mailbox.take(), 3);
+}
+
+TEST(QueueBasics, TryPutReleasesBlockedTaker) {
+  // A tryPut must wake a blocked take() just like put() does.
+  SpscRing<int> q(1);
+  std::atomic<bool> got{false};
+  std::thread consumer([&] {
+    EXPECT_EQ(q.take(), 7);
+    got = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_TRUE(q.tryPut(7));
+  consumer.join();
+  EXPECT_TRUE(got.load());
+}
+
+TEST(QueueBasics, TryTakeReleasesBlockedPutter) {
+  // Symmetric: a tryTake on a full queue must wake a blocked put().
+  SpscRing<int> q(1);
+  ASSERT_TRUE(q.put(1));
+  std::atomic<bool> done{false};
+  std::thread producer([&] {
+    EXPECT_TRUE(q.put(2));
+    done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(q.tryTake(), 1);
+  producer.join();
+  EXPECT_TRUE(done.load());
+  EXPECT_EQ(q.take(), 2);
+}
+
+TEST(QueueBulk, PutAllDeliversInOrderAndConsumesTheBatch) {
+  SpscRing<int> q(4);
+  std::vector<int> batch{1, 2, 3, 4};
+  EXPECT_EQ(q.putAll(batch), 4u);
+  EXPECT_TRUE(batch.empty()) << "accepted elements are erased from the batch";
+  for (int i = 1; i <= 4; ++i) EXPECT_EQ(q.take(), i);
+}
+
+TEST(QueueBulk, PutAllEmptyBatchIsANoOp) {
+  SpscRing<int> q(1);
+  std::vector<int> batch;
+  EXPECT_EQ(q.putAll(batch), 0u);
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(QueueBulk, PutAllAfterCloseAcceptsNothingAndKeepsTheBatch) {
+  SpscRing<int> q(4);
+  q.close();
+  std::vector<int> batch{1, 2, 3};
+  EXPECT_EQ(q.putAll(batch), 0u);
+  EXPECT_EQ(batch, (std::vector<int>{1, 2, 3})) << "the refused batch is left intact";
+}
+
+TEST(QueueBulk, PutAllBlockedAtCapacityAcceptsPrefixOnClose) {
+  // A putAll that outgrows the bound parks; close mid-batch must release
+  // it with the accepted prefix erased and the unaccepted suffix still
+  // in the caller's hands.
+  SpscRing<int> q(2);
+  std::vector<int> batch{1, 2, 3, 4, 5};
+  std::atomic<std::size_t> accepted{99};
+  std::thread producer([&] { accepted = q.putAll(batch); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(q.size(), 2u) << "the prefix filled the queue to its bound";
+  q.close();
+  producer.join();
+  EXPECT_EQ(accepted.load(), 2u);
+  EXPECT_EQ(batch, (std::vector<int>{3, 4, 5})) << "unaccepted suffix survives the close";
+  EXPECT_EQ(q.take(), 1);
+  EXPECT_EQ(q.take(), 2);
+  EXPECT_FALSE(q.take().has_value());
+}
+
+TEST(QueueBulk, TakeUpToTakesAtMostMaxInFifoOrder) {
+  SpscRing<int> q(8);
+  for (int i = 1; i <= 5; ++i) q.put(i);
+  EXPECT_EQ(q.takeUpTo(3), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(q.takeUpTo(10), (std::vector<int>{4, 5})) << "takeUpTo never blocks for more";
+}
+
+TEST(QueueBulk, TakeUpToZeroReturnsEmptyWithoutBlocking) {
+  SpscRing<int> q(4);
+  EXPECT_TRUE(q.takeUpTo(0).empty());
+  q.put(1);
+  EXPECT_TRUE(q.takeUpTo(0).empty());
+  EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(QueueBulk, TakeUpToBlocksUntilTheFirstElement) {
+  SpscRing<int> q(4);
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    q.put(42);
+  });
+  EXPECT_EQ(q.takeUpTo(8), (std::vector<int>{42})) << "blocks like take(), returns what is there";
+  producer.join();
+}
+
+TEST(QueueBulk, TakeUpToEmptyMeansClosedAndDrained) {
+  SpscRing<int> q(4);
+  q.put(1);
+  q.close();
+  EXPECT_EQ(q.takeUpTo(8), (std::vector<int>{1})) << "buffered elements survive close";
+  EXPECT_TRUE(q.takeUpTo(8).empty()) << "empty result is the bulk poison pill";
+}
+
+TEST(QueueBulk, WaitingConsumersCountsBlockedTakers) {
+  SpscRing<int> q(4);
+  EXPECT_EQ(q.waitingConsumers(), 0u);
+  std::thread consumer([&] { EXPECT_EQ(q.take(), 5); });
+  while (q.waitingConsumers() == 0) std::this_thread::yield();
+  EXPECT_EQ(q.waitingConsumers(), 1u);
+  q.put(5);
+  consumer.join();
+  EXPECT_EQ(q.waitingConsumers(), 0u);
+}
+
+TEST(QueueClose, TakeDrainsThenFails) {
+  SpscRing<int> q(4);
+  q.put(1);
+  q.put(2);
+  q.close();
+  EXPECT_EQ(q.take(), 1) << "buffered elements survive close";
+  EXPECT_EQ(q.take(), 2);
+  EXPECT_FALSE(q.take().has_value()) << "drained + closed = failure";
+  EXPECT_FALSE(q.put(9)) << "put after close is refused";
+}
+
+TEST(QueueClose, ReleasesBlockedConsumer) {
+  SpscRing<int> q(4);
+  std::atomic<bool> released{false};
+  std::thread consumer([&] {
+    EXPECT_FALSE(q.take().has_value());
+    released = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(released.load());
+  q.close();
+  consumer.join();
+  EXPECT_TRUE(released.load());
+}
+
+TEST(QueueClose, ReleasesBlockedProducer) {
+  SpscRing<int> q(1);
+  q.put(0);  // now full
+  std::atomic<bool> released{false};
+  std::thread producer([&] {
+    EXPECT_FALSE(q.put(1)) << "blocked put returns false on close";
+    released = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(released.load());
+  q.close();
+  producer.join();
+  EXPECT_TRUE(released.load());
+}
+
+TEST(QueueCapacity, BoundThrottlesProducer) {
+  SpscRing<int> q(4);
+  std::atomic<int> produced{0};
+  std::thread producer([&] {
+    for (int i = 0; i < 100; ++i) {
+      if (!q.put(i)) return;
+      produced = i + 1;
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_LE(produced.load(), 5) << "producer cannot run ahead of the bound";
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(q.take(), i);
+  producer.join();
+}
+
+class QueueConcurrencyProperty : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(QueueConcurrencyProperty, AllElementsDeliveredExactlyOnce) {
+  const auto [producers, capacity] = GetParam();
+  constexpr int kPerProducer = 500;
+  SpscRing<int> q(static_cast<std::size_t>(capacity));
+
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(producers));
+  for (int p = 0; p < producers; ++p) {
+    threads.emplace_back([&q, p] {
+      for (int i = 0; i < kPerProducer; ++i) q.put(p * kPerProducer + i);
+    });
+  }
+  std::vector<int> got;
+  std::thread consumer([&] {
+    for (int i = 0; i < producers * kPerProducer; ++i) got.push_back(*q.take());
+  });
+  for (auto& t : threads) t.join();
+  consumer.join();
+
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(producers * kPerProducer));
+  std::sort(got.begin(), got.end());
+  for (int i = 0; i < producers * kPerProducer; ++i) {
+    ASSERT_EQ(got[static_cast<std::size_t>(i)], i) << "element lost or duplicated";
+  }
+}
+
+// One producer: the ring's contract (several producers need a lock).
+INSTANTIATE_TEST_SUITE_P(Shapes, QueueConcurrencyProperty,
+                         ::testing::Values(std::make_pair(1, 1), std::make_pair(1, 16)));
+
+TEST(QueueSingleSlot, ActsAsMailbox) {
+  // Capacity 1 = the future / M-var of Section III.B.
+  SpscRing<int> mailbox(1);
+  std::thread producer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    mailbox.put(42);
+  });
+  EXPECT_EQ(mailbox.take(), 42) << "take blocks until defined";
+  producer.join();
 }
 
 }  // namespace

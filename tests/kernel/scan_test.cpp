@@ -72,6 +72,15 @@ TEST(ScanGenTest, OutOfRangeTabFails) {
   EXPECT_EQ(ScanEnv::depth(), 0u);
 }
 
+TEST(ScanGenTest, RunTimeErrorInBodyRestoresEnvironment) {
+  // "secret" ? (1 / 0): the error unwinds out of the scan, and the
+  // thread's &subject must not stay "secret" for whatever runs next.
+  auto g = ScanGen::create(cs("secret"), makeBinaryOpGen("/", ci(1), ci(0)));
+  EXPECT_THROW(g->nextValue(), IconError);
+  EXPECT_EQ(ScanEnv::depth(), 0u);
+  EXPECT_EQ(ScanEnv::current().subject.str(), "");
+}
+
 TEST(ScanGenTest, MultipleSubjects) {
   // ("ab" | "xyz") ? tab(0) — scans each subject in turn.
   auto g = ScanGen::create(AltGen::create(cs("ab"), cs("xyz")), makeTabGen(ci(0)));

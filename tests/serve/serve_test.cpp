@@ -7,17 +7,24 @@
 // containment surface (810/811 quota trips, 815 admission shed, 816
 // supervisor termination), HTTP observability on the same port, and the
 // disconnect-cancels-producer regression (a hung-up client must retire
-// its pipe producers, observed through the pipe.live gauge).
+// its pipe producers, observed through the pipe.live gauge). The
+// ServeSession suite drives Session objects directly on the test thread.
 #include <chrono>
+#include <cstdlib>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "concur/pipe.hpp"
+#include "kernel/error_env.hpp"
 #include "obs/metrics.hpp"
 #include "obs/runtime_stats.hpp"
 #include "serve/server.hpp"
+#include "serve/session.hpp"
 #include "serve_client.hpp"
 
 namespace congen::serve {
@@ -347,6 +354,56 @@ TEST(ServeShutdown, StopDrainsLiveSessionsAndRestartWorks) {
   EXPECT_EQ(again.readLine(), "{\"ok\":true,\"kind\":\"generator\"}");
   server.stop();
   (void)firstPort;
+}
+
+/// SUBMIT `body`, then NEXT 1: the NEXT response.
+std::string evalOne(Session& session, const std::string& body) {
+  (void)session.handle({Verb::kSubmit, body, 0});
+  return session.handle({Verb::kNext, "", 1});
+}
+
+TEST(ServeSession, KeywordsStayWithTheirSession) {
+  // Both sessions run on this one thread, the way two tenants share a
+  // pool thread: A's &error credit and &subject must not reach B.
+  Session a(Session::Config{});
+  Session b(Session::Config{});
+  (void)evalOne(a, "&error := 1000000");
+  (void)evalOne(a, "&subject := \"tenant-A-secret\"");
+  EXPECT_EQ(responseCode(evalOne(b, "1 / 0")), 201) << "A's &error credit converted B's error";
+  EXPECT_EQ(evalOne(b, "&subject").find("tenant-A-secret"), std::string::npos);
+  // A keeps its own keywords from one request to the next.
+  EXPECT_NE(evalOne(a, "&error").find("\"1000000\""), std::string::npos);
+  EXPECT_NE(evalOne(a, "&subject").find("tenant-A-secret"), std::string::npos);
+  EXPECT_EQ(ErrorEnv::current().credit, 0) << "the thread's own state was left changed";
+}
+
+/// The queued/capacity of the one live pipe, from the watchdog dump.
+std::pair<std::size_t, std::size_t> livePipeDepth() {
+  std::ostringstream os;
+  Pipe::dumpAll(os);
+  const std::string dump = os.str();
+  const std::size_t at = dump.find(" queued=");
+  if (at == std::string::npos) return {0, 0};
+  const char* p = dump.c_str() + at + 8;
+  char* slash = nullptr;
+  const std::size_t queued = std::strtoull(p, &slash, 10);
+  return {queued, std::strtoull(slash + 1, nullptr, 10)};
+}
+
+TEST(ServeSession, PipeCapacityZeroStreamsOnTheDefaultBound) {
+  // --pipe-capacity 0 means the 1024 default: an endless producer runs
+  // ahead until its ring is full, and no further.
+  Session::Config config;
+  config.pipeCapacity = 0;
+  Session session(config);
+  (void)evalOne(session, "p := |> seq(1)");
+  EXPECT_NE(evalOne(session, "@p").find("\"results\":[\"1\"]"), std::string::npos);
+  EXPECT_TRUE(eventually([] { return livePipeDepth().first >= Pipe::kDefaultCapacity; },
+                         std::chrono::seconds(5)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto [queued, capacity] = livePipeDepth();
+  EXPECT_EQ(capacity, Pipe::kDefaultCapacity);
+  EXPECT_LE(queued, Pipe::kDefaultCapacity);
 }
 
 }  // namespace

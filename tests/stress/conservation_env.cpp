@@ -9,12 +9,12 @@
 //   put.batch_size.sum == put.batch_elements
 //   put.batch_size.count == put.batches
 //
-// Because every transfer-path update happens under the owning queue's
-// lock, these hold exactly — any drift is a lost or double-counted
-// element somewhere in the concurrent runtime, which is precisely the
-// class of bug the stress suite exists to catch (and, under the tsan /
-// asan-ubsan presets, the class sanitizers cannot see: a logically
-// dropped element is not a data race).
+// Because every transferred element is counted exactly once, by the ring
+// side that moved it, these hold exactly at quiescence — any drift is a
+// lost or double-counted element somewhere in the concurrent runtime,
+// which is precisely the class of bug the stress suite exists to catch
+// (and, under the tsan / asan-ubsan presets, the class sanitizers cannot
+// see: a logically dropped element is not a data race).
 //
 // Teardown quiesces first: abandoned pipes retire their producers
 // asynchronously on the global pool, so the identities are polled until

@@ -7,11 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
-#include "concur/blocking_queue.hpp"
 #include "stress_util.hpp"
 
 namespace congen {
@@ -24,22 +24,22 @@ TEST(PoolStress, GrowthUnderNestedBlockedProducers) {
   // Task i submits task i+1 and then blocks until i+1 delivers — the
   // worst case for a fixed pool (every worker is blocked waiting on work
   // that needs yet another worker). Cached growth must reach the bottom.
-  ThreadPool pool;
   const int depth = 48 * stress::scale();
   std::atomic<int> completed{0};
 
-  // Each level owns a mailbox its child fills.
-  std::vector<std::unique_ptr<BlockingQueue<int>>> mail;
+  // Each level owns a latch its child opens.
+  std::vector<std::unique_ptr<std::latch>> mail;
   mail.reserve(static_cast<std::size_t>(depth));
-  for (int i = 0; i < depth; ++i) mail.push_back(std::make_unique<BlockingQueue<int>>(1));
+  for (int i = 0; i < depth; ++i) mail.push_back(std::make_unique<std::latch>(1));
 
+  ThreadPool pool;
   std::function<void(int)> level = [&](int i) {
     if (i + 1 < depth) {
       pool.submit([&level, i] { level(i + 1); });
-      mail[static_cast<std::size_t>(i)]->take();  // block on the child
+      mail[static_cast<std::size_t>(i)]->wait();  // block on the child
     }
     completed.fetch_add(1, std::memory_order_relaxed);
-    if (i > 0) mail[static_cast<std::size_t>(i - 1)]->put(1);  // release the parent
+    if (i > 0) mail[static_cast<std::size_t>(i - 1)]->count_down();  // release the parent
   };
   pool.submit([&level] { level(0); });
 
@@ -47,7 +47,7 @@ TEST(PoolStress, GrowthUnderNestedBlockedProducers) {
       << "nested chain stalled at " << completed.load() << "/" << depth;
   EXPECT_GE(pool.threadsCreated(), static_cast<std::size_t>(depth) - 1)
       << "every blocked level needed its own worker";
-  // Wait for the task tails (the release put()s) before `mail` and
+  // Wait for the task tails (the release count_down()s) before `mail` and
   // `level` go out of scope under the still-running workers.
   ASSERT_TRUE(eventually(
       [&] { return pool.tasksCompleted() == static_cast<std::size_t>(depth); }, 30000));
@@ -107,8 +107,8 @@ TEST(PoolStress, ThreadCapExhaustionUnderContention) {
   // are expected, but an accepted task must always eventually run, and a
   // rejected task must never run.
   constexpr std::size_t kCap = 4;
+  std::latch gate(1);
   ThreadPool pool(kCap);
-  BlockingQueue<int> gate(1);
   std::atomic<int> accepted{0};
   std::atomic<int> rejectedMarks{0};
   std::atomic<int> ran{0};
@@ -118,7 +118,7 @@ TEST(PoolStress, ThreadCapExhaustionUnderContention) {
       try {
         pool.submit([&] {
           ran.fetch_add(1, std::memory_order_relaxed);
-          gate.take();  // park until released
+          gate.wait();  // park until released
         });
         accepted.fetch_add(1, std::memory_order_relaxed);
       } catch (const std::runtime_error&) {
@@ -129,7 +129,7 @@ TEST(PoolStress, ThreadCapExhaustionUnderContention) {
 
   EXPECT_LE(pool.threadsCreated(), kCap) << "the cap is a hard ceiling";
   EXPECT_GT(rejectedMarks.load(), 0) << "contention at the cap must reject";
-  gate.close();  // release every parked task
+  gate.count_down();  // release every parked task
   ASSERT_TRUE(eventually([&] { return ran.load() == accepted.load(); }, 20000))
       << "accepted=" << accepted.load() << " ran=" << ran.load()
       << " — an accepted task was lost, or a rejected one ran";

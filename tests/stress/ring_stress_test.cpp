@@ -156,6 +156,20 @@ TEST(SpscRingStress, CloseWhileFullNeverLosesTheDrain) {
   }
 }
 
+// close() is the one op any thread may call (a pipe closes its ring from
+// both ends): racing closers stay idempotent and the buffer still drains.
+TEST(QueueStress, CloseRacesCloseIdempotently) {
+  const int rounds = 100 * stress::scale();
+  for (int round = 0; round < rounds; ++round) {
+    SpscRing<int> q(2);
+    q.put(1);
+    stress::onThreads(4, [&](int) { q.close(); });
+    EXPECT_TRUE(q.closed());
+    EXPECT_EQ(q.take(), 1);
+    EXPECT_FALSE(q.take().has_value());
+  }
+}
+
 TEST(SpscRingStress, TimedOpsUnderLoad) {
   // Deadlines expire and succeed interleaved with real traffic; a
   // kTimedOut must never consume or publish an element.
