@@ -35,15 +35,6 @@ Params params(bool heavy) {
   return p;
 }
 
-// The pipeline with bulk hand-off disabled (batch cap 1): the pre-
-// batching per-element protocol, kept as the baseline the CI bench
-// smoke diffs against the batched fig6/junicon/Pipeline.
-double juniconPipelineElement(const std::vector<std::string>& lines, const Params& p) {
-  Params perElement = p;
-  perElement.pipeBatch = 1;
-  return congen::wc::juniconPipeline(lines, perElement);
-}
-
 template <double (*Variant)(const std::vector<std::string>&, const Params&)>
 void runVariant(benchmark::State& state) {
   const bool heavy = state.range(0) != 0;
@@ -72,7 +63,6 @@ FIG6_BENCH("fig6/native/DataParallel", congen::wc::nativeDataParallel);
 FIG6_BENCH("fig6/native/MapReduce", congen::wc::nativeMapReduce);
 FIG6_BENCH("fig6/junicon/Sequential", congen::wc::juniconSequential);
 FIG6_BENCH("fig6/junicon/Pipeline", congen::wc::juniconPipeline);
-FIG6_BENCH("fig6/junicon/PipelineElement", juniconPipelineElement);
 FIG6_BENCH("fig6/junicon/DataParallel", congen::wc::juniconDataParallel);
 FIG6_BENCH("fig6/junicon/MapReduce", congen::wc::juniconMapReduce);
 

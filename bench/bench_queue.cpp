@@ -5,9 +5,8 @@
 //
 // The hand-off benches run on SpscRing, the channel every pipe owns.
 // `queue/pipelines_scaling/N` runs N independent pipelines concurrently:
-// with the sharded work-stealing pool and per-pipe rings there is no
-// shared lock left between them, so items/s should hold near-flat as N
-// grows.
+// each pipe has its own ring and takes the shared pool's lock once, to
+// start its producer, so items/s should hold near-flat as N grows.
 #include <benchmark/benchmark.h>
 
 #include <thread>
@@ -40,8 +39,7 @@ void queueHandoff(benchmark::State& state) {
 void queueHandoffBatched(benchmark::State& state) {
   // Bulk hand-off: the producer accumulates `batch` elements and
   // publishes them with one putAll; the consumer drains with takeUpTo.
-  // batch == 1 runs the per-element protocol (scalar put/take) — the
-  // same degenerate path Pipe selects at batchCap 1 — and anchors the
+  // batch == 1 runs the ring's scalar put/take and anchors the
   // element-vs-batch throughput comparison in the bench JSON.
   const auto capacity = static_cast<std::size_t>(state.range(0));
   const auto batch = static_cast<std::size_t>(state.range(1));
@@ -95,18 +93,17 @@ void queueUncontended(benchmark::State& state) {
 }
 
 void pipeThroughput(benchmark::State& state) {
-  // End-to-end pipe cost per element at different throttle bounds and
-  // batch caps: range(0) = capacity, range(1) = batchCap (1 = the
-  // per-element protocol, the pre-batching baseline).
+  // End-to-end pipe cost per element at different throttle bounds:
+  // range(0) = capacity; range(1) only names the pipe's batch cap,
+  // min(64, capacity), so the rows keep their recorded names.
   const auto capacity = static_cast<std::size_t>(state.range(0));
-  const auto batchCap = static_cast<std::size_t>(state.range(1));
   constexpr std::int64_t kItems = 20000;
   for (auto _ : state) {
     auto pipe = Pipe::create(
         [] {
           return RangeGen::create(Value::integer(1), Value::integer(kItems), Value::integer(1));
         },
-        capacity, ThreadPool::global(), batchCap);
+        capacity);
     std::int64_t count = 0;
     while (pipe->activate()) ++count;
     benchmark::DoNotOptimize(count);
@@ -117,8 +114,8 @@ void pipeThroughput(benchmark::State& state) {
 void pipelinesScaling(benchmark::State& state) {
   // N independent pipelines, each a pipe producer on the shared pool
   // drained by its own consumer thread. The row family's items/s holding
-  // near-flat as N grows is the whole point of the sharded pool + ring:
-  // no cross-pipeline lock remains.
+  // near-flat as N grows is the point of per-pipe rings: no lock is
+  // shared per element across pipelines.
   const auto n = static_cast<int>(state.range(0));
   constexpr std::int64_t kItems = 20000;
   for (auto _ : state) {
@@ -156,7 +153,6 @@ BENCHMARK(queueHandoffBatched)->Name("queue/handoff_batched")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(queueUncontended)->Name("queue/uncontended");
 BENCHMARK(pipeThroughput)->Name("queue/pipe_capacity")
-    ->Args({4, 1})->Args({64, 1})->Args({1024, 1})
     ->Args({4, 4})->Args({64, 64})->Args({1024, 64})
     ->Unit(benchmark::kMillisecond);
 // UseRealTime: the bench thread only spawns and joins the consumers, so

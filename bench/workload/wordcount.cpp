@@ -304,15 +304,13 @@ double juniconPipeline(const std::vector<std::string>& lines, const Params& p) {
   };
   auto gen = makeInvokeGen(
       ConstGen::create(Value::proc(wcst.hash)),
-      {PromoteGen::create(
-          makePipeCreateGen(pipeBody, p.queueCapacity, ThreadPool::global(), p.pipeBatch))});
+      {PromoteGen::create(makePipeCreateGen(pipeBody, p.queueCapacity))});
   return drainReal(gen);
 }
 
 double juniconDataParallel(const std::vector<std::string>& lines, const Params& p) {
   JuniconWordCount wcst(lines, p);
-  DataParallel dp(static_cast<std::int64_t>(p.chunkSize), p.queueCapacity, ThreadPool::global(),
-                  p.pipeBatch);
+  DataParallel dp(static_cast<std::int64_t>(p.chunkSize), p.queueCapacity);
   // every (c = chunk(readLines)) |> hashWords(!c), then serial summation
   // over the flattened sequence — the "split out the reduction" variant.
   auto gen = dp.mapFlat(wcst.hashWords, [&wcst] { return wcst.readLinesGen(); });
@@ -321,8 +319,7 @@ double juniconDataParallel(const std::vector<std::string>& lines, const Params& 
 
 double juniconMapReduce(const std::vector<std::string>& lines, const Params& p) {
   JuniconWordCount wcst(lines, p);
-  DataParallel dp(static_cast<std::int64_t>(p.chunkSize), p.queueCapacity, ThreadPool::global(),
-                  p.pipeBatch);
+  DataParallel dp(static_cast<std::int64_t>(p.chunkSize), p.queueCapacity);
   auto gen = dp.mapReduce(wcst.hashWords, [&wcst] { return wcst.readLinesGen(); }, wcst.sumHash,
                           Value::real(0.0));
   return drainReal(gen);  // sum of per-chunk reductions

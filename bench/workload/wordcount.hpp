@@ -43,7 +43,6 @@ struct Params {
   bool heavy = false;
   std::size_t chunkSize = 64;       // map-reduce / data-parallel chunking
   std::size_t queueCapacity = 256;  // pipeline blocking-queue bound
-  std::size_t pipeBatch = Pipe::kDefaultBatch;  // bulk hand-off cap (1 = per-element)
 };
 
 // -- native C++ suite ----------------------------------------------------

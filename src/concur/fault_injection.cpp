@@ -32,7 +32,6 @@ const char* faultSiteName(FaultSite site) noexcept {
     case FaultSite::PipeBatchFlush: return "Pipe::batchFlush";
     case FaultSite::QueueTimedWait: return "SpscRing::timedWait";
     case FaultSite::CancelSignal: return "StopSource::requestStop";
-    case FaultSite::PoolSteal: return "ThreadPool::steal";
     case FaultSite::ArenaAlloc: return "Arena::systemAlloc";
     case FaultSite::RcAlloc: return "RcBase::operator new";
     case FaultSite::ServeAccept: return "serve::Listener::accept";

@@ -40,7 +40,6 @@ enum class FaultSite : std::uint8_t {
   PipeBatchFlush, // Pipe producer about to publish a batch (delay only)
   QueueTimedWait, // timed/cancellable queue op (putFor family) entry (delay only)
   CancelSignal,   // StopSource::requestStop entry (delay only)
-  PoolSteal,      // worker about to sweep sibling deques for work (delay only)
   ArenaAlloc,     // arena operator-new fall-through (failure-capable: 305)
   RcAlloc,        // RcBase payload allocation (failure-capable: 305)
   ServeAccept,    // serve listener about to accept() (failure-capable)

@@ -40,7 +40,20 @@ void unregisterPipe(const Pipe* p) {
   r.pipes->erase(p);
 }
 
-/// The producer half of the batched transport. Runs on a pool thread,
+/// Upper bound for the adaptive producer-side batch and the consumer's
+/// prefetch. Batching moves whole segments through the ring (one release
+/// store and at most one wakeup per batch) instead of paying that cost
+/// per element.
+constexpr std::size_t kMaxBatch = 64;
+
+/// The batch cap of a pipe over `queue`: batching past the capacity
+/// could never publish in one flush, so a capacity-1 future or mailbox
+/// hands over one value at a time.
+std::size_t batchLimit(const SpscRing<Value>& queue) {
+  return std::min(kMaxBatch, queue.capacity());
+}
+
+/// The producer half of the pipe transport. Runs on a pool thread,
 /// draining the co-expression body into a local buffer and publishing
 /// whole segments with one putAllFor per flush. The batch size adapts:
 /// it starts at 1 (first result reaches the consumer with no batching
@@ -48,15 +61,15 @@ void unregisterPipe(const Pipe* p) {
 /// halves whenever a flush finds the consumer already blocked in
 /// activate() — at that point buffering further values only adds
 /// latency. Each round's goal is additionally clamped to the queue's
-/// spare capacity so a bounded pipe still bounds producer run-ahead
-/// exactly as the per-element protocol does.
+/// spare capacity (but never below 1), so the producer runs at most
+/// capacity + 1 results ahead of the consumer.
 ///
 /// Cancellation: the generation loop checks the token between results
 /// (one relaxed load) and every flush waits cancellably, so a cancelled
 /// pipe's producer returns within one queue operation even with the
 /// queue full.
-void runBatchedProducer(SpscRing<Value>& queue, Gen& body, std::size_t cap,
-                        const CancelToken& token) {
+void runProducer(SpscRing<Value>& queue, Gen& body, const CancelToken& token) {
+  const std::size_t cap = batchLimit(queue);
   std::vector<Value> buffer;
   std::size_t accepted = 0;
   std::size_t batch = 1;
@@ -85,9 +98,9 @@ void runBatchedProducer(SpscRing<Value>& queue, Gen& body, std::size_t cap,
         }
       }
     } catch (...) {
-      // The per-element protocol delivers every result generated before
-      // an error; flush the intact buffer (best effort) before letting
-      // the error propagate to the consumer.
+      // Every result generated before an error is delivered: flush the
+      // intact buffer (best effort) before letting the error propagate
+      // to the consumer.
       try {
         if (!buffer.empty()) queue.putAllFor(buffer, accepted, token);
       } catch (...) {
@@ -125,15 +138,10 @@ std::size_t resolveCapacity(std::size_t capacity) {
 
 }  // namespace
 
-Pipe::Pipe(GenFactory factory, std::size_t capacity, ThreadPool& pool, std::size_t batchCap)
+Pipe::Pipe(GenFactory factory, std::size_t capacity, ThreadPool& pool)
     : CoExpression(std::move(factory)),
       state_(std::make_shared<State>(resolveCapacity(capacity))),
-      pool_(&pool),
-      // Capacity-1 pipes are futures/mailboxes: latency-sensitive and
-      // single-valued, so they always run the unbatched protocol. The
-      // capacity also clamps the cap — batching past it could never
-      // publish in one flush anyway.
-      batchCap_(std::clamp<std::size_t>(batchCap, 1, state_->queue.capacity())) {
+      pool_(&pool) {
   // A pipe created inside a producer body (the ambient CancelScope is
   // that producer's token) hangs itself under it, so cancelling the
   // downstream consumer reaches lazily-created inner pipes too.
@@ -144,8 +152,7 @@ Pipe::Pipe(GenFactory factory, std::size_t capacity, ThreadPool& pool, std::size
   // this thread by the CoExpression base. The producer captures only the
   // shared state and that body — never the Pipe itself — so
   // consumer-side destruction cannot race it.
-  pool.submit([state = state_, body = takeBody(), cap = batchCap_,
-               gov = governor::currentShared()] {
+  pool.submit([state = state_, body = takeBody(), gov = governor::currentShared()] {
     const CancelToken token = state->source.token();
     // Make this pipe's token ambient for the body: co-expressions and
     // pipes the body creates while running pick it up via the scope.
@@ -162,17 +169,7 @@ Pipe::Pipe(GenFactory factory, std::size_t capacity, ThreadPool& pool, std::size
     ScopedKeywordState isolated(keywords);
     obs::TraceSpan span("pipe.producer", "pipe");
     try {
-      if (cap <= 1) {
-        while (!token.cancelled()) {
-          auto v = body->nextValue();
-          if (!v) break;
-          if (state->queue.putFor(std::move(*v), token) != QueueOpStatus::kOk) {
-            break;  // consumer abandoned or cancelled us
-          }
-        }
-      } else {
-        runBatchedProducer(state->queue, *body, cap, token);
-      }
+      runProducer(state->queue, *body, token);
     } catch (const IconError&) {
       // Typed run-time error: forward verbatim, then cancel everything
       // feeding this stage. Ordering matters — store the error BEFORE
@@ -240,38 +237,23 @@ std::optional<Value> Pipe::step(QueueDeadline deadline) {
   // so an activation after a consumed producer error cannot block or
   // re-observe stale state.
   if (finished_.load(std::memory_order_relaxed)) return std::nullopt;
-  const bool metrics = obs::metricsEnabled();
-  const CancelToken token = state_->source.token();
-  if (batchCap_ > 1) {
-    if (drainedPos_ >= drained_.size()) {
-      drainedPos_ = 0;
-      const auto status = state_->queue.takeUpToFor(drained_, batchCap_, token, deadline);
-      if (status == QueueOpStatus::kTimedOut) return std::nullopt;  // re-activatable
-      if (status == QueueOpStatus::kCancelled && producerErrorPending()) {
-        // Containment, not abandonment: the stop came from this pipe's
-        // own failing producer, which flushed its delivered prefix and
-        // is closing the queue. Drain with the plain (non-cancellable)
-        // op so the prefix reaches the consumer before the error does.
-        drained_ = state_->queue.takeUpTo(batchCap_);
-      }
-    }
-    if (drainedPos_ < drained_.size()) {
-      produced_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics) [[unlikely]] obs::PipeStats::get().activations.add(1);
-      return std::move(drained_[drainedPos_++]);
-    }
-  } else {
-    std::optional<Value> v;
-    const auto status = state_->queue.takeFor(v, token, deadline);
+  if (drainedPos_ >= drained_.size()) {
+    drainedPos_ = 0;
+    const std::size_t max = batchLimit(state_->queue);
+    const auto status = state_->queue.takeUpToFor(drained_, max, state_->source.token(), deadline);
     if (status == QueueOpStatus::kTimedOut) return std::nullopt;  // re-activatable
     if (status == QueueOpStatus::kCancelled && producerErrorPending()) {
-      v = state_->queue.take();  // containment: see the batched branch
+      // Containment, not abandonment: the stop came from this pipe's
+      // own failing producer, which flushed its delivered prefix and
+      // is closing the queue. Drain with the plain (non-cancellable)
+      // op so the prefix reaches the consumer before the error does.
+      drained_ = state_->queue.takeUpTo(max);
     }
-    if (v) {
-      produced_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics) [[unlikely]] obs::PipeStats::get().activations.add(1);
-      return v;
-    }
+  }
+  if (drainedPos_ < drained_.size()) {
+    produced_.fetch_add(1, std::memory_order_relaxed);
+    if (obs::metricsEnabled()) [[unlikely]] obs::PipeStats::get().activations.add(1);
+    return std::move(drained_[drainedPos_++]);
   }
   // Drained or cancelled: the stream is over for good. Surface a
   // producer-side error on the consumer thread, once.
@@ -292,7 +274,7 @@ bool Pipe::producerErrorPending() const {
 }
 
 CoExprPtr Pipe::refreshed() const {
-  return Pipe::create(factory(), state_->queue.capacity(), *pool_, batchCap_);
+  return Pipe::create(factory(), state_->queue.capacity(), *pool_);
 }
 
 void Pipe::dumpAll(std::ostream& os) {
@@ -327,15 +309,14 @@ void Pipe::dumpAll(std::ostream& os) {
        << " cancelled=" << (p->cancelRequested() ? 1 : 0)
        << " finished=" << (p->finished_.load(std::memory_order_relaxed) ? 1 : 0)
        << " delivered=" << p->produced_.load(std::memory_order_relaxed)
-       << " pendingError=" << (hasError ? 1 : 0) << " batchCap=" << p->batchCap_ << "\n";
+       << " pendingError=" << (hasError ? 1 : 0) << "\n";
   }
 }
 
-GenPtr makePipeCreateGen(GenFactory bodyFactory, std::size_t capacity, ThreadPool& pool,
-                         std::size_t batchCap) {
+GenPtr makePipeCreateGen(GenFactory bodyFactory, std::size_t capacity, ThreadPool& pool) {
   return CoExprCreateGen::create(
-      std::move(bodyFactory), [capacity, &pool, batchCap](GenFactory f) -> CoExprPtr {
-        return Pipe::create(std::move(f), capacity, pool, batchCap);
+      std::move(bodyFactory), [capacity, &pool](GenFactory f) -> CoExprPtr {
+        return Pipe::create(std::move(f), capacity, pool);
       });
 }
 

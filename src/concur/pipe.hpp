@@ -7,12 +7,14 @@
 //   |>e → new Iterator() { next() { new Thread { run() {
 //      c=|<>e; while (!fail) { out.put(@c); }}}.start() }}
 //
-// The producer drives the co-expression on a pool thread, putting each
-// result into a bounded SPSC ring (spsc_ring.hpp — one producer, one
-// consumer, exactly the shape of `|>`); activation (@) is ring take.
-// Bounding the capacity throttles the producer. Destroying a pipe closes
-// the ring, which makes the producer's put() fail so an abandoned pipe
-// can never deadlock a worker. A capacity-1 pipe over a singleton
+// The producer drives the co-expression on a pool thread, putting its
+// results into a bounded SPSC ring (spsc_ring.hpp — one producer, one
+// consumer, exactly the shape of `|>`) in adaptive batches of at most
+// min(64, capacity); activation (@) takes from a prefetch of the same
+// size. Bounding the capacity throttles the producer: it runs at most
+// capacity + 1 results ahead of the consumer. Destroying a pipe closes
+// the ring, which makes the producer's next flush fail so an abandoned
+// pipe can never deadlock a worker. A capacity-1 pipe over a singleton
 // expression is a future.
 //
 // Keyword isolation: the producer runs its body on fresh keyword state
@@ -61,25 +63,17 @@ class Pipe final : public CoExpression {
   /// Largest capacity a pipe honors: the ring commits its slot array up
   /// front, so larger requests clamp to this (2^20 slots).
   static constexpr std::size_t kMaxCapacity = std::size_t{1} << 20;
-  /// Upper bound for the adaptive producer-side batch. Batching moves
-  /// whole segments through the ring (one release store and at most one
-  /// wakeup per batch) instead of paying that cost per element. A cap of
-  /// 1 disables batching entirely; capacity-1 pipes (futures/mailboxes)
-  /// are always unbatched regardless of the cap.
-  static constexpr std::size_t kDefaultBatch = 64;
 
   /// Create and immediately start producing on a pool thread. Capacity
   /// 0 means kDefaultCapacity, a request above kMaxCapacity clamps to
   /// it, and the ambient governor's pipe-depth budget clamps further.
-  Pipe(GenFactory factory, std::size_t capacity, ThreadPool& pool,
-       std::size_t batchCap = kDefaultBatch);
+  Pipe(GenFactory factory, std::size_t capacity, ThreadPool& pool);
   ~Pipe() override;
 
   static Rc<Pipe> create(GenFactory factory,
                          std::size_t capacity = kDefaultCapacity,
-                         ThreadPool& pool = ThreadPool::global(),
-                         std::size_t batchCap = kDefaultBatch) {
-    return makeRc<Pipe>(std::move(factory), capacity, pool, batchCap);
+                         ThreadPool& pool = ThreadPool::global()) {
+    return makeRc<Pipe>(std::move(factory), capacity, pool);
   }
 
   /// Activation = take from the output channel. A run-time error raised
@@ -123,10 +117,6 @@ class Pipe final : public CoExpression {
   /// close); debug builds assert on concurrent same-side calls.
   [[nodiscard]] SpscRing<Value>& queue() const noexcept { return state_->queue; }
 
-  /// Effective batch cap after clamping to the queue capacity (1 means
-  /// the pipe runs the unbatched per-element protocol).
-  [[nodiscard]] std::size_t batchCap() const noexcept { return batchCap_; }
-
   /// Diagnostic dump of every live pipe in the process (queue depth,
   /// close/cancel flags, results delivered) — the payload of the
   /// congen-run --timeout watchdog, so a hung pipeline fails fast with
@@ -153,11 +143,10 @@ class Pipe final : public CoExpression {
   // too.
   governor::PipeCharge quotaCharge_;
   // The ring is the one record of the capacity, resolved exactly once,
-  // so a concurrent setquota("pipedepth") cannot desync it from
-  // batchCap_ or from a refreshed copy.
+  // so a concurrent setquota("pipedepth") cannot desync it from the
+  // batch cap or from a refreshed copy.
   std::shared_ptr<State> state_;
   ThreadPool* pool_;
-  std::size_t batchCap_;
   // produced_/finished_ are relaxed atomics solely so the watchdog's
   // dumpAll can read them from another thread; there is no ordering
   // requirement (single consumer).
@@ -172,8 +161,7 @@ class Pipe final : public CoExpression {
 
 /// Kernel node for `|> e`: yields a started pipe once per cycle.
 GenPtr makePipeCreateGen(GenFactory bodyFactory, std::size_t capacity = Pipe::kDefaultCapacity,
-                         ThreadPool& pool = ThreadPool::global(),
-                         std::size_t batchCap = Pipe::kDefaultBatch);
+                         ThreadPool& pool = ThreadPool::global());
 
 /// A future: a capacity-1 pipe computing a single value in the
 /// background; get() blocks for the result.

@@ -1,6 +1,5 @@
 #include "concur/thread_pool.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -9,27 +8,7 @@
 
 namespace congen {
 
-namespace {
-
-// Worker-affinity bookkeeping: a submit from a pool worker lands on that
-// worker's home shard, so a nested pipe's producer tends to run where
-// its parent's data is warm.
-thread_local ThreadPool* tlsPool = nullptr;
-thread_local std::size_t tlsShard = 0;
-
-std::size_t defaultShardCount() {
-  const std::size_t hw = std::thread::hardware_concurrency();
-  return std::clamp<std::size_t>(hw == 0 ? 2 : hw, 2, 16);
-}
-
-}  // namespace
-
-ThreadPool::ThreadPool(std::size_t maxThreads) : maxThreads_(maxThreads) {
-  shards_.reserve(defaultShardCount());
-  for (std::size_t i = 0; i < defaultShardCount(); ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
+ThreadPool::ThreadPool(std::size_t maxThreads) : maxThreads_(maxThreads) {}
 
 ThreadPool::~ThreadPool() { shutdown(); }
 
@@ -41,11 +20,6 @@ ThreadPool& ThreadPool::global() {
 void ThreadPool::submit(Task task) {
   CONGEN_FAULT_POINT(PoolSubmit);
   const bool metrics = obs::metricsEnabled();
-  // Pick the shard before taking the pool lock: a worker submits to its
-  // own shard, everyone else round-robins.
-  const std::size_t target = tlsPool == this
-                                 ? tlsShard
-                                 : rr_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
   std::unique_lock lock(m_);
   if (shutdown_) throw std::runtime_error("ThreadPool: submit after shutdown");
   // Grow whenever the idle workers cannot cover every pending task, not
@@ -53,10 +27,9 @@ void ThreadPool::submit(Task task) {
   // dequeue an *older* task and block in it, and a task stranded that
   // way would have no later growth trigger (deadlock). The invariant
   // after every submit — idle workers >= pending tasks — is what makes
-  // nested blocked producers safe. pending_ only grows under m_, so the
-  // decision is exact despite workers decrementing it concurrently
-  // (a concurrent claim only makes the decision conservative).
-  const bool needWorker = idle_ < pending_.load(std::memory_order_relaxed) + 1;
+  // nested blocked producers safe. Workers claim tasks under m_ too, so
+  // the decision is exact.
+  const bool needWorker = idle_ < tasks_.size() + 1;
   // Decide growth before enqueueing: a cap rejection must leave the pool
   // exactly as it found it, or the "failed" task would still run later.
   if (needWorker && workers_.size() >= maxThreads_) {
@@ -69,18 +42,13 @@ void ThreadPool::submit(Task task) {
   // producer chain. If the enqueue below throws instead, the surplus
   // worker just parks idle, which is harmless.
   if (needWorker) {
-    const std::size_t home = homeShardFor(created_);
-    workers_.emplace_back([this, home] { workerLoop(home); });
+    workers_.emplace_back([this] { workerLoop(); });
     ++created_;
     if (metrics) obs::PoolStats::get().threadsCreated.add(1);
   }
   Entry entry{std::move(task), {}};
   if (metrics) entry.enqueued = std::chrono::steady_clock::now();
-  {
-    std::lock_guard shardLock(shards_[target]->m);  // pool -> shard order
-    shards_[target]->tasks.push_back(std::move(entry));
-  }
-  pending_.fetch_add(1, std::memory_order_relaxed);
+  tasks_.push_back(std::move(entry));
   lock.unlock();
   cv_.notify_one();
 }
@@ -108,80 +76,42 @@ void ThreadPool::shutdown() {
   }
 }
 
-bool ThreadPool::popFrom(std::size_t shard, Entry& out) {
-  auto& s = *shards_[shard];
-  std::lock_guard lock(s.m);
-  if (s.tasks.empty()) return false;
-  out = std::move(s.tasks.front());
-  s.tasks.pop_front();
-  pending_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool ThreadPool::findTask(std::size_t home, Entry& out) {
-  // Home shard first (front = oldest, matching the old global FIFO for
-  // same-shard tasks), then a stealing sweep over the siblings. Both the
-  // owner and a thief pop the front under the shard's mutex — the
-  // lock-guarded-steal-side variant; with coarse pipe-producer tasks the
-  // deque operations are far off the hot path, the win is that distinct
-  // pipelines hit distinct locks.
-  if (popFrom(home, out)) return true;
-  if (shards_.size() > 1) {
-    CONGEN_FAULT_POINT(PoolSteal);  // delay-only site: widens steal races
-    for (std::size_t i = 1; i < shards_.size(); ++i) {
-      if (popFrom((home + i) % shards_.size(), out)) {
-        stolen_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::metricsEnabled()) [[unlikely]] obs::PoolStats::get().tasksStolen.add(1);
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-void ThreadPool::workerLoop(std::size_t home) {
-  tlsPool = this;
-  tlsShard = home;
+void ThreadPool::workerLoop() {
   // The live gauge is updated unconditionally (worker birth/death is far
   // off any hot path) so toggling metrics mid-run can't unbalance it.
   obs::PoolStats::get().threadsLive.add(1);
   std::unique_lock lock(m_);
   while (true) {
     ++idle_;
-    cv_.wait(lock, [&] {
-      return shutdown_ || pending_.load(std::memory_order_relaxed) > 0;
-    });
+    cv_.wait(lock, [&] { return shutdown_ || !tasks_.empty(); });
     --idle_;
-    if (shutdown_ && pending_.load(std::memory_order_relaxed) == 0) break;
+    // Shutdown still runs every accepted task before the worker retires.
+    if (tasks_.empty()) break;
+    // Claimed in the lock hold that ended the wait: a woken worker never
+    // comes up dry, and idle_ never counts a worker that holds a task.
+    Entry entry = std::move(tasks_.front());
+    tasks_.pop_front();
     lock.unlock();
-    Entry entry;
-    // pending_ > 0 does not reserve a task for *this* worker — a sibling
-    // may claim it first and the sweep comes up dry; the worker simply
-    // parks again.
-    const bool got = findTask(home, entry);
-    if (got) {
-      const bool metrics = obs::metricsEnabled();
-      if (metrics) [[unlikely]] {
-        auto& s = obs::PoolStats::get();
-        if (entry.enqueued != std::chrono::steady_clock::time_point{}) {
-          const auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - entry.enqueued);
-          s.queueLatencyMicros.record(static_cast<std::uint64_t>(waited.count()));
-        }
-        s.tasksRun.add(1);
+    if (obs::metricsEnabled()) [[unlikely]] {
+      auto& s = obs::PoolStats::get();
+      if (entry.enqueued != std::chrono::steady_clock::time_point{}) {
+        const auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - entry.enqueued);
+        s.queueLatencyMicros.record(static_cast<std::uint64_t>(waited.count()));
       }
-      CONGEN_FAULT_POINT(PoolTaskRun);  // delay-only site: shuffles scheduling
-      entry.fn();  // exceptions from pipe bodies are caught in the pipe itself
-      // Destroy the task before re-locking: a captured pipe body's
-      // destructor closes queues and releases upstream pipes, and must
-      // not run under the pool mutex.
-      entry.fn = nullptr;
+      s.tasksRun.add(1);
     }
+    CONGEN_FAULT_POINT(PoolTaskRun);  // delay-only site: shuffles scheduling
+    entry.fn();  // exceptions from pipe bodies are caught in the pipe itself
+    // Destroy the task before re-locking: a captured pipe body's
+    // destructor closes queues and releases upstream pipes, and must
+    // not run under the pool mutex.
+    entry.fn = nullptr;
     lock.lock();
     // Incremented under the same lock hold that parks the worker idle
     // again (the loop head's ++idle_), so a tasksCompleted() reader that
     // observes the count is guaranteed the worker is reusable.
-    if (got) ++completed_;
+    ++completed_;
   }
   lock.unlock();
   obs::PoolStats::get().threadsLive.sub(1);

@@ -1,4 +1,4 @@
-// thread_pool.hpp — cached-growth thread pool with work stealing.
+// thread_pool.hpp — cached-growth thread pool with one FIFO task queue.
 //
 // Pipe producers block on a bounded queue for most of their lifetime, so
 // a fixed-size pool would deadlock nested pipelines (a stage waiting for
@@ -8,28 +8,19 @@
 // — this pool grows a worker whenever a task is submitted and no worker
 // is idle, and parks idle workers for reuse.
 //
-// Task storage is sharded: a fixed array of cache-line-separated deques,
-// each behind its own small mutex (the lock-guarded-steal-side variant
-// of a work-stealing pool). A worker pops its home shard first and
-// sweeps the siblings when it runs dry, so N independent pipelines stop
-// serializing their submit/dequeue traffic on one lock. A submit from a
-// pool worker lands on that worker's own shard (locality for nested
-// pipes); external submits round-robin. The pool-level mutex still
-// arbitrates growth, idle parking, and shutdown — those paths run once
-// per task or less, and keeping them under one lock preserves the exact
-// growth accounting the tests pin down (a burst of B blocked tasks grows
-// the pool by exactly B). Lock order is pool mutex -> shard mutex;
-// workers never take the pool mutex while holding a shard's.
+// Task storage is one deque under the pool mutex that growth, parking
+// and shutdown already take once per task: submit pushes in the same
+// lock hold that decides growth, and a worker pops in the same hold that
+// ends its wait, so the growth accounting is exact (a burst of B blocked
+// tasks grows the pool by exactly B).
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -71,15 +62,10 @@ class ThreadPool {
 
   /// Statistics (for tests and the ablation benches). threadsCreated
   /// counts workers spawned over the pool's lifetime (it does not drop
-  /// at shutdown). tasksStolen counts dequeues that swept a task from a
-  /// shard other than the worker's home.
+  /// at shutdown).
   [[nodiscard]] std::size_t threadsCreated() const;
   [[nodiscard]] std::size_t tasksCompleted() const;
   [[nodiscard]] std::size_t idleThreads() const;
-  [[nodiscard]] std::size_t tasksStolen() const noexcept {
-    return stolen_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t shardCount() const noexcept { return shards_.size(); }
 
  private:
   /// A queued task plus its enqueue timestamp. The stamp is taken only
@@ -90,21 +76,10 @@ class ThreadPool {
     std::chrono::steady_clock::time_point enqueued{};
   };
 
-  /// One task deque, padded so two shards' locks never share a line.
-  struct alignas(64) Shard {
-    std::mutex m;
-    std::deque<Entry> tasks;
-  };
+  void workerLoop();
 
-  void workerLoop(std::size_t home);
-  bool findTask(std::size_t home, Entry& out);
-  bool popFrom(std::size_t shard, Entry& out);
-  [[nodiscard]] std::size_t homeShardFor(std::size_t worker) const noexcept {
-    return worker % shards_.size();
-  }
-
-  // Pool-level state: growth, parking, shutdown, and the deterministic
-  // idle/completed accounting all live under m_.
+  // All pool state — the task queue, growth, parking, shutdown, and the
+  // deterministic idle/completed accounting — lives under m_.
   mutable std::mutex m_;
   std::condition_variable cv_;
   std::vector<std::thread> workers_;
@@ -113,17 +88,7 @@ class ThreadPool {
   std::size_t idle_ = 0;
   std::size_t completed_ = 0;
   bool shutdown_ = false;
-
-  // Sharded task storage. The vector itself is immutable after
-  // construction; only the per-shard deques (under their own locks) and
-  // the counters change. pending_ is the total queued-but-unclaimed
-  // count: incremented under m_ by submit (so the growth invariant
-  // idle >= pending stays exact) and decremented lock-free-ish by
-  // whichever worker claims the task under its shard's lock.
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<std::size_t> rr_{0};      // round-robin cursor, external submits
-  std::atomic<std::size_t> stolen_{0};  // cross-shard dequeues
+  std::deque<Entry> tasks_;
 };
 
 }  // namespace congen

@@ -95,8 +95,7 @@ class Emitter {
     for (const auto& def : defs) os << "  congen::BodyPool pool_" << def->text << ";\n";
     os << "  std::unordered_map<std::string, congen::VarPtr> globals;\n";
     os << "  congen::ThreadPool* pool = &congen::ThreadPool::global();\n";
-    os << "  std::size_t pipeCapacity = " << opts_.pipeCapacity << ";\n";
-    os << "  std::size_t pipeBatch = " << opts_.pipeBatch << ";\n\n";
+    os << "  std::size_t pipeCapacity = " << opts_.pipeCapacity << ";\n\n";
     os << "  congen::VarPtr globalVar(const std::string& name) {\n";
     os << "    auto& v = globals[name];\n";
     os << "    if (!v) v = congen::CellVar::create();\n";
@@ -394,7 +393,7 @@ class Emitter {
     }
     if (op == "|>") {
       return "congen::makePipeCreateGen(" + ind(depth + 1) +
-             bodyFactory(operand, depth + 1, /*shadow=*/true) + ", pipeCapacity, *pool, pipeBatch)";
+             bodyFactory(operand, depth + 1, /*shadow=*/true) + ", pipeCapacity, *pool)";
     }
     return "congen::makeUnaryOpGen(" + cppStringLiteral(op) + ", " + expr(operand, depth) + ")";
   }

@@ -28,9 +28,6 @@ namespace congen::emit {
 struct EmitOptions {
   std::string moduleName = "CongenModule";
   std::size_t pipeCapacity = 1024;
-  /// Adaptive batch cap for |> transport in the emitted module (1 =
-  /// unbatched; mirrors Interpreter::Options::pipeBatch).
-  std::size_t pipeBatch = 64;
   /// Normalize (Section V.A flattening) before emission. On by default;
   /// emission requires it for faithful Fig. 5 output shape.
   bool normalize = true;

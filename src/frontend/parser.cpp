@@ -1,5 +1,6 @@
 #include "frontend/parser.hpp"
 
+#include <algorithm>
 #include <array>
 #include <utility>
 
@@ -54,6 +55,71 @@ class Parser {
   }
   void skipSemis() {
     while (atOp(";")) ++pos_;
+  }
+
+  // -- nesting budget -------------------------------------------------------
+  // The parser recurses on the source, and normalize, resolve, compile,
+  // emit and the tree's own destructor recurse on the AST, so nesting
+  // must stop well before a default 8 MB stack runs out. One level is
+  // charged per recursive descent (expression, statement, prefix
+  // operator, the right operand of `^`, assignment and `to`/`by`) and per
+  // operand a left-associative loop folds into its chain: the fold pushes
+  // the chain built so far one level deeper, with no parser recursion at
+  // all. Past kMaxNesting the parse stops with a SyntaxError at the
+  // offending token.
+  static constexpr std::size_t kMaxNesting = 1000;
+
+  void charge(std::size_t level) const {
+    if (level > kMaxNesting) err("nesting too deep");
+  }
+
+  /// One level of recursive descent, held for the guard's scope. It
+  /// starts a subtree: reach_ tracks the deepest level the subtree has
+  /// reached, and folds back into the enclosing one on exit.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p), outer_(p.reach_) {
+      p.charge(++p.depth_);
+      p.reach_ = p.depth_;
+    }
+    ~Nest() {
+      --p_.depth_;
+      p_.reach_ = std::max(outer_, p_.reach_);
+    }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& p_;
+    std::size_t outer_;
+  };
+
+  /// One fold of a left-associative loop, held while the new node's other
+  /// operands parse. Everything parsed so far in the current subtree is
+  /// the chain's left operand, so it sinks one level; the other operands
+  /// sit one level below the chain's root.
+  class Fold {
+   public:
+    explicit Fold(Parser& p) : p_(p), sunk_(p.reach_ + 1) {
+      p.charge(sunk_);
+      p.reach_ = ++p.depth_;
+    }
+    ~Fold() {
+      --p_.depth_;
+      p_.reach_ = std::max(p_.reach_, sunk_);
+    }
+    Fold(const Fold&) = delete;
+    Fold& operator=(const Fold&) = delete;
+
+   private:
+    Parser& p_;
+    std::size_t sunk_;
+  };
+
+  /// Parses one construct a nesting level down.
+  NodePtr nested(NodePtr (Parser::*parse)()) {
+    const Nest nest(*this);
+    return (this->*parse)();
   }
 
   // -- declarations -------------------------------------------------------
@@ -142,6 +208,7 @@ class Parser {
   /// A statement or (for loop bodies / branches) a block.
   NodePtr statement() {
     skipSemis();
+    const Nest nest(*this);
     const Token& t = cur();
 
     if (atOp("{")) return block();
@@ -259,12 +326,13 @@ class Parser {
   }
 
   // -- expressions -----------------------------------------------------------
-  NodePtr expression() { return conjunction(); }
+  NodePtr expression() { return nested(&Parser::conjunction); }
 
   NodePtr conjunction() {
     auto lhs = assignment();
     while (atOp("&")) {
       const Token op = take();
+      const Fold fold(*this);
       auto rhs = assignment();
       lhs = stamp(ast::make(Kind::Binary, "&", {std::move(lhs), std::move(rhs)}), op);
     }
@@ -278,24 +346,24 @@ class Parser {
     for (const auto op : kAssignOps) {
       if (atOp(op)) {
         const Token opTok = take();
-        auto rhs = assignment();  // right-associative
+        auto rhs = nested(&Parser::assignment);  // right-associative
         const std::string spelled = op == "=" ? ":=" : std::string(op);
         return stamp(ast::make(Kind::Assign, spelled, {std::move(lhs), std::move(rhs)}), opTok);
       }
     }
     if (atOp(":=:")) {
       const Token opTok = take();
-      auto rhs = assignment();
+      auto rhs = nested(&Parser::assignment);
       return stamp(ast::make(Kind::Swap, ":=:", {std::move(lhs), std::move(rhs)}), opTok);
     }
     if (atOp("<-")) {  // reversible assignment (undone on backtracking)
       const Token opTok = take();
-      auto rhs = assignment();
+      auto rhs = nested(&Parser::assignment);
       return stamp(ast::make(Kind::Assign, "<-", {std::move(lhs), std::move(rhs)}), opTok);
     }
     if (atOp("<->")) {  // reversible swap
       const Token opTok = take();
-      auto rhs = assignment();
+      auto rhs = nested(&Parser::assignment);
       return stamp(ast::make(Kind::Swap, "<->", {std::move(lhs), std::move(rhs)}), opTok);
     }
     return lhs;
@@ -308,6 +376,7 @@ class Parser {
     auto lhs = toBy();
     while (atOp("?")) {
       const Token op = take();
+      const Fold fold(*this);
       NodePtr rhs;
       if (atKw("while") || atKw("until") || atKw("every") || atKw("repeat") || atKw("case") ||
           atKw("suspend")) {
@@ -324,11 +393,11 @@ class Parser {
     auto from = alternation();
     if (!atKw("to")) return from;
     const Token toTok = take();
-    auto limit = alternation();
+    auto limit = nested(&Parser::alternation);
     auto n = ast::make(Kind::ToBy, "", {std::move(from), std::move(limit)});
     if (atKw("by")) {
       ++pos_;
-      n->kids.push_back(alternation());
+      n->kids.push_back(nested(&Parser::alternation));
     }
     return stamp(std::move(n), toTok);
   }
@@ -337,6 +406,7 @@ class Parser {
     auto lhs = comparison();
     while (atOp("|")) {
       const Token op = take();
+      const Fold fold(*this);
       auto rhs = comparison();
       lhs = stamp(ast::make(Kind::Binary, "|", {std::move(lhs), std::move(rhs)}), op);
     }
@@ -352,6 +422,7 @@ class Parser {
       for (const auto op : kCmp) {
         if (atOp(op)) {
           const Token opTok = take();
+          const Fold fold(*this);
           auto rhs = concatenation();
           lhs = stamp(ast::make(Kind::Binary, std::string(op), {std::move(lhs), std::move(rhs)}),
                       opTok);
@@ -367,6 +438,7 @@ class Parser {
     auto lhs = additive();
     while (atOp("||") || atOp("|||")) {
       const Token op = take();
+      const Fold fold(*this);
       auto rhs = additive();
       lhs = stamp(ast::make(Kind::Binary, op.text, {std::move(lhs), std::move(rhs)}), op);
     }
@@ -377,6 +449,7 @@ class Parser {
     auto lhs = multiplicative();
     while (atOp("+") || atOp("-")) {
       const Token op = take();
+      const Fold fold(*this);
       auto rhs = multiplicative();
       lhs = stamp(ast::make(Kind::Binary, op.text, {std::move(lhs), std::move(rhs)}), op);
     }
@@ -387,6 +460,7 @@ class Parser {
     auto lhs = power();
     while (atOp("*") || atOp("/") || atOp("%")) {
       const Token op = take();
+      const Fold fold(*this);
       auto rhs = power();
       lhs = stamp(ast::make(Kind::Binary, op.text, {std::move(lhs), std::move(rhs)}), op);
     }
@@ -397,7 +471,7 @@ class Parser {
     auto lhs = prefix();
     if (atOp("^")) {
       const Token op = take();
-      auto rhs = power();  // right-associative
+      auto rhs = nested(&Parser::power);  // right-associative
       return stamp(ast::make(Kind::Binary, "^", {std::move(lhs), std::move(rhs)}), op);
     }
     return lhs;
@@ -409,33 +483,33 @@ class Parser {
     for (const auto op : kPrefix) {
       if (atOp(op)) {
         const Token opTok = take();
-        auto operand = prefix();
+        auto operand = nested(&Parser::prefix);
         return stamp(ast::make(Kind::Unary, std::string(op), {std::move(operand)}), opTok);
       }
     }
     if (atOp("|")) {  // repeated alternation |e (prefix position only)
       const Token opTok = take();
-      auto operand = prefix();
+      auto operand = nested(&Parser::prefix);
       return stamp(ast::make(Kind::Unary, "|", {std::move(operand)}), opTok);
     }
     if (atOp("\\")) {  // \e non-null test (prefix; postfix \ is the limit)
       const Token opTok = take();
-      auto operand = prefix();
+      auto operand = nested(&Parser::prefix);
       return stamp(ast::make(Kind::Unary, "\\", {std::move(operand)}), opTok);
     }
     if (atOp("/")) {  // /e null test
       const Token opTok = take();
-      auto operand = prefix();
+      auto operand = nested(&Parser::prefix);
       return stamp(ast::make(Kind::Unary, "/", {std::move(operand)}), opTok);
     }
     if (atKw("not")) {
       const Token opTok = take();
-      auto operand = prefix();
+      auto operand = nested(&Parser::prefix);
       return stamp(ast::make(Kind::Not, "", {std::move(operand)}), opTok);
     }
     if (atKw("create")) {  // Unicon `create e` == `|<> e`
       const Token opTok = take();
-      auto operand = prefix();
+      auto operand = nested(&Parser::prefix);
       return stamp(ast::make(Kind::Unary, "|<>", {std::move(operand)}), opTok);
     }
     return postfix();
@@ -446,6 +520,7 @@ class Parser {
     while (true) {
       if (atOp("(")) {
         const Token open = take();
+        const Fold fold(*this);
         auto call = ast::make(Kind::Invoke);
         call->kids.push_back(std::move(e));
         parseArgs(*call);
@@ -454,6 +529,7 @@ class Parser {
       }
       if (atOp("[")) {
         const Token open = take();
+        const Fold fold(*this);
         auto idx = expression();
         if (atOp(":")) {  // slice x[i:j]
           ++pos_;
@@ -469,6 +545,7 @@ class Parser {
       }
       if (atOp("::")) {
         const Token op = take();
+        const Fold fold(*this);
         if (!at(TokKind::Ident)) err("expected method name after ::");
         const Token name = take();
         auto call = ast::make(Kind::NativeInvoke, name.text);
@@ -480,12 +557,14 @@ class Parser {
       }
       if (atOp(".") && ahead().kind == TokKind::Ident) {
         const Token op = take();
+        const Fold fold(*this);
         const Token name = take();
         e = stamp(ast::make(Kind::Field, name.text, {std::move(e)}), op);
         continue;
       }
       if (atOp("\\")) {
         const Token op = take();
+        const Fold fold(*this);
         auto bound = prefix();
         e = stamp(ast::make(Kind::Limit, "", {std::move(e), std::move(bound)}), op);
         continue;
@@ -582,6 +661,8 @@ class Parser {
 
   std::vector<Token> toks_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // nesting level of the construct being parsed
+  std::size_t reach_ = 0;  // deepest level reached in the current subtree
 };
 
 }  // namespace

@@ -40,8 +40,7 @@ class Interpreter {
   /// Options mostly matter to benchmarks (pipe sizing / pool choice).
   struct Options {
     std::size_t pipeCapacity = 1024;
-    std::size_t pipeBatch = 64;  // adaptive batch cap for |> transport (1 = unbatched)
-    bool normalize = true;       // run the Section V.A flattening pass first
+    bool normalize = true;  // run the Section V.A flattening pass first
     /// Hard resource budgets (0 = unlimited). Any non-zero budget gives
     /// this interpreter a ResourceGovernor: the process admission gate
     /// runs at construction (throws IconError 815 when shedding), and

@@ -193,7 +193,13 @@ class BodyPool {
     // could mint copies), so use_count()==1 cannot go stale here.
     for (auto it = free_.rbegin(); it != free_.rend(); ++it) {
       if (it->use_count() == 1) {
-        GenPtr body = std::move(*it);
+        // use_count() is a relaxed load: it proves the last holder let go
+        // but does not order that holder's accesses before ours. Copying
+        // does — its acq_rel increment reads the holder's release
+        // decrement — so the caller's restart() happens-after the holder's
+        // last next(). (A standalone acquire fence would be correct C++
+        // too, but ThreadSanitizer does not model fences.)
+        GenPtr body = *it;
         free_.erase(std::next(it).base());
         if (metrics) [[unlikely]] obs::KernelStats::get().framesPooled.add(1);
         return body;

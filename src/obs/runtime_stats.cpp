@@ -39,7 +39,6 @@ PoolStats& PoolStats::get() {
       r.counter("pool.tasks_run"),
       r.counter("pool.threads_created"),
       r.gauge("pool.threads_live"),
-      r.counter("pool.tasks_stolen"),
       r.histogram("pool.queue_latency_micros", latencyBoundsMicros()),
   };
   return *s;

@@ -58,7 +58,6 @@ struct PoolStats {
   Counter& tasksRun;      ///< tasks completed by workers
   Counter& threadsCreated;
   Gauge& threadsLive;     ///< workers currently running
-  Counter& tasksStolen;   ///< tasks a worker took from a sibling's deque
   Histogram& queueLatencyMicros;  ///< submit() -> dequeue wait
   static PoolStats& get();
 };

@@ -76,13 +76,11 @@ class TasksGen final : public Gen {
   using TaskFactory = std::function<GenFactory(ListPtr chunk)>;
 
   TasksGen(GenFactory source, std::int64_t chunkSize, std::size_t capacity, ThreadPool* pool,
-           std::size_t batch, TaskFactory makeTaskBody, int maxRetries,
-           std::int64_t backoffBaseMicros)
+           TaskFactory makeTaskBody, int maxRetries, std::int64_t backoffBaseMicros)
       : source_(std::move(source)),
         chunkSize_(chunkSize),
         capacity_(capacity),
         pool_(pool),
-        batch_(batch),
         makeTaskBody_(std::move(makeTaskBody)),
         maxRetries_(maxRetries),
         backoffBaseMicros_(backoffBaseMicros) {}
@@ -139,7 +137,7 @@ class TasksGen final : public Gen {
     while (auto c = chunks.nextValue()) {
       Task t;
       t.body = makeTaskBody_(c->list());
-      t.pipe = Pipe::create(t.body, capacity_, *pool_, batch_);
+      t.pipe = Pipe::create(t.body, capacity_, *pool_);
       tasks_.push_back(std::move(t));
     }
   }
@@ -158,14 +156,13 @@ class TasksGen final : public Gen {
       std::this_thread::sleep_for(std::chrono::microseconds(micros));
     }
     t.toSkip = t.emitted;
-    t.pipe = Pipe::create(t.body, capacity_, *pool_, batch_);
+    t.pipe = Pipe::create(t.body, capacity_, *pool_);
   }
 
   GenFactory source_;
   std::int64_t chunkSize_;
   std::size_t capacity_;
   ThreadPool* pool_;
-  std::size_t batch_;
   TaskFactory makeTaskBody_;
   int maxRetries_;
   std::int64_t backoffBaseMicros_;
@@ -193,7 +190,7 @@ GenPtr DataParallel::mapReduce(ProcPtr f, GenFactory source, ProcPtr r, Value in
       });
     };
   };
-  return std::make_shared<TasksGen>(std::move(source), chunkSize_, pipeCapacity_, pool_, pipeBatch_,
+  return std::make_shared<TasksGen>(std::move(source), chunkSize_, pipeCapacity_, pool_,
                                     std::move(makeTaskBody), maxRetries_, backoffBaseMicros_);
 }
 
@@ -205,7 +202,7 @@ GenPtr DataParallel::mapFlat(ProcPtr f, GenFactory source) const {
                            {PromoteGen::create(ConstGen::create(Value::list(chunk)))});
     };
   };
-  return std::make_shared<TasksGen>(std::move(source), chunkSize_, pipeCapacity_, pool_, pipeBatch_,
+  return std::make_shared<TasksGen>(std::move(source), chunkSize_, pipeCapacity_, pool_,
                                     std::move(makeTaskBody), maxRetries_, backoffBaseMicros_);
 }
 

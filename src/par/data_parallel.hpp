@@ -33,9 +33,8 @@ class DataParallel {
  public:
   explicit DataParallel(std::int64_t chunkSize = 1000,
                         std::size_t pipeCapacity = Pipe::kDefaultCapacity,
-                        ThreadPool& pool = ThreadPool::global(),
-                        std::size_t pipeBatch = Pipe::kDefaultBatch)
-      : chunkSize_(chunkSize), pipeCapacity_(pipeCapacity), pool_(&pool), pipeBatch_(pipeBatch) {}
+                        ThreadPool& pool = ThreadPool::global())
+      : chunkSize_(chunkSize), pipeCapacity_(pipeCapacity), pool_(&pool) {}
 
   /// Bounded per-chunk retry with exponential backoff. When a chunk's
   /// pipe dies with an error, the chunk is re-run on a fresh
@@ -72,7 +71,6 @@ class DataParallel {
   std::int64_t chunkSize_;
   std::size_t pipeCapacity_;
   ThreadPool* pool_;
-  std::size_t pipeBatch_;
   int maxRetries_ = 0;
   std::int64_t backoffBaseMicros_ = 100;
 };

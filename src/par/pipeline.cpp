@@ -19,7 +19,7 @@ GenPtr mapOverCoExpr(const ProcPtr& f, const Value& upstream) {
 
 GenPtr Pipeline::chain(GenFactory source, bool lastInline, StopSource* stop) const {
   // Source stage: |> s
-  auto pipe = Pipe::create(std::move(source), capacity_, *pool_, batch_);
+  auto pipe = Pipe::create(std::move(source), capacity_, *pool_);
   Value current = Value::coexpr(pipe);
 
   const std::size_t piped = lastInline && !stages_.empty() ? stages_.size() - 1 : stages_.size();
@@ -30,7 +30,7 @@ GenPtr Pipeline::chain(GenFactory source, bool lastInline, StopSource* stop) con
     // Stage i: |> f_i(! previous). The body factory captures the upstream
     // pipe by value; no locals are shared, so no shadowing is needed.
     GenFactory body = [f = stages_[i], current]() -> GenPtr { return mapOverCoExpr(f, current); };
-    auto next = Pipe::create(std::move(body), capacity_, *pool_, batch_);
+    auto next = Pipe::create(std::move(body), capacity_, *pool_);
     // Link the producer under its consumer: cancelling (or erroring) a
     // downstream stage cascades upstream, stage by stage, so every
     // producer in the chain unblocks within one queue operation.

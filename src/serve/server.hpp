@@ -1,8 +1,8 @@
 // server.hpp — the congen-serve daemon core.
 //
 // One event thread owns the listener and every connection's read side;
-// session request processing runs as tasks on the work-stealing
-// ThreadPool (the same pool the sessions' own pipes use — a blocked
+// session request processing runs as tasks on the shared ThreadPool
+// (the same pool the sessions' own pipes use — a blocked
 // drive grows the pool, it never starves the event loop). The event
 // thread parks in poll(2) via concur/fd_park.hpp, wakeable by stop()
 // and by finishing session tasks.

@@ -2,7 +2,7 @@
 //
 // Serves the congen wire protocol (src/serve/protocol.hpp) on one TCP
 // port: each connection is an isolated, governed interpreter session on
-// the work-stealing pool, contained by per-tenant quotas (PR 9
+// the shared pool, contained by per-tenant quotas (PR 9
 // governor), shed by the process admission gate when over budget, and
 // cancelled end-to-end when the client disconnects. The same port
 // answers HTTP GETs for /metrics, /metrics.json, and /healthz.
@@ -21,9 +21,9 @@
 //                                              committed-heap ceiling
 //   --request-soft MS --request-hard MS        per-request supervision:
 //                                              soft-cancel / hard 816
-//   --pipe-capacity N --pipe-batch N           session pipe knobs
-//                                              (capacity 0 = the
-//                                              default, 1024)
+//   --pipe-capacity N                          session pipe capacity
+//                                              (0 = the default,
+//                                              1024)
 //   --duration S                               exit after S seconds
 //                                              (CI smoke; 0 = run until
 //                                              SIGINT/SIGTERM)
@@ -32,7 +32,7 @@
 //   --metrics-json FILE                        JSON snapshot at exit
 //
 // Every numeric value must be a decimal integer in range (port 0-65535,
-// pipe capacity 0-2^20, pipe batch >= 1, durations < 2^31); anything
+// pipe capacity 0-2^20, durations < 2^31); anything
 // else is refused with a message and exit status 2.
 //
 // On a successful bind the daemon prints exactly one line to stdout:
@@ -168,8 +168,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--pipe-capacity") {
       config.session.pipeCapacity =
           static_cast<std::size_t>(count("--pipe-capacity", 0, congen::Pipe::kMaxCapacity));
-    } else if (arg == "--pipe-batch") {
-      config.session.pipeBatch = static_cast<std::size_t>(count("--pipe-batch", 1, SIZE_MAX));
     } else if (arg == "--duration") {
       durationSec = static_cast<long>(count("--duration", 0, kMaxDuration));
     } else if (arg == "--stats") {

@@ -273,13 +273,13 @@ TEST(PipeCancel, FourStageChainUnblocksEveryProducer) {
   // The acceptance scenario: a 4-stage chain, every queue full, cancel
   // only the most-downstream pipe — all four producers must return.
   ThreadPool pool;
-  auto p1 = Pipe::create([] { return infinite(); }, 2, pool, /*batchCap=*/1);
+  auto p1 = Pipe::create([] { return infinite(); }, 2, pool);
   auto p2 = Pipe::create([p1]() -> GenPtr { return PromoteGen::create(ConstGen::create(Value::coexpr(p1))); },
-                         2, pool, 1);
+                         2, pool);
   auto p3 = Pipe::create([p2]() -> GenPtr { return PromoteGen::create(ConstGen::create(Value::coexpr(p2))); },
-                         2, pool, 1);
+                         2, pool);
   auto p4 = Pipe::create([p3]() -> GenPtr { return PromoteGen::create(ConstGen::create(Value::coexpr(p3))); },
-                         2, pool, 1);
+                         2, pool);
   p1->cancelWith(p2->cancelToken());
   p2->cancelWith(p3->cancelToken());
   p3->cancelWith(p4->cancelToken());
@@ -299,7 +299,7 @@ TEST(PipeCancel, FourStageChainUnblocksEveryProducer) {
 }
 
 TEST(PipeCancel, PipelineBuildCancellableStopsAllStages) {
-  Pipeline pl(/*pipeCapacity=*/2, ThreadPool::global(), /*pipeBatch=*/1);
+  Pipeline pl(/*pipeCapacity=*/2);
   auto built = pl.buildCancellable([] { return infinite(); });
   ASSERT_TRUE(built.gen->nextValue().has_value()) << "pipeline streams before cancel";
   built.stop.requestStop();
@@ -383,14 +383,14 @@ TEST(PipeError, NonIconProducerExceptionWrappedAsStageFailed) {
 
 TEST(PipeError, ErroringStageCancelsLinkedUpstream) {
   ThreadPool pool;
-  auto upstream = Pipe::create([] { return infinite(); }, 2, pool, 1);
+  auto upstream = Pipe::create([] { return infinite(); }, 2, pool);
   auto failing = Pipe::create(
       []() -> GenPtr {
         return CallbackGen::create([]() -> CallbackGen::Puller {
           return []() -> std::optional<Value> { throw errDivisionByZero(); };
         });
       },
-      2, pool, 1);
+      2, pool);
   upstream->cancelWith(failing->cancelToken());
   EXPECT_THROW(failing->activate(), IconError);
   // The consumer may be woken mid-cascade (its wakeup callback runs

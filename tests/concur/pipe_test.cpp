@@ -248,58 +248,54 @@ TEST(PipeKernelNode, MakePipeCreateGenYieldsPipeValue) {
   EXPECT_EQ(v->coExpr()->activate()->smallInt(), 5);
 }
 
-TEST(PipeBatching, BatchCapClampsToQueueCapacity) {
-  // A batch larger than the queue could never flush in one wait cycle;
-  // the cap is clamped at construction.
-  auto pipe = Pipe::create([] { return test::range(1, 3); }, /*capacity=*/8,
-                           ThreadPool::global(), /*batchCap=*/64);
-  EXPECT_EQ(pipe->batchCap(), 8u);
-}
-
 TEST(PipeBatching, MailboxStaysUnbatched) {
-  // Capacity 1 is the future/M-var: batching must disable itself so the
-  // per-element rendezvous protocol (and its timing) is untouched.
-  auto mailbox = Pipe::create([] { return test::range(1, 3); }, /*capacity=*/1,
-                              ThreadPool::global(), /*batchCap=*/64);
-  EXPECT_EQ(mailbox->batchCap(), 1u);
+  // Capacity 1 is the future/M-var: the batch cap clamps to 1, so values
+  // cross one at a time and the producer runs at most capacity + 1 = 2
+  // values ahead of the consumer.
+  std::atomic<int> produced{0};
+  auto counted = Pipe::create(
+      [&produced]() -> GenPtr {
+        return CallbackGen::create([&produced]() -> CallbackGen::Puller {
+          int n = 0;
+          return [&produced, n]() mutable -> std::optional<Value> {
+            if (n >= 50) return std::nullopt;
+            ++produced;
+            return Value::integer(++n);
+          };
+        });
+      },
+      /*capacity=*/1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_LE(produced.load(), 2) << "before the first activation";
+  for (int k = 1; k <= 5; ++k) {
+    EXPECT_EQ(counted->activate()->requireInt64(), k);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_LE(produced.load(), k + 2) << "after " << k << " activations";
+  }
+  while (counted->activate()) {
+  }
+  EXPECT_EQ(produced.load(), 50);
+
+  auto mailbox = Pipe::create([] { return test::range(1, 3); }, /*capacity=*/1);
   std::vector<std::int64_t> got;
   while (auto v = mailbox->activate()) got.push_back(v->requireInt64());
   EXPECT_EQ(got, (std::vector<std::int64_t>{1, 2, 3}));
 }
 
-TEST(PipeBatching, ExplicitBatchCapOneForcesPerElementPath) {
-  auto pipe = Pipe::create([] { return test::range(1, 50); }, /*capacity=*/8,
-                           ThreadPool::global(), /*batchCap=*/1);
-  EXPECT_EQ(pipe->batchCap(), 1u);
-  std::int64_t expect = 1;
-  while (auto v = pipe->activate()) EXPECT_EQ(v->requireInt64(), expect++);
-  EXPECT_EQ(expect, 51);
-}
-
 TEST(PipeBatching, BatchedStreamPreservesOrderAndCompleteness) {
   // Small queue + large stream: the adaptive accumulator grows and
   // shrinks across the run; the observable stream must be untouched.
-  auto pipe = Pipe::create([] { return test::range(1, 500); }, /*capacity=*/4,
-                           ThreadPool::global(), /*batchCap=*/4);
+  auto pipe = Pipe::create([] { return test::range(1, 500); }, /*capacity=*/4);
   std::int64_t expect = 1;
   while (auto v = pipe->activate()) EXPECT_EQ(v->requireInt64(), expect++);
   EXPECT_EQ(expect, 501);
   EXPECT_FALSE(pipe->activate().has_value()) << "exhausted pipe stays exhausted";
 }
 
-TEST(PipeBatching, RefreshedPipePreservesBatchCap) {
-  auto pipe = Pipe::create([] { return test::range(1, 3); }, /*capacity=*/16,
-                           ThreadPool::global(), /*batchCap=*/8);
-  ASSERT_EQ(pipe->batchCap(), 8u);
-  auto fresh = rcStaticCast<Pipe>(pipe->refreshed());
-  EXPECT_EQ(fresh->batchCap(), 8u) << "^pipe must restart with the same transport knobs";
-  EXPECT_EQ(fresh->activate()->smallInt(), 1);
-}
-
 TEST(PipeBatching, ValuesProducedBeforeAnErrorStillArriveFirst) {
-  // The per-element protocol publishes each value before the body can
-  // throw; the batched producer must match it — the buffered prefix is
-  // flushed before the error crosses the thread boundary.
+  // Every value produced before the body throws arrives before the
+  // error: the producer flushes its buffered prefix before the error
+  // crosses the thread boundary.
   auto pipe = Pipe::create(
       []() -> GenPtr {
         return CallbackGen::create([]() -> CallbackGen::Puller {
@@ -310,7 +306,7 @@ TEST(PipeBatching, ValuesProducedBeforeAnErrorStillArriveFirst) {
           };
         });
       },
-      /*capacity=*/64, ThreadPool::global(), /*batchCap=*/64);
+      /*capacity=*/64);
   std::vector<std::int64_t> got;
   try {
     while (auto v = pipe->activate()) got.push_back(v->requireInt64());

@@ -22,7 +22,9 @@ TEST(PoolBasics, RunsTasks) {
   ThreadPool pool;
   std::atomic<int> ran{0};
   for (int i = 0; i < 10; ++i) pool.submit([&ran] { ++ran; });
-  waitFor([&] { return ran.load() == 10; });
+  // A task's body finishes before its worker re-locks to count it, so
+  // wait on the count itself.
+  waitFor([&] { return pool.tasksCompleted() == 10u; });
   EXPECT_EQ(ran.load(), 10);
   EXPECT_EQ(pool.tasksCompleted(), 10u);
 }

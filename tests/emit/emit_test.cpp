@@ -59,11 +59,10 @@ TEST(EmitGolden, CustomModuleName) {
 }
 
 TEST(EmitGolden, PipeKnobs) {
-  // The transport knobs surface as module fields and flow into every
+  // The pipe capacity surfaces as a module field and flows into every
   // emitted makePipeCreateGen call.
   EmitOptions opts;
   opts.pipeCapacity = 256;
-  opts.pipeBatch = 8;
   expectMatchesGolden("pipe_knobs", emitDefs("def f(e) { suspend ! (|> !e); }", opts));
 }
 

@@ -142,6 +142,56 @@ TEST(ParseErrors, Diagnostics) {
   EXPECT_THROW(parseProgram("{ unclosed"), SyntaxError);
 }
 
+std::string repeat(const std::string& s, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+std::string nestedParens(int n) { return repeat("(", n) + "1" + repeat(")", n); }
+
+std::string chainOf(const std::string& op, int terms) {
+  std::string out = "1";
+  for (int i = 1; i < terms; ++i) out += op + "1";
+  return out;
+}
+
+TEST(ParseNesting, DeepInputsAreSyntaxErrors) {
+  // Each of these once overflowed the native stack (SIGSEGV) in the
+  // parser or in a pass that recurses on the tree it builds.
+  EXPECT_THROW(parseExpression("write(" + nestedParens(3000) + ")"), SyntaxError);
+  EXPECT_THROW(parseExpression(repeat("[", 5000) + repeat("]", 5000)), SyntaxError);
+  EXPECT_THROW(parseExpression(repeat("-", 100000) + "1"), SyntaxError);
+  EXPECT_THROW(parseExpression(chainOf(" + ", 50000)), SyntaxError);
+  EXPECT_THROW(parseExpression(chainOf("^", 5000)), SyntaxError);
+  EXPECT_THROW(parseExpression(repeat("x := ", 5000) + "1"), SyntaxError);
+  EXPECT_THROW(parseProgram(repeat("{", 5000) + repeat("}", 5000)), SyntaxError);
+  EXPECT_THROW(parseExpression("x" + repeat(".a", 5000)), SyntaxError);
+  try {
+    parseExpression(chainOf(" + ", 50000));
+  } catch (const SyntaxError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting too deep"), std::string::npos) << e.what();
+  }
+}
+
+TEST(ParseNesting, ChainsInsideChainsAddUp) {
+  // A chain's first operand sinks one level per fold, so chains nested
+  // through parentheses cannot hide their combined depth: 40 levels of
+  // 40-term sums is over 1600 deep.
+  std::string e = "1";
+  for (int i = 0; i < 40; ++i) e = "(" + e + ")" + repeat(" + 1", 40);
+  EXPECT_THROW(parseExpression(e), SyntaxError);
+}
+
+TEST(ParseNesting, ProgramAtTheLimitParses) {
+  // The limit is 1000 levels. An expression statement costs two
+  // (statement, expression) and each parenthesis one more.
+  EXPECT_NO_THROW(parseProgram(nestedParens(998)));
+  EXPECT_THROW(parseProgram(nestedParens(999)), SyntaxError);
+  EXPECT_NO_THROW(parseExpression(chainOf(" + ", 1000)));
+  EXPECT_THROW(parseExpression(chainOf(" + ", 1001)), SyntaxError);
+}
+
 TEST(ParseRegression, Fig3PipelineExpression) {
   // The embedded expression of Fig. 3 parses cleanly.
   EXPECT_NO_THROW(parseExpression(

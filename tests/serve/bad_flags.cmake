@@ -19,8 +19,6 @@ set(cases
   "--pipe-capacity|abc"
   "--pipe-capacity|1048577"
   "--pipe-capacity|-5"
-  "--pipe-batch|-5"
-  "--pipe-batch|0"
   "--admission-sessions|many"
   "--request-soft|1.5"
   "--request-hard|-1"
@@ -43,7 +41,7 @@ foreach(case IN LISTS cases)
 endforeach()
 
 execute_process(
-  COMMAND "${SERVE}" --port 0 --duration 1 --pipe-capacity 0 --pipe-batch 64
+  COMMAND "${SERVE}" --port 0 --duration 1 --pipe-capacity 0
           --request-soft 0 --admission-sessions 8 --max-heap=64M
   RESULT_VARIABLE status
   OUTPUT_QUIET ERROR_QUIET

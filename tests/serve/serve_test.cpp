@@ -139,6 +139,22 @@ TEST(ServeLifecycle, SyntaxErrorIsTypedNotFatal) {
   server.stop();
 }
 
+TEST(ServeLifecycle, DeeplyNestedSubmitIsTypedNotFatal) {
+  // A 10 KB frame of 5000 nested parentheses once overflowed the parser's
+  // stack and killed the daemon with every tenant. The parser's nesting
+  // budget turns it into a syntax error, and the session goes on.
+  Server server(baseConfig());
+  server.start();
+  TestClient client(server.port());
+  client.send({Verb::kSubmit, std::string(5000, '(') + "1" + std::string(5000, ')'), 0});
+  client.expectHello();
+  EXPECT_EQ(responseCode(client.readLine()), kErrProtocol);
+  EXPECT_EQ(client.roundTrip({Verb::kSubmit, "1 + 1", 0}), "{\"ok\":true,\"kind\":\"generator\"}");
+  EXPECT_EQ(client.roundTrip({Verb::kNext, "", 1}),
+            "{\"ok\":true,\"done\":false,\"results\":[\"2\"]}");
+  server.stop();
+}
+
 TEST(ServeLifecycle, OversizedFrameIs902AndCloses) {
   Server server(baseConfig());
   server.start();

@@ -111,7 +111,7 @@ TEST(CancelStress, DeadlineExpiryRacesBatchFlush) {
     ThreadPool pool;
     constexpr std::int64_t kCount = 300;
     auto pipe = Pipe::create([] { return test::range(1, kCount); },
-                             /*capacity=*/8, pool, /*batchCap=*/4);
+                             /*capacity=*/8, pool);
     std::int64_t expect = 1;
     int timeouts = 0;
     while (expect <= kCount) {
@@ -141,16 +141,16 @@ TEST(CancelStress, FourStageChainCancelUnderJitter) {
         return [i]() mutable -> std::optional<Value> { return Value::integer(++i); };
       });
     };
-    auto p1 = Pipe::create(infinite, 2, pool, 1);
+    auto p1 = Pipe::create(infinite, 2, pool);
     auto p2 = Pipe::create(
         [p1]() -> GenPtr { return PromoteGen::create(ConstGen::create(Value::coexpr(p1))); }, 2,
-        pool, 1);
+        pool);
     auto p3 = Pipe::create(
         [p2]() -> GenPtr { return PromoteGen::create(ConstGen::create(Value::coexpr(p2))); }, 2,
-        pool, 1);
+        pool);
     auto p4 = Pipe::create(
         [p3]() -> GenPtr { return PromoteGen::create(ConstGen::create(Value::coexpr(p3))); }, 2,
-        pool, 1);
+        pool);
     p1->cancelWith(p2->cancelToken());
     p2->cancelWith(p3->cancelToken());
     p3->cancelWith(p4->cancelToken());
@@ -204,7 +204,7 @@ TEST(CancelStress, MapReduceSurvivesChunkKillsViaRetry) {
       "square", [](std::vector<Value>& a) { return ops::mul(a.at(0), a.at(0)); });
   auto add = builtins::makeNative(
       "add", [](std::vector<Value>& a) { return ops::add(a.at(0), a.at(1)); });
-  DataParallel dp(3, /*pipeCapacity=*/4, ThreadPool::global(), /*pipeBatch=*/2);
+  DataParallel dp(3, /*pipeCapacity=*/4);
   dp.withRetry(/*maxRetries=*/64, /*backoffBaseMicros=*/1);
   auto gen = dp.mapReduce(square, [] { return test::range(1, 30); }, add, Value::integer(0));
   std::vector<std::int64_t> got;
@@ -234,7 +234,7 @@ TEST(CancelStress, RetryBudgetExhaustionSurfacesOneTypedError) {
 
   auto identity =
       builtins::makeNative("id", [](std::vector<Value>& a) -> std::optional<Value> { return a.at(0); });
-  DataParallel dp(4, 4, ThreadPool::global(), 1);
+  DataParallel dp(4, 4);
   dp.withRetry(3, 1);
   auto gen = dp.mapFlat(identity, [] { return test::range(1, 8); });
   try {

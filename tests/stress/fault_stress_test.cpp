@@ -63,16 +63,16 @@ TEST(FaultInjectorStress, HitCountersCoverAllInstrumentedSites) {
   ScopedFaultInjection arm(stress::seed(), SitePolicy{});  // observe only
   ThreadPool pool;
   {
-    // Capacity 1 forces the unbatched per-element protocol (put/take)...
-    auto mailbox = Pipe::create([] { return test::range(1, 5); }, /*capacity=*/1, pool);
-    while (mailbox->activate()) {
-    }
-    // ...and a roomier pipe runs the batched one (putAll/takeUpTo).
+    // The ring's scalar ops (put/take)...
+    SpscRing<int> ring(4);
+    ASSERT_TRUE(ring.put(1));
+    ASSERT_EQ(ring.take(), 1);
+    // ...and a pipe, which runs the batched ones (putAll/takeUpTo).
     auto batched = Pipe::create([] { return test::range(1, 50); }, /*capacity=*/8, pool);
     while (batched->activate()) {
     }
   }
-  ASSERT_TRUE(eventually([&] { return pool.tasksCompleted() == 2u; }));
+  ASSERT_TRUE(eventually([&] { return pool.tasksCompleted() == 1u; }));
   auto& inj = FaultInjector::instance();
   EXPECT_GT(inj.hits(FaultSite::QueuePut), 0u);
   EXPECT_GT(inj.hits(FaultSite::QueueTake), 0u);
@@ -161,7 +161,7 @@ TEST(FaultStress, BulkOpsConserveUnderBatchBoundaryDelays) {
   ThreadPool pool;
   const int kElems = 300 * stress::scale();
   auto pipe = Pipe::create([kElems] { return test::range(1, kElems); },
-                           /*capacity=*/4, pool, /*batchCap=*/4);
+                           /*capacity=*/4, pool);
   std::int64_t expect = 1;
   while (auto v = pipe->activate()) EXPECT_EQ(v->requireInt64(), expect++);
   EXPECT_EQ(expect, kElems + 1) << "an element was lost at a delayed batch boundary";
@@ -215,7 +215,7 @@ TEST(FaultStress, BatchedPipeFlushFailureDeliversAPrefixThenTheError) {
   std::int64_t expect = 1;
   {
     auto pipe = Pipe::create([] { return test::range(1, 500); },
-                             /*capacity=*/4, pool, /*batchCap=*/4);
+                             /*capacity=*/4, pool);
     try {
       while (auto v = pipe->activate()) EXPECT_EQ(v->requireInt64(), expect++);
     } catch (const InjectedFault&) {

@@ -1,17 +1,20 @@
 // pool_stress_test.cpp — torture for the cached-growth ThreadPool:
 // growth under nested blocked producers (the property that keeps
-// pipelines deadlock-free), shutdown racing submit, and thread-cap
-// exhaustion semantics (a rejected submit must be a no-op).
+// pipelines deadlock-free), liveness behind blocked workers, shutdown
+// racing submit and running every accepted task, and thread-cap and
+// injected-fault rejection semantics (a rejected submit must be a no-op).
 #include "concur/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <latch>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "concur/fault_injection.hpp"
 #include "stress_util.hpp"
 
 namespace congen {
@@ -153,6 +156,125 @@ TEST(PoolStress, SubmitStormThenQuiesceRepeatedly) {
   // Growth is bounded by peak concurrency (one burst's in-flight tasks),
   // not by the 2000 total tasks: later bursts reuse parked workers.
   EXPECT_LT(pool.threadsCreated(), 400u);
+}
+
+TEST(PoolStress, WorkerSubmittedTaskBehindABlockedWorkerRuns) {
+  // A worker submits a task and then blocks: the task must still run,
+  // on the worker the submit grew.
+  std::latch gate(1);
+  ThreadPool pool;
+  std::atomic<bool> innerRan{false};
+  pool.submit([&] {
+    pool.submit([&] { innerRan = true; });
+    gate.wait();  // block the submitting worker until the end of the test
+  });
+  ASSERT_TRUE(eventually([&] { return innerRan.load(); }))
+      << "task submitted behind a blocked worker never ran";
+  gate.count_down();
+  pool.shutdown();
+  EXPECT_EQ(pool.tasksCompleted(), 2u);
+}
+
+TEST(PoolStress, ShutdownRunsEveryAcceptedTask) {
+  // Quick tasks, then an immediate shutdown: the workers drain the queue
+  // before they retire.
+  const int rounds = 50 * stress::scale();
+  for (int r = 0; r < rounds; ++r) {
+    ThreadPool pool;
+    std::atomic<int> ran{0};
+    const int tasks = 1 + r % 7;
+    for (int i = 0; i < tasks; ++i) pool.submit([&ran] { ++ran; });
+    pool.shutdown();
+    EXPECT_EQ(ran.load(), tasks) << "shutdown ran every accepted task";
+    EXPECT_EQ(pool.tasksCompleted(), static_cast<std::size_t>(tasks));
+  }
+}
+
+TEST(PoolStress, BurstsFromManyThreadsAllComplete) {
+  // External submitters race the workers' dequeues; every task must run
+  // exactly once.
+  ThreadPool pool;
+  constexpr int kThreads = 4;
+  const int perThread = 200 * stress::scale();
+  std::atomic<int> ran{0};
+  onThreads(kThreads, [&](int) {
+    for (int i = 0; i < perThread; ++i) pool.submit([&ran] { ++ran; });
+  });
+  ASSERT_TRUE(eventually([&] { return ran.load() == kThreads * perThread; }));
+  pool.shutdown();
+  EXPECT_EQ(ran.load(), kThreads * perThread);
+  EXPECT_EQ(pool.tasksCompleted(), static_cast<std::size_t>(kThreads * perThread));
+}
+
+TEST(PoolStress, GrowthInvariantSurvivesManyBlockedWorkers) {
+  // Block several workers at once, then prove later submissions still
+  // run: each submit grows a worker whenever the idle ones cannot cover
+  // the queue, so a blocked worker never strands one.
+  constexpr int kBlocked = 6;
+  std::latch gate(1);
+  ThreadPool pool;
+  std::atomic<int> started{0};
+  for (int i = 0; i < kBlocked; ++i) {
+    pool.submit([&] {
+      ++started;
+      gate.wait();
+    });
+  }
+  ASSERT_TRUE(eventually([&] { return started.load() == kBlocked; }));
+  std::atomic<int> extraRan{0};
+  const int extras = 20 * stress::scale();
+  for (int i = 0; i < extras; ++i) pool.submit([&extraRan] { ++extraRan; });
+  ASSERT_TRUE(eventually([&] { return extraRan.load() == extras; }))
+      << "a submission was stranded behind blocked workers";
+  gate.count_down();
+  pool.shutdown();
+}
+
+TEST(PoolStress, NestedSubmitChainsDoNotDeadlock) {
+  // Each task submits its successor from a worker thread, so the chain
+  // runs entirely on submits made inside the pool.
+  ThreadPool pool;
+  const int depth = 300 * stress::scale();
+  std::atomic<int> step{0};
+  std::function<void()> next = [&] {
+    if (step.fetch_add(1) + 1 < depth) pool.submit(next);
+  };
+  pool.submit(next);
+  ASSERT_TRUE(eventually([&] { return step.load() == depth; }));
+  pool.shutdown();
+  EXPECT_EQ(pool.tasksCompleted(), static_cast<std::size_t>(depth));
+}
+
+TEST(PoolStress, FaultInjectedSubmitsStayAllOrNothing) {
+  if (!testing::FaultInjector::compiledIn()) {
+    GTEST_SKIP() << "fault hooks not compiled in (CONGEN_FAULT_INJECTION off)";
+  }
+  // Delays at PoolTaskRun shuffle which worker claims which task;
+  // failures at PoolSubmit exercise the all-or-nothing rejection path (a
+  // thrown submit must not enqueue). Accepted tasks must still all run
+  // exactly once.
+  testing::SitePolicy policy;
+  policy.delayPerMille = 100;
+  policy.maxDelayMicros = 300;
+  policy.failPerMille = 30;
+  testing::ScopedFaultInjection arm(stress::seed() + 7, policy);
+  ThreadPool pool;
+  std::atomic<int> ran{0};
+  int accepted = 0;
+  const int attempts = 400 * stress::scale();
+  for (int i = 0; i < attempts; ++i) {
+    try {
+      pool.submit([&ran] { ++ran; });
+      ++accepted;
+    } catch (const testing::InjectedFault&) {
+      // Rejected before enqueue; must never run.
+    }
+  }
+  ASSERT_TRUE(eventually([&] { return ran.load() == accepted; }));
+  testing::FaultInjector::instance().disarm();  // clean joins for shutdown
+  pool.shutdown();
+  EXPECT_EQ(ran.load(), accepted) << "a rejected submit ran anyway, or an accepted one was lost";
+  EXPECT_EQ(pool.tasksCompleted(), static_cast<std::size_t>(accepted));
 }
 
 }  // namespace

@@ -123,7 +123,6 @@ Server::Config stressConfig() {
   // Small pipes make producers park early — the interesting regime for
   // disconnect-vs-parked-queue-op races.
   config.session.pipeCapacity = 8;
-  config.session.pipeBatch = 4;
   return config;
 }
 
