@@ -83,11 +83,12 @@ void deeplyNestedSuspend(benchmark::State& state) {
 
 // --- method-body cache ----------------------------------------------------
 
-ProcPtr makeCachedProc(MethodBodyCache* cache) {
-  // def inc(x) { return x + 1; } in emitted form, optionally cached.
-  return ProcImpl::create("inc", [cache](std::vector<Value> args) -> GenPtr {
-    if (cache) {
-      if (auto cached = cache->getFree("inc_m")) {
+ProcPtr makeCachedProc(BodyPool* pool) {
+  // def inc(x) { return x + 1; } in emitted form, optionally parking its
+  // bodies in a per-procedure BodyPool as an emitted module does.
+  return ProcImpl::create("inc", [pool](std::vector<Value> args) -> GenPtr {
+    if (pool) {
+      if (auto cached = pool->take()) {
         static_cast<BodyRootGen&>(*cached).unpackArgs(args);
         return cached;
       }
@@ -99,7 +100,7 @@ ProcPtr makeCachedProc(MethodBodyCache* cache) {
     body->setUnpackClosure([x_r](const std::vector<Value>& params) {
       x_r->set(params.empty() ? Value::null() : params[0]);
     });
-    if (cache) body->setCache(cache, "inc_m");
+    if (pool) body->setPool(pool);
     body->unpackArgs(args);
     return body;
   });
@@ -121,8 +122,8 @@ void invokeLoop(benchmark::State& state, ProcPtr proc) {
 void methodBodyCacheOff(benchmark::State& state) { invokeLoop(state, makeCachedProc(nullptr)); }
 
 void methodBodyCacheOn(benchmark::State& state) {
-  MethodBodyCache cache;
-  invokeLoop(state, makeCachedProc(&cache));
+  BodyPool pool;
+  invokeLoop(state, makeCachedProc(&pool));
 }
 
 // --- products & backtracking ------------------------------------------------

@@ -29,19 +29,24 @@ struct MetricsOff {
   MetricsOff() { obs::disableMetrics(); }
 };
 
+// One-element hand-offs, as in the queue/handoff_capacity/1024 row.
 void queueHandoffInstrumented(benchmark::State& state) {
   constexpr int kItems = 20000;
   constexpr std::size_t kCapacity = 1024;
   for (auto _ : state) {
     SpscRing<int> q(kCapacity);
     std::jthread producer([&q] {
+      std::vector<int> one;
+      std::size_t accepted = 0;
       for (int i = 0; i < kItems; ++i) {
-        if (!q.put(i)) return;
+        one.push_back(i);
+        if (q.putAll(one, accepted) != QueueOpStatus::kOk) return;
       }
       q.close();
     });
     std::int64_t sum = 0;
-    while (auto v = q.take()) sum += *v;
+    std::vector<int> out;
+    while (q.takeUpTo(out, 1) == QueueOpStatus::kOk) sum += out.front();
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * kItems);

@@ -3,7 +3,10 @@
 // queue buffer size can also be used to throttle a threaded
 // co-expression", Section III.B).
 //
-// The hand-off benches run on SpscRing, the channel every pipe owns.
+// The hand-off benches run on SpscRing, the channel every pipe owns,
+// through its one put (putAll) and one take (takeUpTo):
+// `queue/handoff_capacity/*`, `queue/uncontended` and
+// `queue/handoff_batched/1024/1` time one-element batches.
 // `queue/pipelines_scaling/N` runs N independent pipelines concurrently:
 // each pipe has its own ring and takes the shared pool's lock once, to
 // start its producer, so items/s should hold near-flat as N grows.
@@ -18,76 +21,59 @@ namespace {
 
 using namespace congen;
 
-void queueHandoff(benchmark::State& state) {
-  const auto capacity = static_cast<std::size_t>(state.range(0));
-  constexpr int kItems = 20000;
-  for (auto _ : state) {
-    SpscRing<int> q(capacity);
-    std::jthread producer([&q] {
-      for (int i = 0; i < kItems; ++i) {
-        if (!q.put(i)) return;
-      }
-      q.close();
-    });
-    std::int64_t sum = 0;
-    while (auto v = q.take()) sum += *v;
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * kItems);
-}
-
-void queueHandoffBatched(benchmark::State& state) {
-  // Bulk hand-off: the producer accumulates `batch` elements and
-  // publishes them with one putAll; the consumer drains with takeUpTo.
-  // batch == 1 runs the ring's scalar put/take and anchors the
-  // element-vs-batch throughput comparison in the bench JSON.
-  const auto capacity = static_cast<std::size_t>(state.range(0));
-  const auto batch = static_cast<std::size_t>(state.range(1));
+/// Producer-to-consumer hand-off across two threads: the producer
+/// publishes `batch` elements per putAll, the consumer drains at most
+/// `batch` per takeUpTo. batch == 1 is the one-element hand-off.
+void handoff(benchmark::State& state, std::size_t capacity, std::size_t batch) {
   constexpr int kItems = 20000;
   for (auto _ : state) {
     SpscRing<int> q(capacity);
     std::jthread producer([&q, batch] {
-      if (batch == 1) {
-        for (int i = 0; i < kItems; ++i) {
-          if (!q.put(i)) return;
-        }
-        q.close();
-        return;
-      }
       std::vector<int> buf;
       buf.reserve(batch);
+      std::size_t accepted = 0;
       for (int i = 0; i < kItems; ++i) {
         buf.push_back(i);
-        if (buf.size() >= batch) {
-          q.putAll(buf);
-          if (!buf.empty()) return;  // closed under us — stop
+        if (buf.size() >= batch && q.putAll(buf, accepted) != QueueOpStatus::kOk) {
+          return;  // closed under us — stop
         }
       }
-      if (!buf.empty()) q.putAll(buf);
+      if (!buf.empty()) q.putAll(buf, accepted);
       q.close();
     });
     std::int64_t sum = 0;
-    if (batch == 1) {
-      while (auto v = q.take()) sum += *v;
-    } else {
-      for (;;) {
-        auto chunk = q.takeUpTo(batch);
-        if (chunk.empty()) break;
-        for (int v : chunk) sum += v;
-      }
+    std::vector<int> chunk;
+    while (q.takeUpTo(chunk, batch) == QueueOpStatus::kOk) {
+      for (int v : chunk) sum += v;
     }
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * kItems);
 }
 
+void queueHandoff(benchmark::State& state) {
+  handoff(state, static_cast<std::size_t>(state.range(0)), 1);
+}
+
+void queueHandoffBatched(benchmark::State& state) {
+  // batch == 1 anchors the element-vs-batch throughput comparison in the
+  // bench JSON.
+  handoff(state, static_cast<std::size_t>(state.range(0)),
+          static_cast<std::size_t>(state.range(1)));
+}
+
 void queueUncontended(benchmark::State& state) {
-  // Same-thread put/take on the ring: the raw acquire/release cost
-  // without blocking (one release store + one acquire load per op).
+  // Same-thread one-element put/take on the ring: the raw acquire/release
+  // cost without blocking (one release store + one acquire load per op).
   SpscRing<int> q(64);
+  std::vector<int> one;
+  std::vector<int> out;
+  std::size_t accepted = 0;
   for (auto _ : state) {
-    q.put(1);
-    benchmark::DoNotOptimize(q.take());
+    one.push_back(1);
+    q.putAll(one, accepted);
+    q.takeUpTo(out, 1);
+    benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations());
 }

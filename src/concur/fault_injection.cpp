@@ -20,17 +20,12 @@ std::uint64_t mix(std::uint64_t x) {
 
 const char* faultSiteName(FaultSite site) noexcept {
   switch (site) {
-    case FaultSite::QueuePut: return "SpscRing::put";
-    case FaultSite::QueueTake: return "SpscRing::take";
-    case FaultSite::QueueTryPut: return "SpscRing::tryPut";
-    case FaultSite::QueueTryTake: return "SpscRing::tryTake";
     case FaultSite::QueueClose: return "SpscRing::close";
     case FaultSite::PoolSubmit: return "ThreadPool::submit";
     case FaultSite::PoolTaskRun: return "ThreadPool::workerLoop";
     case FaultSite::QueuePutAll: return "SpscRing::putAll";
     case FaultSite::QueueTakeUpTo: return "SpscRing::takeUpTo";
     case FaultSite::PipeBatchFlush: return "Pipe::batchFlush";
-    case FaultSite::QueueTimedWait: return "SpscRing::timedWait";
     case FaultSite::CancelSignal: return "StopSource::requestStop";
     case FaultSite::ArenaAlloc: return "Arena::systemAlloc";
     case FaultSite::RcAlloc: return "RcBase::operator new";
@@ -43,9 +38,6 @@ const char* faultSiteName(FaultSite site) noexcept {
 
 bool faultSiteFailureCapable(FaultSite site) noexcept {
   switch (site) {
-    case FaultSite::QueuePut:
-    case FaultSite::QueueTryPut:
-    case FaultSite::QueueTryTake:
     case FaultSite::PoolSubmit:
     case FaultSite::QueuePutAll:
     // Allocation sites translate InjectedFault to IconError 305 (the same

@@ -2,7 +2,7 @@
 // concurrency layer (congen::testing::FaultInjector).
 //
 // The stress suite needs to shake schedules loose: a race between
-// close() and a blocked put(), or between shutdown and submit, may only
+// close() and a blocked putAll(), or between shutdown and submit, may only
 // materialize when one side is delayed by a few hundred microseconds at
 // exactly the wrong moment. This hook lets tests insert randomized
 // delays — and, at the sites where callers already handle failure,
@@ -28,17 +28,12 @@ namespace congen::testing {
 
 /// Instrumented boundaries in src/concur. kCount is a sentinel.
 enum class FaultSite : std::uint8_t {
-  QueuePut = 0,   // SpscRing::put/putFor entry (failure-capable)
-  QueueTake,      // SpscRing::take/takeFor entry (delay only)
-  QueueTryPut,    // SpscRing::tryPut entry (failure-capable)
-  QueueTryTake,   // SpscRing::tryTake entry (failure-capable)
-  QueueClose,     // SpscRing::close entry (delay only)
+  QueueClose = 0, // SpscRing::close entry (delay only)
   PoolSubmit,     // ThreadPool::submit entry (failure-capable)
   PoolTaskRun,    // worker about to run a task (delay only)
-  QueuePutAll,    // SpscRing::putAll/putAllFor entry (failure-capable)
-  QueueTakeUpTo,  // SpscRing::takeUpTo/takeUpToFor entry (delay only)
+  QueuePutAll,    // SpscRing::putAll entry (failure-capable)
+  QueueTakeUpTo,  // SpscRing::takeUpTo entry (delay only)
   PipeBatchFlush, // Pipe producer about to publish a batch (delay only)
-  QueueTimedWait, // timed/cancellable queue op (putFor family) entry (delay only)
   CancelSignal,   // StopSource::requestStop entry (delay only)
   ArenaAlloc,     // arena operator-new fall-through (failure-capable: 305)
   RcAlloc,        // RcBase payload allocation (failure-capable: 305)
@@ -52,7 +47,7 @@ enum class FaultSite : std::uint8_t {
 [[nodiscard]] const char* faultSiteName(FaultSite site) noexcept;
 
 /// Sites where a thrown InjectedFault is part of the caller's existing
-/// failure contract (put/tryPut/tryTake return failure, submit throws).
+/// failure contract (putAll and submit throw before any effect).
 [[nodiscard]] bool faultSiteFailureCapable(FaultSite site) noexcept;
 
 /// Thrown by an armed failure-capable site. Derives from runtime_error

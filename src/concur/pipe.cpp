@@ -55,7 +55,7 @@ std::size_t batchLimit(const SpscRing<Value>& queue) {
 
 /// The producer half of the pipe transport. Runs on a pool thread,
 /// draining the co-expression body into a local buffer and publishing
-/// whole segments with one putAllFor per flush. The batch size adapts:
+/// whole segments with one putAll per flush. The batch size adapts:
 /// it starts at 1 (first result reaches the consumer with no batching
 /// latency), doubles toward `cap` while the consumer keeps up, and
 /// halves whenever a flush finds the consumer already blocked in
@@ -102,14 +102,14 @@ void runProducer(SpscRing<Value>& queue, Gen& body, const CancelToken& token) {
       // intact buffer (best effort) before letting the error propagate
       // to the consumer.
       try {
-        if (!buffer.empty()) queue.putAllFor(buffer, accepted, token);
+        if (!buffer.empty()) queue.putAll(buffer, accepted, token);
       } catch (...) {
       }
       throw;
     }
     if (buffer.empty()) break;
     CONGEN_FAULT_POINT(PipeBatchFlush);
-    if (queue.putAllFor(buffer, accepted, token) != QueueOpStatus::kOk) {
+    if (queue.putAll(buffer, accepted, token) != QueueOpStatus::kOk) {
       break;  // consumer abandoned or cancelled us
     }
     if (obs::metricsEnabled()) [[unlikely]] {
@@ -240,14 +240,14 @@ std::optional<Value> Pipe::step(QueueDeadline deadline) {
   if (drainedPos_ >= drained_.size()) {
     drainedPos_ = 0;
     const std::size_t max = batchLimit(state_->queue);
-    const auto status = state_->queue.takeUpToFor(drained_, max, state_->source.token(), deadline);
+    const auto status = state_->queue.takeUpTo(drained_, max, state_->source.token(), deadline);
     if (status == QueueOpStatus::kTimedOut) return std::nullopt;  // re-activatable
     if (status == QueueOpStatus::kCancelled && producerErrorPending()) {
       // Containment, not abandonment: the stop came from this pipe's
       // own failing producer, which flushed its delivered prefix and
-      // is closing the queue. Drain with the plain (non-cancellable)
-      // op so the prefix reaches the consumer before the error does.
-      drained_ = state_->queue.takeUpTo(max);
+      // is closing the queue. Drain with a detached (never-cancelled)
+      // token so the prefix reaches the consumer before the error does.
+      state_->queue.takeUpTo(drained_, max);
     }
   }
   if (drainedPos_ < drained_.size()) {

@@ -35,9 +35,9 @@
 // pipes), and the error re-surfaces exactly once from the consumer's
 // activate() after the delivered prefix drains. The consumer
 // distinguishes containment from abandonment: a cancelled take with a
-// pending producer error falls back to plain (non-cancellable) drains of
-// the already-closed queue, so the flushed prefix is never lost to the
-// pipe's own error-triggered stop. Any non-IconError
+// pending producer error falls back to a take with a detached
+// (never-cancelled) token on the already-closed queue, so the flushed
+// prefix is never lost to the pipe's own error-triggered stop. Any non-IconError
 // producer exception is wrapped into the typed IconError 801 (injected
 // test faults pass through verbatim so the stress suite can assert on
 // them). After the rethrow — or after cancellation — the pipe is
@@ -152,7 +152,7 @@ class Pipe final : public CoExpression {
   // requirement (single consumer).
   std::atomic<std::size_t> produced_{0};
   std::atomic<bool> finished_{false};
-  // Consumer-side prefetch: activate() refills this from takeUpToFor()
+  // Consumer-side prefetch: activate() refills this from takeUpTo()
   // so a burst of buffered results costs one acquire load and one
   // release store, not one pair each.
   std::vector<Value> drained_;

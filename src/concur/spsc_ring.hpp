@@ -10,12 +10,12 @@
 // no lock and performs no syscall; blocking is handled by futex parking
 // (std::atomic-wait on non-Linux) that only the slow path touches.
 //
-// The ring is the blocking channel of Section III.B: scalar and bulk
-// ops, the timed/cancellable *For family with QueueOpStatus precedence
-// (kCancelled > transfer > kClosed > kTimedOut), close/drain semantics,
-// and the exact conservation metrics of obs/runtime_stats.hpp. Every
-// `Pipe` owns one. Memory-order audit lives in docs/INTERNALS.md,
-// "Lock-free transport & work stealing"; the short version:
+// The ring is the blocking channel of Section III.B: one put (putAll)
+// and one take (takeUpTo), both bulk, cancellable and deadline-bounded
+// with QueueOpStatus precedence (kCancelled > transfer > kClosed >
+// kTimedOut), close/drain semantics, and the exact conservation metrics
+// of obs/runtime_stats.hpp. Every `Pipe` owns one. Memory-order audit
+// lives in docs/INTERNALS.md, "Lock-free transport"; the short version:
 //
 //  * publication:  producer writes slot, then `tail_.store(release)`;
 //    consumer `tail_.load(acquire)`, then reads the slot. Symmetrically
@@ -201,143 +201,24 @@ class SpscRing {
     }
   }
 
-  // ---- plain blocking ops ----------------------------------------------
-
-  /// Blocking put; returns false if the ring is (or becomes) closed.
-  bool put(T v) {
-    CONGEN_FAULT_POINT(QueuePut);
-    CONGEN_SPSC_SIDE_GUARD(putBusy_);
-    const bool metrics = obs::metricsEnabled();
-    for (;;) {
-      if (closed_.load(std::memory_order_acquire)) return false;
-      const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-      if (spaceFor(t) == 0) {
-        parkProducer(metrics);
-        continue;
-      }
-      slots_[t & mask_] = std::move(v);
-      tail_.store(t + 1, std::memory_order_release);
-      if (metrics) [[unlikely]] countScalarPut();
-      wakeConsumerIfParked();
-      return true;
-    }
-  }
-
-  /// Blocking take; drains remaining elements after close, then fails.
-  std::optional<T> take() {
-    CONGEN_FAULT_POINT(QueueTake);
-    CONGEN_SPSC_SIDE_GUARD(takeBusy_);
-    const bool metrics = obs::metricsEnabled();
-    for (;;) {
-      const std::uint64_t h = head_.load(std::memory_order_relaxed);
-      if (availableAt(h) > 0) {
-        T v = std::move(slots_[h & mask_]);
-        head_.store(h + 1, std::memory_order_release);
-        if (metrics) [[unlikely]] countScalarTake();
-        wakeProducerIfParked();
-        return v;
-      }
-      // Close-then-drain: observe closed_ (acquire) strictly after the
-      // empty check, then re-load tail_ — any element published before
-      // the close is visible to that re-load.
-      if (closed_.load(std::memory_order_acquire)) {
-        if (availableAt(h) > 0) continue;
-        return std::nullopt;
-      }
-      parkConsumer(metrics);
-    }
-  }
+  // ---- the two data ops ------------------------------------------------
+  //
+  // Both are cancellable and deadline-bounded; the defaults (a token
+  // that is never cancelled, no deadline) make them plain blocking ops.
+  // Register-then-recheck: the first wait cycle with a cancellable token
+  // only registers the cancel wakeup and returns so the caller re-checks
+  // its exit conditions — a cancel landing before registration is
+  // otherwise lost. The wakeup callback bumps both sequence words and
+  // futex-wakes both sides; it touches only atomics, so the lock-order
+  // audit of cancel.hpp is trivially satisfied (there is no lock).
 
   /// Bulk put: publishes as much of `batch` as fits per wakeup cycle,
-  /// each group with a single release store. Returns how many elements
-  /// were accepted; fewer than batch.size() means the ring closed
-  /// mid-batch, and the accepted prefix is erased from `batch`.
-  std::size_t putAll(std::vector<T>& batch) {
+  /// each group with a single release store. `accepted` reports the
+  /// published prefix, which is erased from `batch`; anything short of
+  /// the whole batch comes with kCancelled, kClosed or kTimedOut.
+  QueueOpStatus putAll(std::vector<T>& batch, std::size_t& accepted, const CancelToken& token = {},
+                       QueueDeadline deadline = {}) {
     CONGEN_FAULT_POINT(QueuePutAll);
-    CONGEN_SPSC_SIDE_GUARD(putBusy_);
-    if (batch.empty()) return 0;
-    const bool metrics = obs::metricsEnabled();
-    std::size_t accepted = 0;
-    while (accepted < batch.size()) {
-      if (closed_.load(std::memory_order_acquire)) break;
-      const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-      const std::size_t spare = spaceFor(t);
-      if (spare == 0) {
-        parkProducer(metrics);
-        continue;
-      }
-      const std::size_t n = std::min(spare, batch.size() - accepted);
-      publishFrom(batch, accepted, t, n, metrics);
-      accepted += n;
-    }
-    batch.erase(batch.begin(), batch.begin() + static_cast<std::ptrdiff_t>(accepted));
-    return accepted;
-  }
-
-  /// Bulk take: blocks until at least one element (or close), then pops
-  /// up to `max` with a single release store of the new head. An empty
-  /// result means closed-and-drained.
-  std::vector<T> takeUpTo(std::size_t max) {
-    CONGEN_FAULT_POINT(QueueTakeUpTo);
-    CONGEN_SPSC_SIDE_GUARD(takeBusy_);
-    std::vector<T> out;
-    if (max == 0) return out;
-    const bool metrics = obs::metricsEnabled();
-    for (;;) {
-      const std::uint64_t h = head_.load(std::memory_order_relaxed);
-      const std::size_t avail = availableAt(h);
-      if (avail > 0) {
-        popInto(out, h, std::min(max, avail), metrics);
-        return out;
-      }
-      if (closed_.load(std::memory_order_acquire)) {
-        if (availableAt(h) > 0) continue;  // published before the close
-        return out;
-      }
-      parkConsumer(metrics);
-    }
-  }
-
-  // ---- cancellable / deadline-bounded ops ------------------------------
-  //
-  // Register-then-recheck: the first wait cycle only registers the
-  // cancel wakeup and returns so the caller re-checks its exit
-  // conditions — a cancel landing before registration is otherwise
-  // lost. The wakeup callback bumps both sequence words and futex-wakes
-  // both sides; it touches only atomics, so the lock-order audit of
-  // cancel.hpp is trivially satisfied (there is no lock).
-
-  /// put() with cancellation and an optional deadline.
-  QueueOpStatus putFor(T v, const CancelToken& token, QueueDeadline deadline = {}) {
-    CONGEN_FAULT_POINT(QueuePut);
-    CONGEN_FAULT_POINT(QueueTimedWait);
-    CONGEN_SPSC_SIDE_GUARD(putBusy_);
-    const bool metrics = obs::metricsEnabled();
-    std::optional<CancelCallback> wake;
-    bool timedOut = false;
-    for (;;) {
-      if (token.cancelled()) return QueueOpStatus::kCancelled;
-      if (closed_.load(std::memory_order_acquire)) return QueueOpStatus::kClosed;
-      const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-      if (spaceFor(t) > 0) {
-        slots_[t & mask_] = std::move(v);
-        tail_.store(t + 1, std::memory_order_release);
-        if (metrics) [[unlikely]] countScalarPut();
-        wakeConsumerIfParked();
-        return QueueOpStatus::kOk;
-      }
-      if (timedOut) return QueueOpStatus::kTimedOut;
-      if (registerWake(token, wake)) continue;
-      timedOut = !parkProducerFor(token, deadline, metrics);
-    }
-  }
-
-  /// putAll() with cancellation and an optional deadline; `accepted`
-  /// reports the published prefix (erased from `batch`).
-  QueueOpStatus putAllFor(std::vector<T>& batch, std::size_t& accepted, const CancelToken& token,
-                          QueueDeadline deadline = {}) {
-    CONGEN_FAULT_POINT(QueuePutAll);
-    CONGEN_FAULT_POINT(QueueTimedWait);
     CONGEN_SPSC_SIDE_GUARD(putBusy_);
     accepted = 0;
     if (batch.empty()) return QueueOpStatus::kOk;
@@ -373,43 +254,13 @@ class SpscRing {
     return status;
   }
 
-  /// take() with cancellation and an optional deadline. kOk sets `out`;
-  /// kClosed means closed-and-drained; a cancelled consumer returns
-  /// kCancelled without draining (cancellation is abandonment).
-  QueueOpStatus takeFor(std::optional<T>& out, const CancelToken& token,
-                        QueueDeadline deadline = {}) {
-    CONGEN_FAULT_POINT(QueueTake);
-    CONGEN_FAULT_POINT(QueueTimedWait);
-    CONGEN_SPSC_SIDE_GUARD(takeBusy_);
-    out.reset();
-    const bool metrics = obs::metricsEnabled();
-    std::optional<CancelCallback> wake;
-    bool timedOut = false;
-    for (;;) {
-      if (token.cancelled()) return QueueOpStatus::kCancelled;
-      const std::uint64_t h = head_.load(std::memory_order_relaxed);
-      if (availableAt(h) > 0) {
-        out = std::move(slots_[h & mask_]);
-        head_.store(h + 1, std::memory_order_release);
-        if (metrics) [[unlikely]] countScalarTake();
-        wakeProducerIfParked();
-        return QueueOpStatus::kOk;
-      }
-      if (closed_.load(std::memory_order_acquire)) {
-        if (availableAt(h) > 0) continue;
-        return QueueOpStatus::kClosed;
-      }
-      if (timedOut) return QueueOpStatus::kTimedOut;
-      if (registerWake(token, wake)) continue;
-      timedOut = !parkConsumerFor(token, deadline, metrics);
-    }
-  }
-
-  /// takeUpTo() with cancellation and an optional deadline.
-  QueueOpStatus takeUpToFor(std::vector<T>& out, std::size_t max, const CancelToken& token,
-                            QueueDeadline deadline = {}) {
+  /// Bulk take: waits for at least one element, then pops up to `max`
+  /// into `out` (cleared first) with a single release store of the new
+  /// head. kClosed means closed-and-drained; a cancelled consumer
+  /// returns kCancelled without draining (cancellation is abandonment).
+  QueueOpStatus takeUpTo(std::vector<T>& out, std::size_t max, const CancelToken& token = {},
+                         QueueDeadline deadline = {}) {
     CONGEN_FAULT_POINT(QueueTakeUpTo);
-    CONGEN_FAULT_POINT(QueueTimedWait);
     CONGEN_SPSC_SIDE_GUARD(takeBusy_);
     out.clear();
     if (max == 0) return QueueOpStatus::kOk;
@@ -424,6 +275,9 @@ class SpscRing {
         popInto(out, h, std::min(max, avail), metrics);
         return QueueOpStatus::kOk;
       }
+      // Close-then-drain: observe closed_ (acquire) strictly after the
+      // empty check, then re-load tail_ — any element published before
+      // the close is visible to that re-load.
       if (closed_.load(std::memory_order_acquire)) {
         if (availableAt(h) > 0) continue;
         return QueueOpStatus::kClosed;
@@ -432,35 +286,6 @@ class SpscRing {
       if (registerWake(token, wake)) continue;
       timedOut = !parkConsumerFor(token, deadline, metrics);
     }
-  }
-
-  // ---- non-blocking ops ------------------------------------------------
-
-  /// Non-blocking put; false when full or closed.
-  bool tryPut(T v) {
-    CONGEN_FAULT_POINT(QueueTryPut);
-    CONGEN_SPSC_SIDE_GUARD(putBusy_);
-    if (closed_.load(std::memory_order_acquire)) return false;
-    const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-    if (spaceFor(t) == 0) return false;
-    slots_[t & mask_] = std::move(v);
-    tail_.store(t + 1, std::memory_order_release);
-    if (obs::metricsEnabled()) [[unlikely]] countScalarPut();
-    wakeConsumerIfParked();
-    return true;
-  }
-
-  /// Non-blocking take; nullopt when empty.
-  std::optional<T> tryTake() {
-    CONGEN_FAULT_POINT(QueueTryTake);
-    CONGEN_SPSC_SIDE_GUARD(takeBusy_);
-    const std::uint64_t h = head_.load(std::memory_order_relaxed);
-    if (availableAt(h) == 0) return std::nullopt;
-    T v = std::move(slots_[h & mask_]);
-    head_.store(h + 1, std::memory_order_release);
-    if (obs::metricsEnabled()) [[unlikely]] countScalarTake();
-    wakeProducerIfParked();
-    return v;
   }
 
   // ---- lifecycle / introspection ---------------------------------------
@@ -642,9 +467,6 @@ class SpscRing {
     return !expired;
   }
 
-  void parkProducer(bool metrics) { parkProducerFor(CancelToken{}, QueueDeadline{}, metrics); }
-  void parkConsumer(bool metrics) { parkConsumerFor(CancelToken{}, QueueDeadline{}, metrics); }
-
   // ---- metrics (relaxed striped atomics, exact at quiescence — the
   // conservation Environment polls teardown until the books settle) ----
 
@@ -654,16 +476,6 @@ class SpscRing {
                                           .count());
   }
 
-  static void countScalarPut() {
-    auto& s = obs::QueueStats::get();
-    s.putElements.add(1);
-    s.depth.add(1);
-  }
-  static void countScalarTake() {
-    auto& s = obs::QueueStats::get();
-    s.takeElements.add(1);
-    s.depth.sub(1);
-  }
   static void countBulkPut(std::size_t moved) {
     auto& s = obs::QueueStats::get();
     s.putBatches.add(1);

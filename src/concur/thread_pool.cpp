@@ -53,13 +53,6 @@ void ThreadPool::submit(Task task) {
   cv_.notify_one();
 }
 
-void ThreadPool::submit(Task task, CancelToken token) {
-  submit([task = std::move(task), token = std::move(token)] {
-    if (token.cancelled()) return;
-    task();
-  });
-}
-
 void ThreadPool::shutdown() {
   // Swap the workers out under the lock so concurrent shutdown() calls
   // (or shutdown racing the destructor) each join a disjoint set, then

@@ -25,8 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "concur/cancel.hpp"
-
 namespace congen {
 
 class ThreadPool {
@@ -47,12 +45,6 @@ class ThreadPool {
   /// one). Throws std::runtime_error after shutdown or at the thread
   /// cap; a rejected task is NOT enqueued (submit is all-or-nothing).
   void submit(Task task);
-
-  /// Cancellation-aware submit: if `token` is already cancelled when a
-  /// worker picks the task up, the body is skipped entirely (the task
-  /// still counts as completed). Queued-but-doomed work behind a slow
-  /// task thus costs one relaxed load instead of a full run.
-  void submit(Task task, CancelToken token);
 
   /// Stop accepting work, drain queued tasks, and join all workers.
   /// Idempotent, and safe to race with concurrent submit() calls (they

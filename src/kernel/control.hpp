@@ -8,8 +8,6 @@
 
 #include <memory>
 #include <mutex>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "kernel/gen.hpp"
@@ -230,35 +228,6 @@ class BodyPool {
   std::vector<GenPtr> free_;
 };
 
-/// Name-keyed pools — the MethodBodyCache interface of Fig. 5. poolFor()
-/// returns a stable BodyPool* so a call site resolves its name once (at
-/// body construction) instead of hashing the key on every call.
-class MethodBodyCache {
- public:
-  [[nodiscard]] BodyPool* poolFor(const std::string& name) {
-    std::lock_guard lock(mu_);
-    auto& p = pools_[name];
-    if (!p) p = std::make_unique<BodyPool>();
-    return p.get();
-  }
-
-  /// Pop a cached body for `name`, or nullptr.
-  GenPtr getFree(const std::string& name) { return poolFor(name)->take(); }
-
-  /// Return a body to the free list.
-  void putFree(const std::string& name, GenPtr body) { poolFor(name)->put(std::move(body)); }
-
-  [[nodiscard]] std::size_t size(const std::string& name) const {
-    std::lock_guard lock(mu_);
-    const auto it = pools_.find(name);
-    return it == pools_.end() ? 0 : it->second->size();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, std::unique_ptr<BodyPool>> pools_;
-};
-
 /// The root of a procedure body: strips suspend/return flags into plain
 /// results for the caller, terminates after return/fail, and optionally
 /// parks itself for reuse upon completion (the "cached in a stack upon
@@ -300,11 +269,6 @@ class BodyRootGen final : public Gen, public std::enable_shared_from_this<BodyRo
   BodyRootGen& setRecycler(Recycler recycler) {
     recycler_ = std::move(recycler);
     return *this;
-  }
-
-  /// Attach to a name-keyed cache: resolves the pool once, here.
-  BodyRootGen& setCache(MethodBodyCache* cache, const std::string& key) {
-    return setPool(cache->poolFor(key));
   }
 
  protected:

@@ -15,7 +15,7 @@
 //  * enabled: relaxed fetch_add on a striped cache-line-private atomic;
 //    no locks anywhere on the update path.
 //
-// Registration (`Registry::counter("queue.put.elements")`) takes a
+// Registration (`Registry::counter("queue.put.batch_elements")`) takes a
 // mutex, but handles are resolved once per process (static locals in
 // runtime_stats.hpp) — never per operation. snapshot() only reads
 // relaxed atomics, so it is safe to call concurrently with updates; the

@@ -5,10 +5,8 @@ namespace congen::obs {
 QueueStats& QueueStats::get() {
   auto& r = Registry::global();
   static QueueStats* s = new QueueStats{
-      r.counter("queue.put.elements"),
       r.counter("queue.put.batches"),
       r.counter("queue.put.batch_elements"),
-      r.counter("queue.take.elements"),
       r.counter("queue.take.batches"),
       r.counter("queue.take.batch_elements"),
       r.counter("queue.dropped_on_close"),
@@ -59,8 +57,6 @@ ParStats& ParStats::get() {
   auto& r = Registry::global();
   static ParStats* s = new ParStats{
       r.counter("par.chunks"),
-      r.counter("par.retries"),
-      r.counter("par.replay_skips"),
       r.counter("par.stages"),
   };
   return *s;

@@ -11,8 +11,7 @@
 // tests/stress/conservation_env.cpp): with metrics enabled for the whole
 // life of every queue,
 //
-//   put.elements + put.batch_elements ==
-//       take.elements + take.batch_elements + depth + dropped_on_close
+//   put.batch_elements == take.batch_elements + depth + dropped_on_close
 //
 // and put.batch_size histogram sum == put.batch_elements. SpscRing
 // updates these counters lock-free from its owning sides; every
@@ -28,10 +27,8 @@ namespace congen::obs {
 /// SpscRing<T> (every pipe's channel) — aggregated over every
 /// instantiation and instance.
 struct QueueStats {
-  Counter& putElements;       ///< scalar put()/tryPut()/putFor() successes
   Counter& putBatches;        ///< bulk publications (one per putAll flush)
   Counter& putBatchElements;  ///< elements moved by bulk publications
-  Counter& takeElements;      ///< scalar take()/tryTake()/takeFor() successes
   Counter& takeBatches;       ///< bulk drains (one per takeUpTo)
   Counter& takeBatchElements; ///< elements moved by bulk drains
   Counter& droppedOnClose;    ///< elements still queued at queue destruction
@@ -75,8 +72,6 @@ struct RingStats {
 /// DataParallel / Pipeline.
 struct ParStats {
   Counter& chunks;       ///< chunks produced by ChunkGen
-  Counter& retries;      ///< per-chunk retry attempts scheduled
-  Counter& replaySkips;  ///< already-delivered values swallowed on replay
   Counter& stages;       ///< pipeline stage pipes constructed
   static ParStats& get();
 };

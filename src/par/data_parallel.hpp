@@ -36,21 +36,6 @@ class DataParallel {
                         ThreadPool& pool = ThreadPool::global())
       : chunkSize_(chunkSize), pipeCapacity_(pipeCapacity), pool_(&pool) {}
 
-  /// Bounded per-chunk retry with exponential backoff. When a chunk's
-  /// pipe dies with an error, the chunk is re-run on a fresh
-  /// co-expression copy (the body factory re-snapshots its environment)
-  /// up to `maxRetries` times, sleeping backoffBaseMicros * 2^(attempt-1)
-  /// between attempts; values the chunk already delivered are replayed
-  /// and skipped so results stay exact and in order. Once the budget is
-  /// exhausted, a single typed IconError 802 surfaces to the consumer.
-  /// The default (0) keeps the historical behavior: the first error
-  /// propagates verbatim.
-  DataParallel& withRetry(int maxRetries, std::int64_t backoffBaseMicros = 100) {
-    maxRetries_ = maxRetries;
-    backoffBaseMicros_ = backoffBaseMicros;
-    return *this;
-  }
-
   /// mapReduce(f, s, r, i): one pipe per chunk folds r over f's results,
   /// and the returned generator yields the per-chunk reductions in chunk
   /// order. `f` and `r` are generator functions; each application
@@ -71,8 +56,6 @@ class DataParallel {
   std::int64_t chunkSize_;
   std::size_t pipeCapacity_;
   ThreadPool* pool_;
-  int maxRetries_ = 0;
-  std::int64_t backoffBaseMicros_ = 100;
 };
 
 }  // namespace congen

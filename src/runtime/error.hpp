@@ -67,15 +67,10 @@ inline IconError errOutOfMemory(const std::string& what) {
 inline IconError errStageFailed(const std::string& what) {
   return {801, "pipeline stage failed: " + what};
 }
-/// 802: a data-parallel chunk kept failing after its retry budget.
-inline IconError errRetryExhausted(const std::string& what) {
-  return {802, "retry budget exhausted: " + what};
-}
-
 // 81x — the errQuotaExceeded family (runtime/governor.hpp). With one
 // exception these are ordinary catchable run-time errors: `&error`
-// conversion applies at the shared kernel operator nodes, so tree, VM,
-// and emitted backends trip with identical number and message. The
+// conversion applies at the shared kernel operator nodes, so the VM and
+// emitted code trip with identical number and message. The
 // exception is 816 (session terminated): it is the Supervisor tearing
 // the session down, and ErrorEnv::convertToFailure refuses to convert
 // it — a script cannot spend &error credit to outlive its own teardown.

@@ -15,7 +15,9 @@
 // RcBase is polymorphic precisely to pin that layout (the Itanium ABI
 // places a polymorphic primary base at offset zero of every derived
 // class, dynamic or not) and to make the final release a plain
-// `delete` — the refcount ops themselves never dispatch virtually.
+// `delete` (through destroyRc, which keeps teardown of long chains off
+// the native stack) — the refcount ops themselves never dispatch
+// virtually.
 #pragma once
 
 #include <atomic>
@@ -115,6 +117,14 @@ class RcBase {
   std::uint8_t kind_;
 };
 
+/// Delete a payload whose last reference was just released. Deletes
+/// nest (a list dropping its elements) up to a small fixed depth; past
+/// it, releases are queued on a per-thread worklist and deleted in a
+/// loop, so tearing down an arbitrarily long chain never overflows the
+/// stack. The worklist grows with the structure's fan-out, not the
+/// chain's length.
+void destroyRc(RcBase* p) noexcept;
+
 /// Owning intrusive pointer. Single raw pointer wide; copying bumps the
 /// payload's embedded count. Constructing from a raw T* retains (safe
 /// for intrusive counts — there is no control block to duplicate), which
@@ -145,12 +155,12 @@ class Rc {
   Rc& operator=(const Rc& o) noexcept {
     if (o.p_ != nullptr) o.p_->retain();
     T* old = std::exchange(p_, o.p_);
-    if (old != nullptr && old->release()) delete old;
+    if (old != nullptr && old->release()) destroyRc(old);
     return *this;
   }
   Rc& operator=(Rc&& o) noexcept {
     T* old = std::exchange(p_, std::exchange(o.p_, nullptr));
-    if (old != nullptr && old != p_ && old->release()) delete old;
+    if (old != nullptr && old != p_ && old->release()) destroyRc(old);
     return *this;
   }
   Rc& operator=(std::nullptr_t) noexcept {
@@ -161,7 +171,7 @@ class Rc {
 
   void reset() noexcept {
     if (p_ != nullptr) {
-      if (p_->release()) delete p_;
+      if (p_->release()) destroyRc(p_);
       p_ = nullptr;
     }
   }

@@ -351,7 +351,7 @@ class Value {
   /// virtual dtor reaches the payload class on the last release.
   void releaseHeap() noexcept {
     RcBase* p = heapPtr();
-    if (p->release()) delete p;
+    if (p->release()) destroyRc(p);
   }
 
   alignas(8) unsigned char raw_[14];

@@ -1,5 +1,5 @@
 // cancel_test.cpp — structured cancellation, deadlines, and failure
-// containment (cancel.hpp, the ring's *For family, and the pipe layer).
+// containment (cancel.hpp, the ring's cancellable ops, and the pipe layer).
 #include "concur/cancel.hpp"
 
 #include <gtest/gtest.h>
@@ -131,39 +131,47 @@ TEST(CancelScope, AmbientTokenNestsAndRestores) {
 // Cancellable / deadline-bounded queue operations
 // ---------------------------------------------------------------------
 
+/// putAll of a one-element batch.
+QueueOpStatus putOne(SpscRing<int>& q, int v, const CancelToken& token,
+                     QueueDeadline deadline = {}) {
+  std::vector<int> batch{v};
+  std::size_t accepted = 0;
+  return q.putAll(batch, accepted, token, deadline);
+}
+
 TEST(QueueFor, FastPathsMatchPlainOperations) {
   SpscRing<int> q(4);
   StopSource s;
   const auto t = s.token();
-  EXPECT_EQ(q.putFor(1, t), QueueOpStatus::kOk);
-  std::optional<int> out;
-  EXPECT_EQ(q.takeFor(out, t), QueueOpStatus::kOk);
-  EXPECT_EQ(out, 1);
+  EXPECT_EQ(putOne(q, 1, t), QueueOpStatus::kOk);
+  std::vector<int> out;
+  EXPECT_EQ(q.takeUpTo(out, 1, t), QueueOpStatus::kOk);
+  EXPECT_EQ(out, (std::vector<int>{1}));
   q.close();
-  EXPECT_EQ(q.putFor(2, t), QueueOpStatus::kClosed);
-  EXPECT_EQ(q.takeFor(out, t), QueueOpStatus::kClosed);
-  EXPECT_FALSE(out.has_value());
+  EXPECT_EQ(putOne(q, 2, t), QueueOpStatus::kClosed);
+  EXPECT_EQ(q.takeUpTo(out, 1, t), QueueOpStatus::kClosed);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(QueueFor, DeadlineExpiryReturnsTimedOut) {
   SpscRing<int> q(1);
   StopSource s;
-  EXPECT_EQ(q.putFor(1, s.token()), QueueOpStatus::kOk);
-  EXPECT_EQ(q.putFor(2, s.token(), after(30ms)), QueueOpStatus::kTimedOut) << "queue full";
-  std::optional<int> out;
-  EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kOk);
-  EXPECT_EQ(q.takeFor(out, s.token(), after(30ms)), QueueOpStatus::kTimedOut) << "queue empty";
-  std::vector<int> batch;
-  EXPECT_EQ(q.takeUpToFor(batch, 8, s.token(), after(30ms)), QueueOpStatus::kTimedOut);
+  EXPECT_EQ(putOne(q, 1, s.token()), QueueOpStatus::kOk);
+  EXPECT_EQ(putOne(q, 2, s.token(), after(30ms)), QueueOpStatus::kTimedOut) << "queue full";
+  std::vector<int> out;
+  EXPECT_EQ(q.takeUpTo(out, 1, s.token()), QueueOpStatus::kOk);
+  EXPECT_EQ(q.takeUpTo(out, 1, s.token(), after(30ms)), QueueOpStatus::kTimedOut)
+      << "queue empty";
+  EXPECT_EQ(q.takeUpTo(out, 8, s.token(), after(30ms)), QueueOpStatus::kTimedOut);
 }
 
 TEST(QueueFor, CancelWakesBlockedPutWithinOneOperation) {
   SpscRing<int> q(1);
   StopSource s;
-  ASSERT_EQ(q.putFor(1, s.token()), QueueOpStatus::kOk);  // now full
+  ASSERT_EQ(putOne(q, 1, s.token()), QueueOpStatus::kOk);  // now full
   std::atomic<bool> returned{false};
   std::thread producer([&] {
-    EXPECT_EQ(q.putFor(2, s.token()), QueueOpStatus::kCancelled);
+    EXPECT_EQ(putOne(q, 2, s.token()), QueueOpStatus::kCancelled);
     returned = true;
   });
   std::this_thread::sleep_for(20ms);  // let it block
@@ -178,9 +186,9 @@ TEST(QueueFor, CancelWakesBlockedTake) {
   SpscRing<int> q(4);
   StopSource s;
   std::thread consumer([&] {
-    std::optional<int> out;
-    EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kCancelled);
-    EXPECT_FALSE(out.has_value());
+    std::vector<int> out;
+    EXPECT_EQ(q.takeUpTo(out, 1, s.token()), QueueOpStatus::kCancelled);
+    EXPECT_TRUE(out.empty());
   });
   std::this_thread::sleep_for(20ms);
   s.requestStop();
@@ -192,25 +200,25 @@ TEST(QueueFor, CancelledTakeSkipsBufferedElements) {
   // abandonment — a cancelled consumer must not consume.
   SpscRing<int> q(4);
   StopSource s;
-  ASSERT_EQ(q.putFor(7, s.token()), QueueOpStatus::kOk);
+  ASSERT_EQ(putOne(q, 7, s.token()), QueueOpStatus::kOk);
   s.requestStop();
-  std::optional<int> out;
-  EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kCancelled);
-  EXPECT_FALSE(out.has_value());
-  std::vector<int> batch;
-  EXPECT_EQ(q.takeUpToFor(batch, 4, s.token()), QueueOpStatus::kCancelled);
-  EXPECT_TRUE(batch.empty());
+  std::vector<int> out;
+  EXPECT_EQ(q.takeUpTo(out, 1, s.token()), QueueOpStatus::kCancelled);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(q.takeUpTo(out, 4, s.token()), QueueOpStatus::kCancelled);
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(QueueFor, ClosedQueueStillDrains) {
   SpscRing<int> q(4);
   StopSource s;
-  ASSERT_EQ(q.putFor(7, s.token()), QueueOpStatus::kOk);
+  ASSERT_EQ(putOne(q, 7, s.token()), QueueOpStatus::kOk);
   q.close();
-  std::optional<int> out;
-  EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kOk) << "close is end-of-stream, not abandonment";
-  EXPECT_EQ(out, 7);
-  EXPECT_EQ(q.takeFor(out, s.token()), QueueOpStatus::kClosed);
+  std::vector<int> out;
+  EXPECT_EQ(q.takeUpTo(out, 1, s.token()), QueueOpStatus::kOk)
+      << "close is end-of-stream, not abandonment";
+  EXPECT_EQ(out, (std::vector<int>{7}));
+  EXPECT_EQ(q.takeUpTo(out, 1, s.token()), QueueOpStatus::kClosed);
 }
 
 TEST(QueueFor, PutAllForReportsAcceptedPrefixOnCancel) {
@@ -222,7 +230,7 @@ TEST(QueueFor, PutAllForReportsAcceptedPrefixOnCancel) {
     std::this_thread::sleep_for(30ms);
     s.requestStop();
   });
-  const auto status = q.putAllFor(batch, accepted, s.token());
+  const auto status = q.putAll(batch, accepted, s.token());
   canceller.join();
   EXPECT_EQ(status, QueueOpStatus::kCancelled);
   EXPECT_EQ(accepted, 2u) << "prefix up to capacity was published";
@@ -231,23 +239,8 @@ TEST(QueueFor, PutAllForReportsAcceptedPrefixOnCancel) {
 
 TEST(QueueFor, DetachedTokenWorksWithDeadlines) {
   SpscRing<int> q(1);
-  ASSERT_EQ(q.putFor(1, CancelToken{}), QueueOpStatus::kOk);
-  EXPECT_EQ(q.putFor(2, CancelToken{}, after(30ms)), QueueOpStatus::kTimedOut);
-}
-
-// ---------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------
-
-TEST(PoolCancel, CancelledTaskBodyIsSkipped) {
-  ThreadPool pool;
-  StopSource s;
-  s.requestStop();
-  std::atomic<bool> ran{false};
-  pool.submit([&] { ran = true; }, s.token());
-  pool.shutdown();
-  EXPECT_FALSE(ran.load());
-  EXPECT_EQ(pool.tasksCompleted(), 1u) << "the wrapper still completes";
+  ASSERT_EQ(putOne(q, 1, CancelToken{}), QueueOpStatus::kOk);
+  EXPECT_EQ(putOne(q, 2, CancelToken{}, after(30ms)), QueueOpStatus::kTimedOut);
 }
 
 // ---------------------------------------------------------------------
@@ -318,13 +311,19 @@ TEST(PipeDeadline, ActivateUntilTimesOutAndStaysReactivatable) {
   auto pipe = Pipe::create(
       [gate]() -> GenPtr {
         return CallbackGen::create([gate]() -> CallbackGen::Puller {
-          return [gate]() -> std::optional<Value> { return gate->take(); };
+          return [gate]() -> std::optional<Value> {
+            std::vector<Value> out;
+            if (gate->takeUpTo(out, 1) != QueueOpStatus::kOk) return std::nullopt;
+            return out.front();
+          };
         });
       },
       4, pool);
   EXPECT_FALSE(pipe->activateUntil(std::chrono::steady_clock::now() + 30ms).has_value())
       << "no value within the deadline: fail";
-  gate->put(Value::integer(42));
+  std::vector<Value> batch{Value::integer(42)};
+  std::size_t accepted = 0;
+  gate->putAll(batch, accepted);
   auto v = pipe->activate();
   ASSERT_TRUE(v.has_value()) << "a timed-out pipe is NOT finished";
   EXPECT_EQ(v->requireInt64(), 42);

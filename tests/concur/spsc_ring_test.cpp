@@ -4,8 +4,10 @@
 // exact capacity, close/drain ordering); two-thread tests pin down the
 // blocking contract of the pipe's channel — QueueOpStatus precedence,
 // timed expiry, and the register-then-recheck cancel path. The Queue*
-// suites are the channel contract of Section III.B (put/take, bulk,
-// try, close), one producer and one consumer at a time.
+// suites are the channel contract of Section III.B (one-element and
+// bulk hand-offs, non-blocking attempts via a past deadline, close),
+// one producer and one consumer at a time, all through the ring's one
+// put (putAll) and one take (takeUpTo).
 #include "concur/spsc_ring.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -27,16 +30,36 @@ QueueDeadline after(std::chrono::milliseconds d) {
   return QueueDeadline{std::chrono::steady_clock::now() + d};
 }
 
+/// A deadline that has already passed: the ring's ops then never block,
+/// which is how these tests make a non-blocking attempt.
+QueueDeadline past() { return after(-1ms); }
+
+// One-element hand-offs through the ring's two bulk ops.
+QueueOpStatus putOne(SpscRing<int>& q, int v, const CancelToken& token = {},
+                     QueueDeadline deadline = {}) {
+  std::vector<int> batch{v};
+  std::size_t accepted = 0;
+  return q.putAll(batch, accepted, token, deadline);
+}
+
+std::optional<int> takeOne(SpscRing<int>& q, QueueDeadline deadline = {}) {
+  std::vector<int> out;
+  if (q.takeUpTo(out, 1, {}, deadline) != QueueOpStatus::kOk) return std::nullopt;
+  return out.front();
+}
+
+constexpr QueueOpStatus kOk = QueueOpStatus::kOk;
+
 TEST(SpscRingBasics, FifoOrderAndExhaustion) {
   SpscRing<int> ring(8);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(ring.tryPut(i));
+  for (int i = 0; i < 5; ++i) ASSERT_EQ(putOne(ring, i, {}, past()), kOk);
   EXPECT_EQ(ring.size(), 5u);
   for (int i = 0; i < 5; ++i) {
-    auto v = ring.tryTake();
+    auto v = takeOne(ring, past());
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, i);
   }
-  EXPECT_FALSE(ring.tryTake().has_value());
+  EXPECT_FALSE(takeOne(ring, past()).has_value());
   EXPECT_EQ(ring.size(), 0u);
 }
 
@@ -45,8 +68,9 @@ TEST(SpscRingBasics, ExactCapacityEvenWhenRoundedToPow2) {
   // bounded pipe must throttle at its requested capacity exactly.
   SpscRing<int> ring(5);
   EXPECT_EQ(ring.capacity(), 5u);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(ring.tryPut(i));
-  EXPECT_FALSE(ring.tryPut(99)) << "slot 6 exists but the bound is 5";
+  for (int i = 0; i < 5; ++i) ASSERT_EQ(putOne(ring, i, {}, past()), kOk);
+  EXPECT_EQ(putOne(ring, 99, {}, past()), QueueOpStatus::kTimedOut)
+      << "slot 6 exists but the bound is 5";
   EXPECT_EQ(ring.size(), 5u);
 }
 
@@ -56,9 +80,9 @@ TEST(SpscRingWrap, IndicesWrapAcrossTheMaskBoundary) {
   SpscRing<int> ring(3);
   int next = 0;
   for (int round = 0; round < 100; ++round) {
-    for (int i = 0; i < 3; ++i) ASSERT_TRUE(ring.tryPut(next + i));
+    for (int i = 0; i < 3; ++i) ASSERT_EQ(putOne(ring, next + i, {}, past()), kOk);
     for (int i = 0; i < 3; ++i) {
-      auto v = ring.tryTake();
+      auto v = takeOne(ring, past());
       ASSERT_TRUE(v.has_value());
       EXPECT_EQ(*v, next + i);
     }
@@ -71,9 +95,12 @@ TEST(SpscRingWrap, BulkOpsWrapAcrossTheMaskBoundary) {
   int next = 0;
   for (int round = 0; round < 50; ++round) {
     std::vector<int> batch{next, next + 1, next + 2};
-    EXPECT_EQ(ring.putAll(batch), 3u);
+    std::size_t accepted = 0;
+    EXPECT_EQ(ring.putAll(batch, accepted), kOk);
+    EXPECT_EQ(accepted, 3u);
     EXPECT_TRUE(batch.empty()) << "accepted prefix is erased";
-    const auto got = ring.takeUpTo(8);
+    std::vector<int> got;
+    ASSERT_EQ(ring.takeUpTo(got, 8), kOk);
     ASSERT_EQ(got.size(), 3u);
     for (int i = 0; i < 3; ++i) EXPECT_EQ(got[static_cast<std::size_t>(i)], next + i);
     next += 3;
@@ -84,9 +111,10 @@ TEST(SpscRingWrap, CapacityOneMailbox) {
   // The future/mailbox shape: every transfer crosses the wrap.
   SpscRing<int> ring(1);
   for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(ring.tryPut(i));
-    EXPECT_FALSE(ring.tryPut(i)) << "capacity 1 is full after one put";
-    auto v = ring.tryTake();
+    ASSERT_EQ(putOne(ring, i, {}, past()), kOk);
+    EXPECT_EQ(putOne(ring, i, {}, past()), QueueOpStatus::kTimedOut)
+        << "capacity 1 is full after one put";
+    auto v = takeOne(ring, past());
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, i);
   }
@@ -94,22 +122,23 @@ TEST(SpscRingWrap, CapacityOneMailbox) {
 
 TEST(SpscRingClose, FullRingDrainsAfterClose) {
   SpscRing<int> ring(4);
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(ring.tryPut(i));
+  for (int i = 0; i < 4; ++i) ASSERT_EQ(putOne(ring, i, {}, past()), kOk);
   ring.close();
-  EXPECT_FALSE(ring.tryPut(99)) << "closed ring rejects new elements";
+  EXPECT_EQ(putOne(ring, 99, {}, past()), QueueOpStatus::kClosed)
+      << "closed ring rejects new elements";
   for (int i = 0; i < 4; ++i) {
-    auto v = ring.take();
+    auto v = takeOne(ring);
     ASSERT_TRUE(v.has_value()) << "elements published before close() survive it";
     EXPECT_EQ(*v, i);
   }
-  EXPECT_FALSE(ring.take().has_value()) << "then end-of-stream";
+  EXPECT_FALSE(takeOne(ring).has_value()) << "then end-of-stream";
 }
 
 TEST(SpscRingClose, CloseUnblocksAParkedConsumer) {
   SpscRing<int> ring(4);
   std::atomic<bool> gotEnd{false};
   std::thread consumer([&] {
-    EXPECT_FALSE(ring.take().has_value());
+    EXPECT_FALSE(takeOne(ring).has_value());
     gotEnd = true;
   });
   std::this_thread::sleep_for(20ms);  // let it park
@@ -120,13 +149,15 @@ TEST(SpscRingClose, CloseUnblocksAParkedConsumer) {
 
 TEST(SpscRingClose, CloseUnblocksAParkedProducerMidBatch) {
   SpscRing<int> ring(2);
-  ASSERT_TRUE(ring.tryPut(0));
-  ASSERT_TRUE(ring.tryPut(1));
+  ASSERT_EQ(putOne(ring, 0), kOk);
+  ASSERT_EQ(putOne(ring, 1), kOk);
   std::atomic<std::size_t> accepted{~std::size_t{0}};
   std::thread producer([&] {
     std::vector<int> batch{2, 3, 4};
-    accepted = ring.putAll(batch);  // parks: ring is full
-    EXPECT_EQ(batch.size(), 3u - accepted.load()) << "unaccepted suffix stays in the batch";
+    std::size_t n = 0;
+    EXPECT_EQ(ring.putAll(batch, n), QueueOpStatus::kClosed);  // parks: ring is full
+    accepted = n;
+    EXPECT_EQ(batch.size(), 3u - n) << "unaccepted suffix stays in the batch";
   });
   std::this_thread::sleep_for(20ms);
   ring.close();
@@ -134,60 +165,60 @@ TEST(SpscRingClose, CloseUnblocksAParkedProducerMidBatch) {
   EXPECT_LT(accepted.load(), 3u) << "close interrupted the bulk publication";
   // Whatever was accepted before the close is still deliverable.
   std::size_t drained = 0;
-  while (ring.take()) ++drained;
+  while (takeOne(ring)) ++drained;
   EXPECT_EQ(drained, 2u + accepted.load());
 }
 
 TEST(SpscRingTimed, TakeForExpiresOnEmpty) {
   SpscRing<int> ring(4);
-  std::optional<int> out;
+  std::vector<int> out;
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(ring.takeFor(out, CancelToken{}, after(30ms)), QueueOpStatus::kTimedOut);
+  EXPECT_EQ(ring.takeUpTo(out, 1, {}, after(30ms)), QueueOpStatus::kTimedOut);
   EXPECT_GE(std::chrono::steady_clock::now() - t0, 25ms);
-  EXPECT_FALSE(out.has_value());
+  EXPECT_TRUE(out.empty());
   // Expiry does not poison the ring: a later element still flows.
-  ASSERT_TRUE(ring.tryPut(7));
-  EXPECT_EQ(ring.takeFor(out, CancelToken{}, after(1000ms)), QueueOpStatus::kOk);
-  EXPECT_EQ(out, 7);
+  ASSERT_EQ(putOne(ring, 7, {}, past()), kOk);
+  EXPECT_EQ(ring.takeUpTo(out, 1, {}, after(1000ms)), kOk);
+  EXPECT_EQ(out, (std::vector<int>{7}));
 }
 
 TEST(SpscRingTimed, PutForExpiresOnFull) {
   SpscRing<int> ring(1);
-  ASSERT_TRUE(ring.tryPut(1));
-  EXPECT_EQ(ring.putFor(2, CancelToken{}, after(30ms)), QueueOpStatus::kTimedOut);
+  ASSERT_EQ(putOne(ring, 1, {}, past()), kOk);
+  EXPECT_EQ(putOne(ring, 2, {}, after(30ms)), QueueOpStatus::kTimedOut);
   EXPECT_EQ(ring.size(), 1u) << "a timed-out put publishes nothing";
-  ASSERT_TRUE(ring.tryTake().has_value());
-  EXPECT_EQ(ring.putFor(2, CancelToken{}, after(1000ms)), QueueOpStatus::kOk);
+  ASSERT_TRUE(takeOne(ring, past()).has_value());
+  EXPECT_EQ(putOne(ring, 2, {}, after(1000ms)), kOk);
 }
 
 TEST(SpscRingTimed, ElementBeatsDeadline) {
   // Precedence: a transfer that is possible happens, even with an
   // already-expired deadline.
   SpscRing<int> ring(4);
-  ASSERT_TRUE(ring.tryPut(5));
-  std::optional<int> out;
-  EXPECT_EQ(ring.takeFor(out, CancelToken{}, after(-10ms)), QueueOpStatus::kOk);
-  EXPECT_EQ(out, 5);
+  ASSERT_EQ(putOne(ring, 5, {}, past()), kOk);
+  std::vector<int> out;
+  EXPECT_EQ(ring.takeUpTo(out, 1, {}, after(-10ms)), kOk);
+  EXPECT_EQ(out, (std::vector<int>{5}));
 }
 
 TEST(SpscRingCancel, CancelledBeatsEverything) {
   // kCancelled > transfer > kClosed: the full precedence order.
   SpscRing<int> ring(4);
-  ASSERT_TRUE(ring.tryPut(1));
+  ASSERT_EQ(putOne(ring, 1, {}, past()), kOk);
   ring.close();
   StopSource source;
   source.requestStop();
-  std::optional<int> out;
-  EXPECT_EQ(ring.takeFor(out, source.token(), {}), QueueOpStatus::kCancelled);
-  EXPECT_FALSE(out.has_value());
-  EXPECT_EQ(ring.putFor(9, source.token(), {}), QueueOpStatus::kCancelled);
+  std::vector<int> out;
+  EXPECT_EQ(ring.takeUpTo(out, 1, source.token()), QueueOpStatus::kCancelled);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(putOne(ring, 9, source.token()), QueueOpStatus::kCancelled);
 }
 
 TEST(SpscRingCancel, ClosedBeatsTimedOut) {
   SpscRing<int> ring(4);
   ring.close();
-  std::optional<int> out;
-  EXPECT_EQ(ring.takeFor(out, CancelToken{}, after(-10ms)), QueueOpStatus::kClosed);
+  std::vector<int> out;
+  EXPECT_EQ(ring.takeUpTo(out, 1, {}, after(-10ms)), QueueOpStatus::kClosed);
 }
 
 TEST(SpscRingCancel, CancelUnparksABlockedConsumer) {
@@ -199,8 +230,8 @@ TEST(SpscRingCancel, CancelUnparksABlockedConsumer) {
     StopSource source;
     std::atomic<bool> done{false};
     std::thread consumer([&] {
-      std::optional<int> out;
-      EXPECT_EQ(ring.takeFor(out, source.token(), {}), QueueOpStatus::kCancelled);
+      std::vector<int> out;
+      EXPECT_EQ(ring.takeUpTo(out, 1, source.token()), QueueOpStatus::kCancelled);
       done = true;
     });
     if (round % 2 == 0) std::this_thread::sleep_for(1ms);  // likely parked
@@ -213,11 +244,10 @@ TEST(SpscRingCancel, CancelUnparksABlockedConsumer) {
 TEST(SpscRingCancel, CancelUnparksABlockedProducer) {
   for (int round = 0; round < 50; ++round) {
     SpscRing<int> ring(1);
-    ASSERT_TRUE(ring.tryPut(0));
+    ASSERT_EQ(putOne(ring, 0, {}, past()), kOk);
     StopSource source;
-    std::thread producer([&] {
-      EXPECT_EQ(ring.putFor(1, source.token(), {}), QueueOpStatus::kCancelled);
-    });
+    std::thread producer(
+        [&] { EXPECT_EQ(putOne(ring, 1, source.token()), QueueOpStatus::kCancelled); });
     if (round % 2 == 0) std::this_thread::sleep_for(1ms);
     source.requestStop();
     producer.join();
@@ -232,12 +262,12 @@ TEST(SpscRingHandoff, BlockingHandoffAcrossThreads) {
   constexpr int kItems = 20000;
   SpscRing<int> ring(8);
   std::thread producer([&] {
-    for (int i = 0; i < kItems; ++i) ASSERT_TRUE(ring.put(i));
+    for (int i = 0; i < kItems; ++i) ASSERT_EQ(putOne(ring, i), kOk);
     ring.close();
   });
   long long sum = 0;
   int count = 0;
-  while (auto v = ring.take()) {
+  while (auto v = takeOne(ring)) {
     EXPECT_EQ(*v, count);
     sum += *v;
     ++count;
@@ -252,120 +282,126 @@ TEST(SpscRingHandoff, BulkHandoffAcrossThreads) {
   SpscRing<int> ring(64);
   std::thread producer([&] {
     int next = 0;
+    std::size_t accepted = 0;
     while (next < kItems) {
       std::vector<int> batch;
       for (int i = 0; i < 17 && next + i < kItems; ++i) batch.push_back(next + i);
       next += static_cast<int>(batch.size());
-      while (!batch.empty()) ring.putAll(batch);
+      while (!batch.empty()) ring.putAll(batch, accepted);
     }
     ring.close();
   });
   int expect = 0;
-  for (;;) {
-    const auto got = ring.takeUpTo(32);
-    if (got.empty()) break;
+  std::vector<int> got;
+  while (ring.takeUpTo(got, 32) == kOk) {
     for (int v : got) EXPECT_EQ(v, expect++);
   }
   producer.join();
   EXPECT_EQ(expect, kItems);
 }
 
-// ---- the channel contract: put/take, bulk, try, close ----------------
+// ---- the channel contract: put/take, bulk, non-blocking, close -------
 
 TEST(QueueBasics, FifoOrder) {
   SpscRing<int> q(4);
-  q.put(1);
-  q.put(2);
-  q.put(3);
+  putOne(q, 1);
+  putOne(q, 2);
+  putOne(q, 3);
   EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.take(), 1);
-  EXPECT_EQ(q.take(), 2);
-  EXPECT_EQ(q.take(), 3);
+  EXPECT_EQ(takeOne(q), 1);
+  EXPECT_EQ(takeOne(q), 2);
+  EXPECT_EQ(takeOne(q), 3);
 }
 
 TEST(QueueBasics, TryOperations) {
   SpscRing<int> q(2);
-  EXPECT_FALSE(q.tryTake().has_value()) << "empty tryTake fails without blocking";
-  EXPECT_TRUE(q.tryPut(1));
-  EXPECT_TRUE(q.tryPut(2));
-  EXPECT_FALSE(q.tryPut(3)) << "full tryPut fails without blocking";
-  EXPECT_EQ(q.tryTake(), 1);
-  EXPECT_TRUE(q.tryPut(3));
+  EXPECT_FALSE(takeOne(q, past()).has_value()) << "empty take with a past deadline fails";
+  EXPECT_EQ(putOne(q, 1, {}, past()), kOk);
+  EXPECT_EQ(putOne(q, 2, {}, past()), kOk);
+  EXPECT_EQ(putOne(q, 3, {}, past()), QueueOpStatus::kTimedOut)
+      << "full put with a past deadline fails";
+  EXPECT_EQ(takeOne(q, past()), 1);
+  EXPECT_EQ(putOne(q, 3, {}, past()), kOk);
 }
 
 TEST(QueueBasics, TryPutAfterCloseFails) {
   SpscRing<int> q(4);
-  EXPECT_TRUE(q.tryPut(1));
+  EXPECT_EQ(putOne(q, 1, {}, past()), kOk);
   q.close();
-  EXPECT_FALSE(q.tryPut(2)) << "closed tryPut is refused even with room";
+  EXPECT_EQ(putOne(q, 2, {}, past()), QueueOpStatus::kClosed)
+      << "closed put is refused even with room";
   EXPECT_EQ(q.size(), 1u) << "the refused element was not half-enqueued";
 }
 
 TEST(QueueBasics, TryTakeDrainsAfterClose) {
   SpscRing<int> q(4);
-  q.put(1);
-  q.put(2);
+  putOne(q, 1);
+  putOne(q, 2);
   q.close();
-  EXPECT_EQ(q.tryTake(), 1) << "buffered elements survive close via the try-API too";
-  EXPECT_EQ(q.tryTake(), 2);
-  EXPECT_FALSE(q.tryTake().has_value());
-  EXPECT_FALSE(q.tryTake().has_value()) << "drained + closed stays failed";
+  EXPECT_EQ(takeOne(q, past()), 1) << "buffered elements survive close for a non-blocking take";
+  EXPECT_EQ(takeOne(q, past()), 2);
+  EXPECT_FALSE(takeOne(q, past()).has_value());
+  EXPECT_FALSE(takeOne(q, past()).has_value()) << "drained + closed stays failed";
 }
 
 TEST(QueueBasics, TryOpsOnMailbox) {
-  // Capacity 1: tryPut toggles between accepted and refused as the slot
-  // fills and empties — the non-blocking view of the M-var.
+  // Capacity 1: a non-blocking put toggles between accepted and refused
+  // as the slot fills and empties — the non-blocking view of the M-var.
   SpscRing<int> mailbox(1);
-  EXPECT_TRUE(mailbox.tryPut(1));
-  EXPECT_FALSE(mailbox.tryPut(2)) << "occupied mailbox refuses";
-  EXPECT_EQ(mailbox.tryTake(), 1);
-  EXPECT_FALSE(mailbox.tryTake().has_value());
-  EXPECT_TRUE(mailbox.tryPut(3)) << "slot reusable after tryTake";
-  EXPECT_EQ(mailbox.take(), 3);
+  EXPECT_EQ(putOne(mailbox, 1, {}, past()), kOk);
+  EXPECT_EQ(putOne(mailbox, 2, {}, past()), QueueOpStatus::kTimedOut) << "occupied mailbox refuses";
+  EXPECT_EQ(takeOne(mailbox, past()), 1);
+  EXPECT_FALSE(takeOne(mailbox, past()).has_value());
+  EXPECT_EQ(putOne(mailbox, 3, {}, past()), kOk) << "slot reusable after the take";
+  EXPECT_EQ(takeOne(mailbox), 3);
 }
 
 TEST(QueueBasics, TryPutReleasesBlockedTaker) {
-  // A tryPut must wake a blocked take() just like put() does.
+  // A non-blocking put must wake a blocked take just like a blocking one.
   SpscRing<int> q(1);
   std::atomic<bool> got{false};
   std::thread consumer([&] {
-    EXPECT_EQ(q.take(), 7);
+    EXPECT_EQ(takeOne(q), 7);
     got = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_TRUE(q.tryPut(7));
+  EXPECT_EQ(putOne(q, 7, {}, past()), kOk);
   consumer.join();
   EXPECT_TRUE(got.load());
 }
 
 TEST(QueueBasics, TryTakeReleasesBlockedPutter) {
-  // Symmetric: a tryTake on a full queue must wake a blocked put().
+  // Symmetric: a non-blocking take on a full queue must wake a blocked put.
   SpscRing<int> q(1);
-  ASSERT_TRUE(q.put(1));
+  ASSERT_EQ(putOne(q, 1), kOk);
   std::atomic<bool> done{false};
   std::thread producer([&] {
-    EXPECT_TRUE(q.put(2));
+    EXPECT_EQ(putOne(q, 2), kOk);
     done = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(q.tryTake(), 1);
+  EXPECT_EQ(takeOne(q, past()), 1);
   producer.join();
   EXPECT_TRUE(done.load());
-  EXPECT_EQ(q.take(), 2);
+  EXPECT_EQ(takeOne(q), 2);
 }
 
 TEST(QueueBulk, PutAllDeliversInOrderAndConsumesTheBatch) {
   SpscRing<int> q(4);
   std::vector<int> batch{1, 2, 3, 4};
-  EXPECT_EQ(q.putAll(batch), 4u);
+  std::size_t accepted = 0;
+  EXPECT_EQ(q.putAll(batch, accepted), kOk);
+  EXPECT_EQ(accepted, 4u);
   EXPECT_TRUE(batch.empty()) << "accepted elements are erased from the batch";
-  for (int i = 1; i <= 4; ++i) EXPECT_EQ(q.take(), i);
+  for (int i = 1; i <= 4; ++i) EXPECT_EQ(takeOne(q), i);
 }
 
 TEST(QueueBulk, PutAllEmptyBatchIsANoOp) {
   SpscRing<int> q(1);
   std::vector<int> batch;
-  EXPECT_EQ(q.putAll(batch), 0u);
+  std::size_t accepted = 99;
+  EXPECT_EQ(q.putAll(batch, accepted), kOk);
+  EXPECT_EQ(accepted, 0u);
   EXPECT_EQ(q.size(), 0u);
 }
 
@@ -373,7 +409,9 @@ TEST(QueueBulk, PutAllAfterCloseAcceptsNothingAndKeepsTheBatch) {
   SpscRing<int> q(4);
   q.close();
   std::vector<int> batch{1, 2, 3};
-  EXPECT_EQ(q.putAll(batch), 0u);
+  std::size_t accepted = 99;
+  EXPECT_EQ(q.putAll(batch, accepted), QueueOpStatus::kClosed);
+  EXPECT_EQ(accepted, 0u);
   EXPECT_EQ(batch, (std::vector<int>{1, 2, 3})) << "the refused batch is left intact";
 }
 
@@ -384,30 +422,40 @@ TEST(QueueBulk, PutAllBlockedAtCapacityAcceptsPrefixOnClose) {
   SpscRing<int> q(2);
   std::vector<int> batch{1, 2, 3, 4, 5};
   std::atomic<std::size_t> accepted{99};
-  std::thread producer([&] { accepted = q.putAll(batch); });
+  std::thread producer([&] {
+    std::size_t n = 0;
+    EXPECT_EQ(q.putAll(batch, n), QueueOpStatus::kClosed);
+    accepted = n;
+  });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(q.size(), 2u) << "the prefix filled the queue to its bound";
   q.close();
   producer.join();
   EXPECT_EQ(accepted.load(), 2u);
   EXPECT_EQ(batch, (std::vector<int>{3, 4, 5})) << "unaccepted suffix survives the close";
-  EXPECT_EQ(q.take(), 1);
-  EXPECT_EQ(q.take(), 2);
-  EXPECT_FALSE(q.take().has_value());
+  EXPECT_EQ(takeOne(q), 1);
+  EXPECT_EQ(takeOne(q), 2);
+  EXPECT_FALSE(takeOne(q).has_value());
 }
 
 TEST(QueueBulk, TakeUpToTakesAtMostMaxInFifoOrder) {
   SpscRing<int> q(8);
-  for (int i = 1; i <= 5; ++i) q.put(i);
-  EXPECT_EQ(q.takeUpTo(3), (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(q.takeUpTo(10), (std::vector<int>{4, 5})) << "takeUpTo never blocks for more";
+  for (int i = 1; i <= 5; ++i) putOne(q, i);
+  std::vector<int> out;
+  EXPECT_EQ(q.takeUpTo(out, 3), kOk);
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(q.takeUpTo(out, 10), kOk);
+  EXPECT_EQ(out, (std::vector<int>{4, 5})) << "takeUpTo never blocks for more";
 }
 
 TEST(QueueBulk, TakeUpToZeroReturnsEmptyWithoutBlocking) {
   SpscRing<int> q(4);
-  EXPECT_TRUE(q.takeUpTo(0).empty());
-  q.put(1);
-  EXPECT_TRUE(q.takeUpTo(0).empty());
+  std::vector<int> out{9};
+  EXPECT_EQ(q.takeUpTo(out, 0), kOk);
+  EXPECT_TRUE(out.empty());
+  putOne(q, 1);
+  EXPECT_EQ(q.takeUpTo(out, 0), kOk);
+  EXPECT_TRUE(out.empty());
   EXPECT_EQ(q.size(), 1u);
 }
 
@@ -415,47 +463,52 @@ TEST(QueueBulk, TakeUpToBlocksUntilTheFirstElement) {
   SpscRing<int> q(4);
   std::thread producer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    q.put(42);
+    putOne(q, 42);
   });
-  EXPECT_EQ(q.takeUpTo(8), (std::vector<int>{42})) << "blocks like take(), returns what is there";
+  std::vector<int> out;
+  EXPECT_EQ(q.takeUpTo(out, 8), kOk);
+  EXPECT_EQ(out, (std::vector<int>{42})) << "blocks for one element, returns what is there";
   producer.join();
 }
 
 TEST(QueueBulk, TakeUpToEmptyMeansClosedAndDrained) {
   SpscRing<int> q(4);
-  q.put(1);
+  putOne(q, 1);
   q.close();
-  EXPECT_EQ(q.takeUpTo(8), (std::vector<int>{1})) << "buffered elements survive close";
-  EXPECT_TRUE(q.takeUpTo(8).empty()) << "empty result is the bulk poison pill";
+  std::vector<int> out;
+  EXPECT_EQ(q.takeUpTo(out, 8), kOk);
+  EXPECT_EQ(out, (std::vector<int>{1})) << "buffered elements survive close";
+  EXPECT_EQ(q.takeUpTo(out, 8), QueueOpStatus::kClosed);
+  EXPECT_TRUE(out.empty()) << "kClosed with nothing taken is end-of-stream";
 }
 
 TEST(QueueBulk, WaitingConsumersCountsBlockedTakers) {
   SpscRing<int> q(4);
   EXPECT_EQ(q.waitingConsumers(), 0u);
-  std::thread consumer([&] { EXPECT_EQ(q.take(), 5); });
+  std::thread consumer([&] { EXPECT_EQ(takeOne(q), 5); });
   while (q.waitingConsumers() == 0) std::this_thread::yield();
   EXPECT_EQ(q.waitingConsumers(), 1u);
-  q.put(5);
+  putOne(q, 5);
   consumer.join();
   EXPECT_EQ(q.waitingConsumers(), 0u);
 }
 
 TEST(QueueClose, TakeDrainsThenFails) {
   SpscRing<int> q(4);
-  q.put(1);
-  q.put(2);
+  putOne(q, 1);
+  putOne(q, 2);
   q.close();
-  EXPECT_EQ(q.take(), 1) << "buffered elements survive close";
-  EXPECT_EQ(q.take(), 2);
-  EXPECT_FALSE(q.take().has_value()) << "drained + closed = failure";
-  EXPECT_FALSE(q.put(9)) << "put after close is refused";
+  EXPECT_EQ(takeOne(q), 1) << "buffered elements survive close";
+  EXPECT_EQ(takeOne(q), 2);
+  EXPECT_FALSE(takeOne(q).has_value()) << "drained + closed = failure";
+  EXPECT_EQ(putOne(q, 9), QueueOpStatus::kClosed) << "put after close is refused";
 }
 
 TEST(QueueClose, ReleasesBlockedConsumer) {
   SpscRing<int> q(4);
   std::atomic<bool> released{false};
   std::thread consumer([&] {
-    EXPECT_FALSE(q.take().has_value());
+    EXPECT_FALSE(takeOne(q).has_value());
     released = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -467,10 +520,10 @@ TEST(QueueClose, ReleasesBlockedConsumer) {
 
 TEST(QueueClose, ReleasesBlockedProducer) {
   SpscRing<int> q(1);
-  q.put(0);  // now full
+  putOne(q, 0);  // now full
   std::atomic<bool> released{false};
   std::thread producer([&] {
-    EXPECT_FALSE(q.put(1)) << "blocked put returns false on close";
+    EXPECT_EQ(putOne(q, 1), QueueOpStatus::kClosed) << "blocked put returns kClosed on close";
     released = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -485,13 +538,13 @@ TEST(QueueCapacity, BoundThrottlesProducer) {
   std::atomic<int> produced{0};
   std::thread producer([&] {
     for (int i = 0; i < 100; ++i) {
-      if (!q.put(i)) return;
+      if (putOne(q, i) != kOk) return;
       produced = i + 1;
     }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_LE(produced.load(), 5) << "producer cannot run ahead of the bound";
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(q.take(), i);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(takeOne(q), i);
   producer.join();
 }
 
@@ -506,12 +559,12 @@ TEST_P(QueueConcurrencyProperty, AllElementsDeliveredExactlyOnce) {
   threads.reserve(static_cast<std::size_t>(producers));
   for (int p = 0; p < producers; ++p) {
     threads.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) q.put(p * kPerProducer + i);
+      for (int i = 0; i < kPerProducer; ++i) putOne(q, p * kPerProducer + i);
     });
   }
   std::vector<int> got;
   std::thread consumer([&] {
-    for (int i = 0; i < producers * kPerProducer; ++i) got.push_back(*q.take());
+    for (int i = 0; i < producers * kPerProducer; ++i) got.push_back(*takeOne(q));
   });
   for (auto& t : threads) t.join();
   consumer.join();
@@ -532,9 +585,9 @@ TEST(QueueSingleSlot, ActsAsMailbox) {
   SpscRing<int> mailbox(1);
   std::thread producer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    mailbox.put(42);
+    putOne(mailbox, 42);
   });
-  EXPECT_EQ(mailbox.take(), 42) << "take blocks until defined";
+  EXPECT_EQ(takeOne(mailbox), 42) << "take blocks until defined";
   producer.join();
 }
 

@@ -174,8 +174,8 @@ TEST(BodyRootTest, SuspendInsideNestedLoopsPropagates) {
 }
 
 TEST(MethodBodyCacheTest, ParkAndReuse) {
-  MethodBodyCache cache;
-  EXPECT_EQ(cache.getFree("m"), nullptr);
+  BodyPool pool;
+  EXPECT_EQ(pool.take(), nullptr);
 
   auto x = CellVar::create();
   auto root = BodyRootGen::create(SeqGen::create(
@@ -188,7 +188,7 @@ TEST(MethodBodyCacheTest, ParkAndReuse) {
   root->setUnpackClosure([x](const std::vector<Value>& args) {
     x->set(args.empty() ? Value::null() : args[0]);
   });
-  root->setCache(&cache, "m");
+  root->setPool(&pool);
   root->unpackArgs({Value::integer(7)});
 
   Gen* rootRaw = root.get();
@@ -196,22 +196,22 @@ TEST(MethodBodyCacheTest, ParkAndReuse) {
   // On completion the body parked itself. A parked body is only handed
   // back out once its previous call site has released it (a still-held
   // body could be resumed there), so drop our reference first.
-  EXPECT_EQ(cache.getFree("m"), nullptr) << "aliased body must not be handed out";
-  EXPECT_EQ(cache.size("m"), 1u) << "still parked after the refused take";
+  EXPECT_EQ(pool.take(), nullptr) << "aliased body must not be handed out";
+  EXPECT_EQ(pool.size(), 1u) << "still parked after the refused take";
   root.reset();
-  auto reused = cache.getFree("m");
+  auto reused = pool.take();
   ASSERT_NE(reused, nullptr);
   EXPECT_EQ(reused.get(), rootRaw);
   static_cast<BodyRootGen&>(*reused).unpackArgs({Value::integer(8)});
   EXPECT_EQ(ints(reused), (std::vector<std::int64_t>{8})) << "reused body with rebound args";
-  EXPECT_EQ(cache.size("m"), 1u) << "parked again after the second run";
+  EXPECT_EQ(pool.size(), 1u) << "parked again after the second run";
 }
 
 TEST(MethodBodyCacheTest, RecursionGetsDistinctBodies) {
-  MethodBodyCache cache;
-  cache.putFree("m", ci(1));
-  auto a = cache.getFree("m");
-  auto b = cache.getFree("m");
+  BodyPool pool;
+  pool.put(ci(1));
+  auto a = pool.take();
+  auto b = pool.take();
   EXPECT_NE(a, nullptr);
   EXPECT_EQ(b, nullptr) << "a body in use is not handed out twice";
 }

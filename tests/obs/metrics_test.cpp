@@ -208,26 +208,29 @@ TEST(MetricsRuntime, QueueOperationsConserveElements) {
   MetricsFlagGuard guard;
   obs::enableMetrics();
   auto& s = obs::QueueStats::get();
-  const auto put0 = s.putElements.value() + s.putBatchElements.value();
-  const auto take0 = s.takeElements.value() + s.takeBatchElements.value();
+  const auto put0 = s.putBatchElements.value();
+  const auto take0 = s.takeBatchElements.value();
   const auto dropped0 = s.droppedOnClose.value();
   const auto depth0 = s.depth.value();
 
   {
     SpscRing<int> q(8);
-    q.put(1);
-    q.put(2);
-    (void)q.tryPut(3);
+    std::size_t accepted = 0;
+    for (int v : {1, 2, 3}) {
+      std::vector<int> one{v};
+      q.putAll(one, accepted);
+    }
     std::vector<int> bulk{4, 5, 6};
-    q.putAll(bulk);
-    (void)q.take();
-    (void)q.tryTake();
-    (void)q.takeUpTo(2);
+    q.putAll(bulk, accepted);
+    std::vector<int> out;
+    q.takeUpTo(out, 1);
+    q.takeUpTo(out, 1);
+    q.takeUpTo(out, 2);
     // two elements still queued at destruction -> dropped_on_close
   }
 
-  const auto put = s.putElements.value() + s.putBatchElements.value() - put0;
-  const auto take = s.takeElements.value() + s.takeBatchElements.value() - take0;
+  const auto put = s.putBatchElements.value() - put0;
+  const auto take = s.takeBatchElements.value() - take0;
   const auto dropped = s.droppedOnClose.value() - dropped0;
   const auto depth = s.depth.value() - depth0;
   EXPECT_EQ(put, 6u);
@@ -247,9 +250,11 @@ TEST(MetricsRuntime, BatchSizeHistogramSumMatchesBulkElements) {
   SpscRing<int> q(16);
   std::vector<int> a{1, 2, 3};
   std::vector<int> b{4, 5};
-  q.putAll(a);
-  q.putAll(b);
-  (void)q.takeUpTo(16);
+  std::size_t accepted = 0;
+  q.putAll(a, accepted);
+  q.putAll(b, accepted);
+  std::vector<int> out;
+  q.takeUpTo(out, 16);
 
   EXPECT_EQ(s.putBatchSize.sum() - sum0, 5u);
   EXPECT_EQ(s.putBatchElements.value() - bulk0, 5u);
@@ -288,7 +293,7 @@ TEST(MetricsBuiltins, MetricsTableReflectsTheRegistry) {
   EXPECT_TRUE(obs::metricsEnabled());
   auto t = interp.evalOne("metrics()");
   ASSERT_TRUE(t && t->isTable());
-  const Value v = t->table()->lookup(Value::string("queue.put.elements"));
+  const Value v = t->table()->lookup(Value::string("queue.put.batch_elements"));
   EXPECT_TRUE(v.isInteger());
   interp.evalOne("metricsoff()");
   EXPECT_FALSE(obs::metricsEnabled());

@@ -2,8 +2,6 @@
 // mapFlat (Fig. 4) and Pipeline (Fig. 2).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <memory>
 
 #include "../testutil.hpp"
 #include "builtins/builtins.hpp"
@@ -111,71 +109,14 @@ TEST(MapFlatTest, GeneratorFunctionFlattens) {
 }
 
 // ---------------------------------------------------------------------
-// Bounded per-chunk retry (withRetry)
+// Chunk errors
 // ---------------------------------------------------------------------
-
-/// Mapper that squares its argument but throws once, the first time it
-/// sees `failOn`. The flag is shared across chunk pipes, so exactly one
-/// attempt anywhere dies; the retry re-runs that chunk and succeeds.
-ProcPtr failOnceSquare(std::int64_t failOn, std::shared_ptr<std::atomic<bool>> failed) {
-  return builtins::makeNative("failOnceSquare",
-                              [failOn, failed](std::vector<Value>& a) -> std::optional<Value> {
-                                if (a.at(0).requireInt64() == failOn && !failed->exchange(true)) {
-                                  throw errDivisionByZero();
-                                }
-                                return ops::mul(a.at(0), a.at(0));
-                              });
-}
-
-TEST(RetryTest, FailOnceChunkIsRerunWithExactResults) {
-  auto failed = std::make_shared<std::atomic<bool>>(false);
-  DataParallel dp(2);
-  dp.withRetry(3, /*backoffBaseMicros=*/1);
-  auto gen = dp.mapFlat(failOnceSquare(5, failed), [] { return test::range(1, 6); });
-  EXPECT_EQ(ints(gen), (std::vector<std::int64_t>{1, 4, 9, 16, 25, 36}))
-      << "retried chunk produces its values in place, order intact";
-}
-
-TEST(RetryTest, ReplaySkipsAlreadyDeliveredPrefix) {
-  // Single chunk, failure on the LAST element: the prefix {1,4} may
-  // already be downstream when the error lands, and the retry must not
-  // deliver it twice.
-  auto failed = std::make_shared<std::atomic<bool>>(false);
-  DataParallel dp(3);
-  dp.withRetry(2, 1);
-  auto gen = dp.mapFlat(failOnceSquare(3, failed), [] { return test::range(1, 3); });
-  EXPECT_EQ(ints(gen), (std::vector<std::int64_t>{1, 4, 9}));
-}
-
-TEST(RetryTest, MapReduceRetriesTheFold) {
-  auto failed = std::make_shared<std::atomic<bool>>(false);
-  DataParallel dp(3);
-  dp.withRetry(3, 1);
-  auto gen = dp.mapReduce(failOnceSquare(4, failed), [] { return test::range(1, 10); },
-                          addProc(), Value::integer(0));
-  EXPECT_EQ(ints(gen), (std::vector<std::int64_t>{14, 77, 194, 100}));
-}
-
-TEST(RetryTest, ExhaustedBudgetSurfacesTypedError) {
-  auto alwaysFail = builtins::makeNative("alwaysFail", [](std::vector<Value>&) -> std::optional<Value> {
-    throw errDivisionByZero();
-  });
-  DataParallel dp(2);
-  dp.withRetry(2, 1);
-  auto gen = dp.mapFlat(alwaysFail, [] { return test::range(1, 4); });
-  try {
-    ints(gen);
-    FAIL() << "expected IconError 802";
-  } catch (const IconError& e) {
-    EXPECT_EQ(e.number(), 802) << "a single typed retry-exhausted error, not the raw cause";
-  }
-}
 
 TEST(RetryTest, DisabledRetryPropagatesOriginalError) {
   auto alwaysFail = builtins::makeNative("alwaysFail", [](std::vector<Value>&) -> std::optional<Value> {
     throw errDivisionByZero();
   });
-  DataParallel dp(2);  // no withRetry: historical behavior
+  DataParallel dp(2);
   auto gen = dp.mapFlat(alwaysFail, [] { return test::range(1, 4); });
   try {
     ints(gen);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "runtime/record.hpp"
 #include "runtime/var.hpp"
 
 namespace congen {
@@ -123,6 +124,32 @@ TEST(ReferenceSemantics, ListsAlias) {
   const Value b = a;  // copying the Value aliases the structure
   a.list()->put(Value::integer(1));
   EXPECT_EQ(b.list()->size(), 1);
+}
+
+// A recursive teardown of these chains needs at least one native frame
+// per link, more than an 8 MB stack holds (each depth is about twice
+// what overflows it); the final release queues each payload's children
+// instead, so the teardown runs in a loop.
+TEST(ReferenceSemantics, ReleasingLongChainsDoesNotRecurse) {
+  Value chain = Value::list(ListImpl::create());
+  for (int i = 0; i < 100000; ++i) chain = Value::list(ListImpl::create({chain}));
+  chain = Value::null();
+
+  const auto node = RecordType::create("node", {"next"});
+  Value mixed = Value::null();
+  for (int i = 0; i < 300000; ++i) {
+    if (i % 3 == 0) {
+      mixed = Value::list(ListImpl::create({mixed}));
+    } else if (i % 3 == 1) {
+      auto t = TableImpl::create();
+      t->insert(Value::integer(i), mixed);
+      mixed = Value::table(t);
+    } else {
+      mixed = Value::record(RecordImpl::create(node, {mixed}));
+    }
+  }
+  mixed = Value::null();
+  EXPECT_TRUE(chain.isNull());
 }
 
 }  // namespace

@@ -155,6 +155,22 @@ TEST(ServeLifecycle, DeeplyNestedSubmitIsTypedNotFatal) {
   server.stop();
 }
 
+TEST(ServeLifecycle, ReleasingALongChainIsNotFatal) {
+  // Dropping the last reference to a 100000-link list chain once
+  // recursed one native frame per link and killed the daemon with every
+  // tenant. The release now runs in a loop, and the session goes on.
+  Server server(baseConfig());
+  server.start();
+  TestClient client(server.port());
+  client.send({Verb::kSubmit, "l := []; every i := 1 to 100000 do l := [l]; l := &null", 0});
+  client.expectHello();
+  EXPECT_EQ(client.readLine(), "{\"ok\":true,\"kind\":\"loaded\"}");
+  EXPECT_EQ(client.roundTrip({Verb::kSubmit, "1 + 1", 0}), "{\"ok\":true,\"kind\":\"generator\"}");
+  EXPECT_EQ(client.roundTrip({Verb::kNext, "", 1}),
+            "{\"ok\":true,\"done\":false,\"results\":[\"2\"]}");
+  server.stop();
+}
+
 TEST(ServeLifecycle, OversizedFrameIs902AndCloses) {
   Server server(baseConfig());
   server.start();

@@ -1,8 +1,8 @@
 // cancel_stress_test.cpp — the cancellation subsystem under contention
 // and injected faults: cancel-vs-put, cancel-vs-takeUpTo, deadline
-// expiry racing a batch flush, and the mapReduce retry path with chunk
-// bodies being killed. The QueueTimedWait and CancelSignal fault sites
-// (delay-only) stretch exactly the windows these races live in.
+// expiry racing a batch flush, and a cancelled chain of pipes. Delay
+// jitter at the queue, pool and CancelSignal fault sites stretches
+// exactly the windows these races live in.
 #include "concur/cancel.hpp"
 
 #include <gtest/gtest.h>
@@ -13,12 +13,9 @@
 #include <vector>
 
 #include "../testutil.hpp"
-#include "builtins/builtins.hpp"
 #include "concur/fault_injection.hpp"
 #include "concur/pipe.hpp"
 #include "concur/spsc_ring.hpp"
-#include "par/data_parallel.hpp"
-#include "runtime/error.hpp"
 #include "stress_util.hpp"
 
 namespace congen {
@@ -44,6 +41,13 @@ void armDelays() {
                                            /*failPerMille=*/0});
 }
 
+/// putAll of a one-element batch.
+QueueOpStatus putOne(SpscRing<int>& q, int v, const CancelToken& token) {
+  std::vector<int> batch{v};
+  std::size_t accepted = 0;
+  return q.putAll(batch, accepted, token);
+}
+
 TEST(CancelStress, CancelRacesBlockedPut) {
   const int rounds = 200 * stress::scale();
   const bool hooks = FaultInjector::compiledIn();
@@ -51,12 +55,12 @@ TEST(CancelStress, CancelRacesBlockedPut) {
   for (int i = 0; i < rounds; ++i) {
     SpscRing<int> q(1);
     StopSource s;
-    ASSERT_EQ(q.putFor(0, s.token()), QueueOpStatus::kOk);  // full
+    ASSERT_EQ(putOne(q, 0, s.token()), QueueOpStatus::kOk);  // full
     std::atomic<int> done{0};
     std::thread producer([&] {
       // Blocked put racing the cancel below: the only acceptable
       // outcomes are kCancelled (cancel won) — never a hang.
-      EXPECT_EQ(q.putFor(1, s.token()), QueueOpStatus::kCancelled);
+      EXPECT_EQ(putOne(q, 1, s.token()), QueueOpStatus::kCancelled);
       ++done;
     });
     if (i % 2 == 0) std::this_thread::yield();
@@ -79,11 +83,11 @@ TEST(CancelStress, CancelRacesTakeUpTo) {
     // must abandon them (kCancelled beats element transfer).
     const bool buffered = i % 2 == 0;
     if (buffered) {
-      ASSERT_EQ(q.putFor(7, CancelToken{}), QueueOpStatus::kOk);
+      ASSERT_EQ(putOne(q, 7, CancelToken{}), QueueOpStatus::kOk);
     }
     std::thread consumer([&] {
       std::vector<int> out;
-      const auto status = q.takeUpToFor(out, 4, s.token());
+      const auto status = q.takeUpTo(out, 4, s.token());
       if (status == QueueOpStatus::kOk) {
         // The take won the race before the cancel landed.
         EXPECT_FALSE(out.empty());
@@ -177,75 +181,15 @@ TEST(CancelStress, NewFaultSitesAreHit) {
   StopSource s;
   std::thread producer([&] {
     for (int i = 0; i < 8; ++i) {
-      if (q.putFor(i, s.token()) != QueueOpStatus::kOk) return;
+      if (putOne(q, i, s.token()) != QueueOpStatus::kOk) return;
     }
   });
   std::this_thread::sleep_for(10ms);
   s.requestStop();
   producer.join();
   auto& inj = FaultInjector::instance();
-  EXPECT_GT(inj.hits(FaultSite::QueueTimedWait), 0u) << "putFor hit the timed-wait site";
+  EXPECT_GT(inj.hits(FaultSite::QueuePutAll), 0u) << "the cancellable put hit its entry site";
   EXPECT_GT(inj.hits(FaultSite::CancelSignal), 0u) << "requestStop hit the cancel site";
-}
-
-TEST(CancelStress, MapReduceSurvivesChunkKillsViaRetry) {
-  REQUIRE_FAULT_HOOKS();
-  // Kill roughly 30% of producer-side queue publishes: chunk bodies die
-  // mid-stream, and the bounded retry must still produce the exact
-  // in-order reduction. Only producer-side sites are armed — consumer
-  // ops and pool submit stay clean so the dead pipe can be rebuilt.
-  auto& inj = FaultInjector::instance();
-  inj.arm(stress::seed(), SitePolicy{});  // all sites observe-only...
-  const SitePolicy kill{/*delayPerMille=*/100, /*maxDelayMicros=*/50, /*failPerMille=*/300};
-  inj.armSite(FaultSite::QueuePut, kill);
-  inj.armSite(FaultSite::QueuePutAll, kill);
-
-  auto square = builtins::makeNative(
-      "square", [](std::vector<Value>& a) { return ops::mul(a.at(0), a.at(0)); });
-  auto add = builtins::makeNative(
-      "add", [](std::vector<Value>& a) { return ops::add(a.at(0), a.at(1)); });
-  DataParallel dp(3, /*pipeCapacity=*/4);
-  dp.withRetry(/*maxRetries=*/64, /*backoffBaseMicros=*/1);
-  auto gen = dp.mapReduce(square, [] { return test::range(1, 30); }, add, Value::integer(0));
-  std::vector<std::int64_t> got;
-  while (auto v = gen->nextValue()) got.push_back(v->requireInt64("reduction"));
-  inj.disarm();
-
-  // chunks of 3 over 1..30 → 10 in-order chunk sums of squares.
-  std::vector<std::int64_t> expected;
-  for (int c = 0; c < 10; ++c) {
-    std::int64_t sum = 0;
-    for (int i = c * 3 + 1; i <= c * 3 + 3; ++i) sum += static_cast<std::int64_t>(i) * i;
-    expected.push_back(sum);
-  }
-  EXPECT_EQ(got, expected) << "retries must reproduce exact in-order results";
-  EXPECT_GT(inj.failuresInjected(), 0u) << "the run must actually have killed chunk bodies";
-}
-
-TEST(CancelStress, RetryBudgetExhaustionSurfacesOneTypedError) {
-  REQUIRE_FAULT_HOOKS();
-  // Kill every producer publish: no retry budget survives, and the
-  // consumer must see a single typed IconError 802 — not an InjectedFault
-  // and not a hang.
-  auto& inj = FaultInjector::instance();
-  inj.arm(stress::seed(), SitePolicy{});
-  inj.armSite(FaultSite::QueuePut, SitePolicy{0, 0, /*failPerMille=*/1000});
-  inj.armSite(FaultSite::QueuePutAll, SitePolicy{0, 0, /*failPerMille=*/1000});
-
-  auto identity =
-      builtins::makeNative("id", [](std::vector<Value>& a) -> std::optional<Value> { return a.at(0); });
-  DataParallel dp(4, 4);
-  dp.withRetry(3, 1);
-  auto gen = dp.mapFlat(identity, [] { return test::range(1, 8); });
-  try {
-    while (gen->nextValue()) {
-    }
-    inj.disarm();
-    FAIL() << "expected IconError 802";
-  } catch (const IconError& e) {
-    inj.disarm();
-    EXPECT_EQ(e.number(), 802);
-  }
 }
 
 }  // namespace

@@ -3,8 +3,7 @@
 // metrics registry on before the first test and, at process teardown,
 // asserts the queue conservation identities over the whole run:
 //
-//   put.elements + put.batch_elements ==
-//       take.elements + take.batch_elements + depth + dropped_on_close
+//   put.batch_elements == take.batch_elements + depth + dropped_on_close
 //
 //   put.batch_size.sum == put.batch_elements
 //   put.batch_size.count == put.batches
@@ -31,38 +30,36 @@ namespace congen {
 namespace {
 
 struct Totals {
-  std::uint64_t put = 0;
-  std::uint64_t take = 0;
+  std::uint64_t put = 0;   // put.batch_elements
+  std::uint64_t take = 0;  // take.batch_elements
   std::uint64_t dropped = 0;
   std::int64_t depth = 0;
   std::uint64_t batchSizeSum = 0;
   std::uint64_t batchSizeCount = 0;
   std::uint64_t putBatches = 0;
-  std::uint64_t putBatchElements = 0;
 
   static Totals read() {
     auto& s = obs::QueueStats::get();
     Totals t;
-    t.put = s.putElements.value() + s.putBatchElements.value();
-    t.take = s.takeElements.value() + s.takeBatchElements.value();
+    t.put = s.putBatchElements.value();
+    t.take = s.takeBatchElements.value();
     t.dropped = s.droppedOnClose.value();
     t.depth = s.depth.value();
     t.batchSizeSum = s.putBatchSize.sum();
     t.batchSizeCount = s.putBatchSize.count();
     t.putBatches = s.putBatches.value();
-    t.putBatchElements = s.putBatchElements.value();
     return t;
   }
 
   [[nodiscard]] bool conserved() const {
     return put == take + dropped + static_cast<std::uint64_t>(depth >= 0 ? depth : 0) &&
-           depth >= 0 && batchSizeSum == putBatchElements && batchSizeCount == putBatches;
+           depth >= 0 && batchSizeSum == put && batchSizeCount == putBatches;
   }
 
   [[nodiscard]] std::string describe() const {
     std::ostringstream os;
     os << "put=" << put << " take=" << take << " dropped=" << dropped << " depth=" << depth
-       << " | batchSizeSum=" << batchSizeSum << " putBatchElements=" << putBatchElements
+       << " | batchSizeSum=" << batchSizeSum
        << " | batchSizeCount=" << batchSizeCount << " putBatches=" << putBatches;
     return os.str();
   }
@@ -86,7 +83,7 @@ class ConservationEnv final : public ::testing::Environment {
     EXPECT_EQ(t.put, t.take + t.dropped + static_cast<std::uint64_t>(t.depth))
         << "elements lost or duplicated: " << t.describe();
     EXPECT_GE(t.depth, 0) << "queue depth gauge went negative: " << t.describe();
-    EXPECT_EQ(t.batchSizeSum, t.putBatchElements)
+    EXPECT_EQ(t.batchSizeSum, t.put)
         << "batch-size histogram disagrees with bulk element count: " << t.describe();
     EXPECT_EQ(t.batchSizeCount, t.putBatches)
         << "batch-size histogram disagrees with bulk publication count: " << t.describe();

@@ -39,9 +39,11 @@ TEST(FaultInjectorStress, DeterministicDecisionStream) {
                                               /*failPerMille=*/100});
     SpscRing<int> q(2000);
     std::vector<int> failedAt;
+    std::size_t accepted = 0;
     for (int i = 0; i < 2000; ++i) {
+      std::vector<int> one{i};
       try {
-        q.put(i);
+        q.putAll(one, accepted);
       } catch (const InjectedFault&) {
         failedAt.push_back(i);
       }
@@ -63,19 +65,13 @@ TEST(FaultInjectorStress, HitCountersCoverAllInstrumentedSites) {
   ScopedFaultInjection arm(stress::seed(), SitePolicy{});  // observe only
   ThreadPool pool;
   {
-    // The ring's scalar ops (put/take)...
-    SpscRing<int> ring(4);
-    ASSERT_TRUE(ring.put(1));
-    ASSERT_EQ(ring.take(), 1);
-    // ...and a pipe, which runs the batched ones (putAll/takeUpTo).
+    // A pipe runs the ring's two ops (putAll/takeUpTo).
     auto batched = Pipe::create([] { return test::range(1, 50); }, /*capacity=*/8, pool);
     while (batched->activate()) {
     }
   }
   ASSERT_TRUE(eventually([&] { return pool.tasksCompleted() == 1u; }));
   auto& inj = FaultInjector::instance();
-  EXPECT_GT(inj.hits(FaultSite::QueuePut), 0u);
-  EXPECT_GT(inj.hits(FaultSite::QueueTake), 0u);
   EXPECT_GT(inj.hits(FaultSite::QueuePutAll), 0u);
   EXPECT_GT(inj.hits(FaultSite::QueueTakeUpTo), 0u);
   EXPECT_GT(inj.hits(FaultSite::PipeBatchFlush), 0u);
@@ -124,29 +120,6 @@ TEST(FaultStress, InjectedSubmitFailureSurfacesAtPipeCreation) {
   EXPECT_EQ(pipe->activate()->smallInt(), 1);
 }
 
-TEST(FaultStress, TryPutFailuresDoNotLoseElements) {
-  REQUIRE_FAULT_HOOKS();
-  auto& inj = FaultInjector::instance();
-  inj.arm(stress::seed(), SitePolicy{});
-  inj.armSite(FaultSite::QueueTryPut,
-              SitePolicy{/*delayPerMille=*/0, /*maxDelayMicros=*/0, /*failPerMille=*/300});
-  SpscRing<int> q(2000);
-  int ok = 0;
-  for (int i = 0; i < 2000; ++i) {
-    try {
-      if (q.tryPut(i)) ++ok;
-    } catch (const InjectedFault&) {
-      // Rejected at entry: the element must NOT be enqueued.
-    }
-  }
-  inj.disarm();
-  int drained = 0;
-  while (q.tryTake()) ++drained;
-  EXPECT_EQ(drained, ok) << "an injected tryPut failure half-enqueued an element";
-  EXPECT_GT(ok, 0);
-  EXPECT_LT(ok, 2000) << "with failPerMille=300 some injections must have fired";
-}
-
 TEST(FaultStress, BulkOpsConserveUnderBatchBoundaryDelays) {
   REQUIRE_FAULT_HOOKS();
   // Delays at the three batch-boundary sites shake the hand-off timing
@@ -184,8 +157,10 @@ TEST(FaultStress, InjectedPutAllFailureIsAllOrNothing) {
   int attempts = 0;
   for (int i = 0; i < 500; ++i) {
     std::vector<int> batch{3 * i, 3 * i + 1, 3 * i + 2};
+    std::size_t n = 0;
     try {
-      accepted += q.putAll(batch);
+      q.putAll(batch, n);
+      accepted += n;
       EXPECT_TRUE(batch.empty());
       ++attempts;
     } catch (const InjectedFault&) {
@@ -193,8 +168,10 @@ TEST(FaultStress, InjectedPutAllFailureIsAllOrNothing) {
     }
   }
   inj.disarm();
+  q.close();
   std::size_t drained = 0;
-  while (q.tryTake()) ++drained;
+  std::vector<int> out;
+  while (q.takeUpTo(out, 64) == QueueOpStatus::kOk) drained += out.size();
   EXPECT_EQ(drained, accepted) << "bulk-API conservation under injected failures";
   EXPECT_GT(attempts, 0);
   EXPECT_LT(attempts, 500) << "with failPerMille=300 some injections must have fired";

@@ -27,20 +27,38 @@ namespace {
 
 using namespace std::chrono_literals;
 
-/// One producer thread, one consumer thread, mixed scalar/bulk ops
-/// chosen by a deterministic per-index pattern. Returns the consumer's
+using Ring = SpscRing<std::int64_t>;
+
+// One-element hand-offs through the ring's two bulk ops.
+QueueOpStatus putOne(Ring& ring, std::int64_t v, const CancelToken& token = {},
+                     QueueDeadline deadline = {}) {
+  std::vector<std::int64_t> batch{v};
+  std::size_t accepted = 0;
+  return ring.putAll(batch, accepted, token, deadline);
+}
+
+std::optional<std::int64_t> takeOne(Ring& ring) {
+  std::vector<std::int64_t> out;
+  if (ring.takeUpTo(out, 1) != QueueOpStatus::kOk) return std::nullopt;
+  return out.front();
+}
+
+/// One producer thread, one consumer thread, batches of mixed sizes
+/// (one-element hand-offs among them) chosen by a deterministic
+/// per-index pattern. Returns the consumer's
 /// element count; the caller asserts totals, the global Environment
 /// asserts conservation.
 std::int64_t runTorture(std::size_t capacity, int items, int seedSalt) {
-  SpscRing<std::int64_t> ring(capacity);
+  Ring ring(capacity);
   const std::uint64_t seed = stress::seed() + static_cast<std::uint64_t>(seedSalt);
   std::thread producer([&] {
     std::int64_t next = 0;
+    std::size_t accepted = 0;
     while (next < items) {
-      // Pattern: mostly bulk flushes of varying size, scalar puts mixed in.
+      // Pattern: mostly flushes of varying size, one-element puts mixed in.
       const auto pick = (seed + static_cast<std::uint64_t>(next)) % 7;
       if (pick == 0) {
-        ASSERT_TRUE(ring.put(next));
+        ASSERT_EQ(putOne(ring, next), QueueOpStatus::kOk);
         ++next;
       } else {
         std::vector<std::int64_t> batch;
@@ -48,25 +66,20 @@ std::int64_t runTorture(std::size_t capacity, int items, int seedSalt) {
                                                       items - next);
         for (std::int64_t i = 0; i < n; ++i) batch.push_back(next + i);
         next += n;
-        while (!batch.empty() && ring.putAll(batch) > 0) {
-        }
+        ASSERT_EQ(ring.putAll(batch, accepted), QueueOpStatus::kOk);
         ASSERT_TRUE(batch.empty());
       }
     }
     ring.close();
   });
   std::int64_t expect = 0;
+  std::vector<std::int64_t> got;
   for (;;) {
     const auto pick = (seed ^ static_cast<std::uint64_t>(expect)) % 5;
-    if (pick == 0) {
-      auto v = ring.take();
-      if (!v) break;
-      EXPECT_EQ(*v, expect++);
-    } else {
-      const auto got = ring.takeUpTo(1 + pick * 7);
-      if (got.empty()) break;
-      for (auto v : got) EXPECT_EQ(v, expect++);
-    }
+    // pick 0 takes one element at a time.
+    const std::size_t max = pick == 0 ? 1 : 1 + pick * 7;
+    if (ring.takeUpTo(got, max) != QueueOpStatus::kOk) break;
+    for (auto v : got) EXPECT_EQ(v, expect++);
   }
   producer.join();
   return expect;
@@ -94,12 +107,12 @@ TEST(SpscRingStress, CancelVsParkRace) {
   // protocol must never strand the consumer, whichever side wins.
   const int rounds = 300 * stress::scale();
   for (int r = 0; r < rounds; ++r) {
-    SpscRing<std::int64_t> ring(2);
+    Ring ring(2);
     StopSource source;
     std::atomic<int> status{-1};
     std::thread consumer([&] {
-      std::optional<std::int64_t> out;
-      status = static_cast<int>(ring.takeFor(out, source.token(), {}));
+      std::vector<std::int64_t> out;
+      status = static_cast<int>(ring.takeUpTo(out, 1, source.token()));
     });
     // Vary the cancel's timing across rounds to sample interleavings on
     // both sides of the park.
@@ -114,12 +127,11 @@ TEST(SpscRingStress, CancelVsParkRace) {
 TEST(SpscRingStress, CancelVsParkRaceProducerSide) {
   const int rounds = 300 * stress::scale();
   for (int r = 0; r < rounds; ++r) {
-    SpscRing<std::int64_t> ring(1);
-    ASSERT_TRUE(ring.tryPut(0));
+    Ring ring(1);
+    ASSERT_EQ(putOne(ring, 0), QueueOpStatus::kOk);
     StopSource source;
     std::atomic<int> status{-1};
-    std::thread producer(
-        [&] { status = static_cast<int>(ring.putFor(1, source.token(), {})); });
+    std::thread producer([&] { status = static_cast<int>(putOne(ring, 1, source.token())); });
     if (r % 3 == 1) std::this_thread::yield();
     if (r % 3 == 2) std::this_thread::sleep_for(std::chrono::microseconds(200));
     source.requestStop();
@@ -134,11 +146,11 @@ TEST(SpscRingStress, CloseWhileFullNeverLosesTheDrain) {
   // producer must unblock promptly.
   const int rounds = 200 * stress::scale();
   for (int r = 0; r < rounds; ++r) {
-    SpscRing<std::int64_t> ring(4);
+    Ring ring(4);
     std::atomic<std::int64_t> accepted{0};
     std::thread producer([&] {
       std::int64_t n = 0;
-      while (ring.put(n)) {
+      while (putOne(ring, n) == QueueOpStatus::kOk) {
         accepted.fetch_add(1, std::memory_order_relaxed);
         ++n;
       }
@@ -151,7 +163,7 @@ TEST(SpscRingStress, CloseWhileFullNeverLosesTheDrain) {
     closer.join();
     // Drain everything that was accepted; order must be intact.
     std::int64_t expect = 0;
-    while (auto v = ring.take()) EXPECT_EQ(*v, expect++);
+    while (auto v = takeOne(ring)) EXPECT_EQ(*v, expect++);
     EXPECT_EQ(expect, accepted.load());
   }
 }
@@ -161,12 +173,12 @@ TEST(SpscRingStress, CloseWhileFullNeverLosesTheDrain) {
 TEST(QueueStress, CloseRacesCloseIdempotently) {
   const int rounds = 100 * stress::scale();
   for (int round = 0; round < rounds; ++round) {
-    SpscRing<int> q(2);
-    q.put(1);
+    Ring q(2);
+    putOne(q, 1);
     stress::onThreads(4, [&](int) { q.close(); });
     EXPECT_TRUE(q.closed());
-    EXPECT_EQ(q.take(), 1);
-    EXPECT_FALSE(q.take().has_value());
+    EXPECT_EQ(takeOne(q), 1);
+    EXPECT_FALSE(takeOne(q).has_value());
   }
 }
 
@@ -174,12 +186,12 @@ TEST(SpscRingStress, TimedOpsUnderLoad) {
   // Deadlines expire and succeed interleaved with real traffic; a
   // kTimedOut must never consume or publish an element.
   const int items = 4000 * stress::scale();
-  SpscRing<std::int64_t> ring(8);
+  Ring ring(8);
   std::thread producer([&] {
     std::int64_t next = 0;
     while (next < items) {
-      const auto status = ring.putFor(
-          next, CancelToken{},
+      const auto status = putOne(
+          ring, next, CancelToken{},
           QueueDeadline{std::chrono::steady_clock::now() + std::chrono::microseconds(200)});
       if (status == QueueOpStatus::kOk) {
         ++next;
@@ -190,13 +202,13 @@ TEST(SpscRingStress, TimedOpsUnderLoad) {
     ring.close();
   });
   std::int64_t expect = 0;
+  std::vector<std::int64_t> out;
   for (;;) {
-    std::optional<std::int64_t> out;
-    const auto status = ring.takeFor(
-        out, CancelToken{},
+    const auto status = ring.takeUpTo(
+        out, 1, CancelToken{},
         QueueDeadline{std::chrono::steady_clock::now() + std::chrono::microseconds(300)});
     if (status == QueueOpStatus::kOk) {
-      EXPECT_EQ(*out, expect++);
+      EXPECT_EQ(out.front(), expect++);
     } else if (status == QueueOpStatus::kClosed) {
       break;
     } else {
@@ -213,9 +225,9 @@ TEST(SpscRingStress, AbandonedElementsAreAccountedAsDropped) {
   // conservation check at teardown fails.
   const int rounds = 100 * stress::scale();
   for (int r = 0; r < rounds; ++r) {
-    SpscRing<std::int64_t> ring(16);
-    for (std::int64_t i = 0; i < 10; ++i) ASSERT_TRUE(ring.put(i));
-    for (std::int64_t i = 0; i < r % 10; ++i) ASSERT_TRUE(ring.take().has_value());
+    Ring ring(16);
+    for (std::int64_t i = 0; i < 10; ++i) ASSERT_EQ(putOne(ring, i), QueueOpStatus::kOk);
+    for (std::int64_t i = 0; i < r % 10; ++i) ASSERT_TRUE(takeOne(ring).has_value());
     ring.close();
     // Destructor runs here with 10 - r%10 elements still buffered.
   }
@@ -227,21 +239,21 @@ TEST(SpscRingStress, FaultInjectionShakesTheParkProtocol) {
   }
   // Delay-only policy at every queue site: stretches the windows between
   // load-seq / set-parked / recheck / wait so the fence pairing is
-  // actually exercised rather than won by timing luck. QueuePut/PutAll
-  // are failure-capable sites, so the producer also absorbs thrown
-  // faults — a failed put publishes nothing, which conservation checks.
+  // actually exercised rather than won by timing luck. QueuePutAll is a
+  // failure-capable site, so the producer also absorbs thrown faults —
+  // a failed put publishes nothing, which conservation checks.
   testing::SitePolicy policy;
   policy.delayPerMille = 80;
   policy.maxDelayMicros = 300;
   policy.failPerMille = 20;
   testing::ScopedFaultInjection arm(stress::seed(), policy);
   const int items = 3000 * stress::scale();
-  SpscRing<std::int64_t> ring(4);
+  Ring ring(4);
   std::thread producer([&] {
     std::int64_t next = 0;
     while (next < items) {
       try {
-        if (!ring.put(next)) break;
+        if (putOne(ring, next) != QueueOpStatus::kOk) break;
         ++next;
       } catch (const testing::InjectedFault&) {
         // Injected before the publish: retry the same element.
@@ -250,14 +262,7 @@ TEST(SpscRingStress, FaultInjectionShakesTheParkProtocol) {
     ring.close();
   });
   std::int64_t expect = 0;
-  for (;;) {
-    try {
-      auto v = ring.take();
-      if (!v) break;
-      EXPECT_EQ(*v, expect++);
-    } catch (const testing::InjectedFault&) {
-    }
-  }
+  while (auto v = takeOne(ring)) EXPECT_EQ(*v, expect++);
   producer.join();
   EXPECT_EQ(expect, items);
 }
