@@ -35,8 +35,11 @@ int main() {
   for (const Value& v : iterate(gen)) std::cout << "  " << v.toDisplayString() << "\n";
 
   std::cout << "-- throttled pipe: capacity bounds the producer --\n";
-  // A bounded pipe only runs ahead of its consumer by the queue size.
-  interp::Interpreter throttled(interp::Interpreter::Options{.pipeCapacity = 2});
+  // A bounded pipe only runs ahead of its consumer by the queue size;
+  // the pipe-depth quota clamps every pipe this interpreter creates.
+  interp::Interpreter::Options throttledOptions;
+  throttledOptions.quotas.maxPipeDepth = 2;
+  interp::Interpreter throttled(throttledOptions);
   auto slow = throttled.eval("! |> (1 to 6)");
   for (const Value& v : iterate(slow)) std::cout << "  " << v.toDisplayString() << "\n";
 

@@ -232,6 +232,9 @@ std::optional<Value> Pipe::activateUntil(std::chrono::steady_clock::time_point d
 }
 
 std::optional<Value> Pipe::step(QueueDeadline deadline) {
+  // One consumer at a time: the ring's take side and the prefetch are
+  // single-threaded state.
+  const Activation active(*this);
   // A finished pipe (error already surfaced, or cancelled, or drained)
   // fails deterministically forever — it never revisits the dead queue,
   // so an activation after a consumed producer error cannot block or

@@ -79,6 +79,7 @@ class Pipe final : public CoExpression {
   /// Activation = take from the output channel. A run-time error raised
   /// inside the producer is re-thrown here, on the consumer's thread,
   /// exactly once; afterwards the pipe is finished and activation fails.
+  /// A second thread activating while one is inside raises 803.
   std::optional<Value> activate() override;
 
   /// Deadline-bounded activation: fails once `deadline` passes with no

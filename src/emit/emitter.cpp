@@ -278,7 +278,7 @@ class Emitter {
   void bindLocal(const std::string& name, std::string cppExpr) {
     scopes_.back()[name] = std::move(cppExpr);
   }
-  [[nodiscard]] const std::string* lookupLocal(const std::string& name) const {
+  [[nodiscard]] const std::string* findLocal(const std::string& name) const {
     for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it) {
       const auto found = it->find(name);
       if (found != it->end()) return &found->second;
@@ -291,7 +291,7 @@ class Emitter {
 
   std::string identifier(const std::string& name, int depth) {
     (void)depth;
-    if (const auto* local = lookupLocal(name)) {
+    if (const auto* local = findLocal(name)) {
       return "congen::VarGen::create(" + *local + ")";
     }
     if (moduleGlobals_.contains(name) || name == "this") {
@@ -346,7 +346,7 @@ class Emitter {
     auto referenced = transform::freeIdents(body);
     std::vector<std::pair<std::string, std::string>> captured;  // name → outer cpp expr
     for (const auto& name : referenced) {
-      if (const auto* local = lookupLocal(name)) captured.emplace_back(name, *local);
+      if (const auto* local = findLocal(name)) captured.emplace_back(name, *local);
     }
     std::set<std::string> innerBound;
     collectDeclared(body, innerBound);
@@ -421,7 +421,7 @@ class Emitter {
         return out;
       }
       case Kind::BoundIter: {
-        const auto* local = lookupLocal(n->text);
+        const auto* local = findLocal(n->text);
         if (!local) throw EmitError("bound iterator over unknown temp " + n->text);
         return "congen::InGen::create(" + *local + "," + ind(depth + 1) +
                expr(n->kids[0], depth + 1) + ")";
@@ -552,7 +552,7 @@ class Emitter {
         std::vector<std::string> inits;
         for (const auto& decl : n->kids) {
           if (decl->kids.empty()) continue;
-          const auto* local = lookupLocal(decl->text);
+          const auto* local = findLocal(decl->text);
           if (!local) throw EmitError("declaration of unknown local " + decl->text);
           inits.push_back("congen::makeAssignGen(congen::VarGen::create(" + *local + "), " +
                           expr(decl->kids[0], depth + 1) + ")");

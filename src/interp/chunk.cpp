@@ -158,8 +158,7 @@ void describeA(std::ostringstream& os, const Chunk& c, Op op, std::int32_t a) {
 std::string disassemble(const Chunk& chunk) {
   std::ostringstream os;
   os << "chunk " << chunk.name << "  slots=" << chunk.nSlots << " caches=" << chunk.nCaches
-     << " escapes=" << chunk.escapes.size() << (chunk.scopeMode ? " scope" : "")
-     << (chunk.poolable ? " poolable" : "") << "\n";
+     << " escapes=" << chunk.escapes.size() << (chunk.poolable ? " poolable" : "") << "\n";
   std::int32_t lastLine = -1;
   for (std::size_t pc = 0; pc < chunk.code.size(); ++pc) {
     const Insn& ins = chunk.code[pc];
@@ -200,6 +199,14 @@ std::string disassemble(const Chunk& chunk) {
   if (!chunk.varNames.empty()) {
     os << "vars:";
     for (std::size_t i = 0; i < chunk.varNames.size(); ++i) os << " v" << i << "=" << chunk.varNames[i];
+    os << "\n";
+  }
+  if (!chunk.captures.empty()) {
+    os << "captures:";
+    static const char* const kModes[] = {"share", "copy", "fresh"};  // Capture::Mode order
+    for (const Capture& c : chunk.captures) {
+      os << " " << kModes[static_cast<int>(c.mode)] << " s" << c.slot << "=" << c.name;
+    }
     os << "\n";
   }
   for (std::size_t i = 0; i < chunk.loops.size(); ++i) {

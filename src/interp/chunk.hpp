@@ -105,14 +105,28 @@ using ChunkPtr = std::shared_ptr<const Chunk>;
 /// co-expression and pipe creation): VmGen builds the node the emitter
 /// targets, over one sub-machine per operand chunk, and drives it through
 /// the next() protocol. Operand chunks compile inline, in source order,
-/// and their machines share the enclosing activation's frame or scope.
-/// Co-expression bodies are not operands — their factory compiles them
-/// in the environment it captures.
+/// and their machines share the enclosing activation's frame. A `<>`,
+/// `|<>` or `|>` body is an operand chunk too, but each creation (and ^)
+/// runs it on a frame of its own, built from the body's captures.
 struct EscapeSite {
   ast::NodePtr node;
   std::vector<ChunkPtr> operands;  // case: control, then [value,] body per branch
   std::int32_t loopDepth = -1;     // innermost chunk loop at the site (-1: none)
   bool inLoopBody = false;         // body vs control position of that loop
+};
+
+/// One slot of a co-expression body's frame, as each creation fills it
+/// from the creator's frame (Sec. III.A, V.D).
+struct Capture {
+  enum class Mode : std::uint8_t {
+    Share,  // <>: the creator's cell itself
+    Copy,   // |<>, |>, a name the body reads free: a new cell holding its value
+    Fresh,  // |<>, |>, a name the body binds: a new &null cell
+  };
+  std::int32_t slot;
+  Mode mode;
+  bool late;         // may bind to the global of that name instead (vm.cpp)
+  std::string name;
 };
 
 struct LoopShape {
@@ -136,9 +150,11 @@ struct Chunk {
   /// (under &error credit) by failing exactly that op's node — the
   /// flattened equivalent of the UnOp/BinOp/Delegate catch clauses.
   std::vector<std::int32_t> convHandler;
+  /// Co-expression bodies: the slots each creation puts in the body's
+  /// frame (none for a top-level `<>`, compiled in global mode).
+  std::vector<Capture> captures;
   std::int32_t nCaches = 0;  // inline-cache slots (kLoadLate sites)
-  std::int32_t nSlots = 0;   // frame slots (0 for scope-mode chunks)
-  bool scopeMode = false;    // resolved against a Scope, not a Frame
+  std::int32_t nSlots = 0;   // frame slots (0: global mode, no frame)
   bool poolable = false;     // carried over from FrameLayout
 };
 

@@ -97,7 +97,6 @@ std::int32_t ChunkCompiler::varIdx(const VarPtr& var, const std::string& name) {
 
 ChunkPtr ChunkCompiler::finish() {
   chunk_.nSlots = layout_ ? static_cast<std::int32_t>(layout_->slotCount()) : 0;
-  chunk_.scopeMode = layout_ == nullptr;
   chunk_.poolable = layout_ && layout_->poolable;
   // Innermost-enclosing-convertible-op table: process ops in emission
   // order (operands emit before their op, so inner ops come first) and
@@ -314,9 +313,10 @@ void ChunkCompiler::expr(const NodePtr& n) {
     case Kind::BoundIter: {
       valueOperand(n->kids[0]);
       if (layout_ && n->slot >= 0) {
+        noteSlot(n->slot, kUsed | kBound);
         emit(Op::kIn, n->slot, 1);
       } else {
-        emit(Op::kIn, varIdx(scope_->declare(n->text), n->text), 0);
+        emit(Op::kIn, varIdx(interp_.globalScope()->declare(n->text), n->text), 0);
       }
       return;
     }
@@ -359,7 +359,11 @@ void ChunkCompiler::statement(const NodePtr& n) {
       for (const auto& decl : n->kids) {
         const bool slotted = layout_ && decl->slot >= 0;
         VarPtr var;
-        if (!slotted) var = scope_->declare(decl->text);  // a compile-time effect
+        if (slotted) {
+          noteSlot(decl->slot, kBound);
+        } else {
+          var = interp_.globalScope()->declare(decl->text);  // a compile-time effect
+        }
         if (decl->kids.empty()) continue;
         anyInit = true;
         const std::int32_t mark = emit(Op::kMark);
@@ -465,11 +469,16 @@ void ChunkCompiler::statement(const NodePtr& n) {
 }
 
 // ---------------------------------------------------------------------
-// Identifiers — slot, global, builtin, then the scope chain
+// Identifiers — slot, global, builtin, then the global table
 // ---------------------------------------------------------------------
 
+void ChunkCompiler::noteSlot(std::int32_t slot, std::uint8_t how) {
+  if (slotUse_ != nullptr) (*slotUse_)[static_cast<std::size_t>(slot)] |= how;
+}
+
 void ChunkCompiler::slotLoad(std::int32_t slot) {
-  if (layout_->late[static_cast<std::size_t>(slot)]) {
+  noteSlot(slot, kUsed);
+  if (!lateSettled_ && layout_->late[static_cast<std::size_t>(slot)]) {
     emit(Op::kLoadLate, slot, chunk_.nCaches++);
   } else {
     emit(Op::kLoadSlot, slot);
@@ -503,7 +512,8 @@ void ChunkCompiler::identifier(const NodePtr& n) {
         break;
     }
   }
-  if (auto var = scope_->lookup(n->text)) {
+  const ScopePtr& globals = interp_.globalScope();
+  if (auto var = globals->lookup(n->text)) {
     emit(Op::kLoadVar, varIdx(var, n->text));
     return;
   }
@@ -511,8 +521,8 @@ void ChunkCompiler::identifier(const NodePtr& n) {
     emit(Op::kConst, constIdx(*b));
     return;
   }
-  // Undeclared: implicitly local to the compile scope (Unicon default).
-  emit(Op::kLoadVar, varIdx(scope_->declare(n->text), n->text));
+  // Undeclared at top level: implicitly global (Unicon default).
+  emit(Op::kLoadVar, varIdx(globals->declare(n->text), n->text));
 }
 
 // ---------------------------------------------------------------------
@@ -695,9 +705,11 @@ void ChunkCompiler::escape(const NodePtr& n) {
       }
       break;
     case Kind::Unary:
-      // @e and ^e take an operand; <>, |<> and |> bodies compile in the
-      // environment their factory captures (Interpreter::coExprFactory).
-      if (n->text == "@" || n->text == "^") operand(n->kids[0], false);
+      if (n->text == "@" || n->text == "^") {
+        operand(n->kids[0], false);
+      } else {  // <>, |<>, |>
+        site.operands.push_back(bodyChunk(n->kids[0], n->text != "<>", prefix + "0"));
+      }
       break;
     default:  // e1 ? e2, e1 <- e2, e1 <-> e2
       operand(n->kids[0], false);
@@ -709,15 +721,54 @@ void ChunkCompiler::escape(const NodePtr& n) {
 }
 
 ChunkPtr ChunkCompiler::operandChunk(const NodePtr& n, bool stmtPos, std::string name) {
-  ChunkCompiler sub(interp_, scope_, layout_);
-  sub.chunk_.name = std::move(name);
-  sub.curLine_ = curLine_;
+  ChunkCompiler sub(*this, layout_, std::move(name));
   if (stmtPos) {
     sub.statement(n);
   } else {
     sub.expr(n);
   }
   sub.emit(Op::kYield);
+  return sub.finish();
+}
+
+/// A co-expression body compiles once, here, with its site. Inside a
+/// procedure (or another body) it keeps the enclosing layout, and its
+/// captures name the slots it uses: `<>` shares them; `|<>`/`|>` copy
+/// the ones it reads free and make fresh cells for the ones it binds
+/// (Sec. V.D, "any referenced method local variables and parameters").
+/// Only used slots are captured, so a co-expression stored in one of the
+/// creator's other locals (mapReduce's `put(tasks, t)`) cannot close a
+/// cell → value → frame → cell cycle. At top level a `<>` body stays in
+/// global mode, and a shadowing body gets a layout of its own: every
+/// name in it is fresh per creation, unless it names a global.
+ChunkPtr ChunkCompiler::bodyChunk(const NodePtr& n, bool shadow, std::string name) {
+  FrameLayout own;
+  const FrameLayout* layout = layout_;
+  if (layout == nullptr && shadow) {
+    own = resolve(nullptr, n, *interp_.globalScope());
+    layout = &own;
+  }
+  std::vector<std::uint8_t> use(layout != nullptr ? layout->slotCount() : 0, 0);
+  ChunkCompiler sub(*this, layout, std::move(name));
+  sub.lateSettled_ = lateSettled_ || shadow;
+  sub.slotUse_ = layout != nullptr ? &use : nullptr;
+  sub.expr(n);
+  sub.emit(Op::kYield);
+  for (std::size_t slot = 0; slot < use.size(); ++slot) {
+    // The creator's frame must hold every slot a nested body takes, and
+    // a name bound anywhere inside is not free in the enclosing body.
+    if (layout == layout_ && slotUse_ != nullptr) (*slotUse_)[slot] |= use[slot];
+    if ((use[slot] & kUsed) == 0) continue;
+    Capture::Mode mode = Capture::Mode::Share;
+    if (layout == &own || (shadow && (use[slot] & kBound) != 0)) {
+      mode = Capture::Mode::Fresh;
+    } else if (shadow) {
+      mode = Capture::Mode::Copy;
+    }
+    sub.chunk_.captures.push_back(Capture{static_cast<std::int32_t>(slot), mode,
+                                          static_cast<bool>(layout->late[slot]),
+                                          layout->slotNames[slot]});
+  }
   return sub.finish();
 }
 

@@ -1,22 +1,25 @@
 // compiler.hpp — resolver-annotated AST → bytecode chunk.
 //
 // Two modes:
-//  - scope mode (top-level statements, eval, co-expression bodies):
-//    identifiers resolve against a Scope chain at COMPILE time and bake
-//    as direct VarPtr loads, with implicit declaration on first use;
-//  - frame mode (procedure bodies): the resolution pass has already
-//    classified every name, so identifiers compile to kLoadSlot /
-//    kLoadLate against the activation frame, and poolability/slot counts
-//    carry over from the FrameLayout unchanged.
+//  - global mode (top-level statements, eval, a top-level `<>` body):
+//    identifiers resolve against the global table at COMPILE time and
+//    bake as direct VarPtr loads, with implicit declaration on first use;
+//  - frame mode (procedure bodies, co-expression bodies in them, and a
+//    top-level `|<>`/`|>` body over a layout of its own): the resolution
+//    pass has already classified every name, so identifiers compile to
+//    kLoadSlot / kLoadLate against the activation frame, and
+//    poolability/slot counts carry over from the FrameLayout unchanged.
 //
 // Compile order is source order, node for node (declarations and temp
 // bindings are compile-time side effects), even where the emitted layout
 // differs (e1\e2 emits e1 first but jumps to evaluate the bound first,
-// exactly as LimitGen does). Escape operands compile to sub-chunks at
-// their place in that order.
+// exactly as LimitGen does). Escape operands, co-expression bodies
+// included, compile to sub-chunks at their place in that order.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "interp/chunk.hpp"
 #include "interp/interpreter.hpp"
@@ -26,14 +29,9 @@ namespace congen::interp::vm {
 
 class ChunkCompiler {
  public:
-  /// Scope mode.
-  ChunkCompiler(Interpreter& interp, ScopePtr scope)
-      : interp_(interp), scope_(std::move(scope)) {}
-
-  /// Frame mode: `scope` is the global scope (the fallback chain for
-  /// resolved-away names). A null layout is scope mode.
-  ChunkCompiler(Interpreter& interp, ScopePtr scope, const FrameLayout* layout)
-      : interp_(interp), scope_(std::move(scope)), layout_(layout) {}
+  /// Frame mode over `layout`; a null layout is global mode.
+  explicit ChunkCompiler(Interpreter& interp, const FrameLayout* layout = nullptr)
+      : interp_(interp), layout_(layout) {}
 
   /// One chunk per procedure body (frame mode).
   ChunkPtr compileBody(const std::string& name, const ast::NodePtr& body);
@@ -49,6 +47,13 @@ class ChunkCompiler {
     std::int32_t shapeIdx;
     bool inBody = false;
   };
+
+  /// A sub-chunk compiler inheriting `parent`'s line and body context.
+  ChunkCompiler(const ChunkCompiler& parent, const FrameLayout* layout, std::string name)
+      : interp_(parent.interp_), layout_(layout), lateSettled_(parent.lateSettled_),
+        slotUse_(parent.slotUse_), curLine_(parent.curLine_) {
+    chunk_.name = std::move(name);
+  }
 
   // -- emission ---------------------------------------------------------
   std::int32_t emit(Op op, std::int32_t a = 0, std::int32_t b = 0);
@@ -81,10 +86,19 @@ class ChunkCompiler {
   void escape(const ast::NodePtr& n);
   /// One escape operand as its own chunk (same mode), ending in kYield.
   ChunkPtr operandChunk(const ast::NodePtr& n, bool stmtPos, std::string name);
+  /// A `<>` (shadow = false), `|<>` or `|>` body with its captures.
+  ChunkPtr bodyChunk(const ast::NodePtr& n, bool shadow, std::string name);
+  /// Mark a slot used or bound in the body being compiled, if any.
+  void noteSlot(std::int32_t slot, std::uint8_t how);
+
+  static constexpr std::uint8_t kUsed = 1, kBound = 2;
 
   Interpreter& interp_;
-  ScopePtr scope_;
   const FrameLayout* layout_ = nullptr;  // frame mode only
+  /// Inside a `|<>`/`|>` body: each creation settles every late slot to
+  /// a global or a private cell, so late names load as plain slots.
+  bool lateSettled_ = false;
+  std::vector<std::uint8_t>* slotUse_ = nullptr;  // innermost body's marks
   Chunk chunk_;
   std::int32_t curLine_ = 0;
   std::vector<LoopCtx> loopCtx_;

@@ -2,7 +2,7 @@
 //
 // The resolution pass (interp/resolver) assigns every name in a procedure
 // body a frame slot at compile time; a call then materializes one Frame —
-// a vector of cells — instead of a child Scope with a per-call hashmap.
+// a vector of cells, with no per-call hashmap.
 // Reusing a parked body (kernel BodyPool) rebinds the same frame: slots
 // are overwritten in place, no allocation, no hashing.
 #pragma once
@@ -40,12 +40,6 @@ class LateBoundVar final : public Var {
     return fallback_;
   }
 
-  /// True while no global of this name exists (accesses hit the frame
-  /// cell) — the name is behaving as an implicit local.
-  [[nodiscard]] bool actsAsLocal() const { return globals_->lookup(name_) == nullptr; }
-
-  [[nodiscard]] const VarPtr& frameCell() const noexcept { return fallback_; }
-
   static std::shared_ptr<LateBoundVar> create(std::string name, ScopePtr globals, VarPtr fallback) {
     return std::make_shared<LateBoundVar>(std::move(name), std::move(globals), std::move(fallback));
   }
@@ -60,6 +54,8 @@ class LateBoundVar final : public Var {
 /// One activation's storage: layout.slotCount() cells. `var(slot)` is
 /// what compiled identifier nodes reference — a plain cell for Slot
 /// names, a LateBoundVar wrapper for Late names.
+/// A co-expression body's frame has the same shape, but binds only the
+/// slots its body names (VmGen::bodyFactory).
 class Frame {
  public:
   Frame(const FrameLayout& layout, const ScopePtr& globals) : nParams_(layout.nParams) {
@@ -77,8 +73,11 @@ class Frame {
     }
   }
 
+  /// A co-expression body's frame: `slots` unbound slots.
+  explicit Frame(std::size_t slots) : vars_(slots), nParams_(0) {}
+
   [[nodiscard]] const VarPtr& var(std::size_t slot) const { return vars_[slot]; }
-  [[nodiscard]] std::size_t slotCount() const noexcept { return cells_.size(); }
+  void bind(std::size_t slot, VarPtr var) { vars_[slot] = std::move(var); }
 
   /// Fresh-call state: parameter slots from `args` (missing ones &null,
   /// extras ignored — Unicon's variadic convention), every other slot

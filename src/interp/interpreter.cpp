@@ -1,6 +1,5 @@
 #include "interp/interpreter.hpp"
 
-#include <algorithm>
 #include <mutex>
 #include <optional>
 
@@ -80,14 +79,15 @@ Interpreter::Interpreter(Options options)
       globals_(Scope::makeGlobal()) {}
 
 Interpreter::~Interpreter() {
-  // A pipe stored in a global (`p := |> e`) cycles back to the global
-  // scope through its refresh factory, so neither would ever be
-  // destroyed — and an undestroyed pipe never closes its queue, leaving
-  // its producer blocked in put() for the global pool's destructor to
-  // join at process exit (deadlock). Clearing the bindings breaks the
-  // cycle: the pipe's destructor closes the queue and the producer
-  // retires. Teardown runs governed so the session's heap credits land
-  // on its own budget.
+  // A value stored in a global can reach that global's cell again: a
+  // compiled chunk holds the global cells it loads, so a recursive
+  // procedure, or a pipe whose body names the global it is stored in,
+  // is a cycle that is never destroyed — and an undestroyed pipe never
+  // closes its queue, leaving its producer blocked in put() for the
+  // global pool's destructor to join at process exit (deadlock).
+  // Clearing the bindings breaks the cycle: the pipe's destructor closes
+  // the queue and the producer retires. Teardown runs governed so the
+  // session's heap credits land on its own budget.
   std::optional<governor::ScopedGovernor> governed;
   if (governor_ != nullptr) governed.emplace(governor_);
   globals_->clear();
@@ -114,8 +114,8 @@ void Interpreter::loadProgram(const ast::NodePtr& program) {
     } else {
       // Top-level statements run immediately, bounded, like Icon's
       // outermost level of iteration.
-      vm::ChunkCompiler cc(*this, globals_);
-      vm::VmGen::create(*this, cc.compileStmt(item), globals_, nullptr, nullptr)->next();
+      vm::ChunkCompiler cc(*this);
+      vm::VmGen::create(*this, cc.compileStmt(item), nullptr)->next();
     }
   }
 }
@@ -127,9 +127,8 @@ GenPtr Interpreter::eval(const std::string& source) {
     transform::TempNames names;
     tree = transform::normalize(tree, names);
   }
-  vm::ChunkCompiler cc(*this, globals_);
-  return GovernedRootGen::wrap(
-      vm::VmGen::create(*this, cc.compileExpr(tree), globals_, nullptr, nullptr), governor_);
+  vm::ChunkCompiler cc(*this);
+  return GovernedRootGen::wrap(vm::VmGen::create(*this, cc.compileExpr(tree), nullptr), governor_);
 }
 
 std::vector<Value> Interpreter::evalAll(const std::string& source) {
@@ -182,32 +181,10 @@ struct VmProcState {
   std::shared_ptr<BodyPool> pool = std::make_shared<BodyPool>();
 };
 
-/// Chunk-compile a co-expression body over `scope` and start a machine.
-GenPtr scopeBody(Interpreter& interp, const NodePtr& body, const ScopePtr& scope) {
-  vm::ChunkCompiler cc(interp, scope);
-  return vm::VmGen::create(interp, cc.compileExpr(body), scope, nullptr, nullptr);
-}
-
-/// `<>` shares one fixed scope across creations and refreshes, so its
-/// body compiles once, at the first creation, and every later body is a
-/// fresh machine on the same chunk.
-GenFactory aliasFactory(Interpreter& interp, NodePtr body, ScopePtr alias) {
-  struct Site {
-    std::once_flag once;
-    vm::ChunkPtr chunk;
-  };
-  return [&interp, body = std::move(body), alias = std::move(alias),
-          site = std::make_shared<Site>()]() -> GenPtr {
-    std::call_once(site->once,
-                   [&] { site->chunk = vm::ChunkCompiler(interp, alias).compileExpr(body); });
-    return vm::VmGen::create(interp, site->chunk, alias, nullptr, nullptr);
-  };
-}
-
 }  // namespace
 
 /// Invocation takes a parked body from the procedure's pool and rebinds
-/// its frame (no Scope, no hashmap, no re-compilation); only when the
+/// its frame (no hashmap, no re-compilation); only when the
 /// pool is dry does a fresh machine start over a fresh flat frame.
 /// Parameters are variadic: missing args are &null, extras ignored
 /// (Unicon convention). Bodies that create co-expressions are not
@@ -223,7 +200,7 @@ ProcPtr Interpreter::makeProcedure(const ast::NodePtr& def) {
     Interpreter& in = *state->interp;
     std::call_once(state->once, [&] {
       state->layout = resolve(state->params, state->body, *in.globalScope());
-      vm::ChunkCompiler cc(in, in.globalScope(), &state->layout);
+      vm::ChunkCompiler cc(in, &state->layout);
       state->chunk = cc.compileBody(state->name, state->body);
     });
     if (state->layout.poolable) {
@@ -236,7 +213,7 @@ ProcPtr Interpreter::makeProcedure(const ast::NodePtr& def) {
     auto frame = std::make_shared<Frame>(state->layout, in.globalScope());
     frame->rebind(args);
     auto root = BodyRootGen::create(
-        vm::VmGen::create(in, state->chunk, in.globalScope(), &state->layout, frame));
+        vm::VmGen::create(in, state->chunk, frame));
     root->setUnpackClosure([frame](const std::vector<Value>& a) { frame->rebind(a); });
     if (state->layout.poolable) {
       // Weak on purpose: a parked body living in the pool must not
@@ -260,64 +237,6 @@ ProcPtr Interpreter::makeRecordConstructor(const ast::NodePtr& decl) {
   return ProcImpl::create(decl->text, [type](std::vector<Value> args) -> GenPtr {
     return ConstGen::create(Value::record(RecordImpl::create(type, std::move(args))));
   });
-}
-
-/// With shadowing (`|<>`, `|>`), the factory snapshots every referenced
-/// *local* into a fresh cell each time it runs (creation and every ^
-/// refresh) — Section III.A — and compiles the body over that snapshot.
-///
-/// Inside a procedure the enclosing locals are frame slots, not scope
-/// entries, so the factory captures the slot bindings: `<>` aliases each
-/// captured slot cell into one scope shared across refreshes (cells
-/// shared with the enclosing body), while `|<>` / `|>` copy the current
-/// value of each captured, currently-local slot into a fresh cell per
-/// run.
-GenFactory Interpreter::coExprFactory(const ast::NodePtr& body, bool shadow,
-                                      const ScopePtr& scope, const FrameLayout* layout,
-                                      const Frame* frame) {
-  if (layout != nullptr && frame != nullptr) {
-    // Capture only the slots the body can actually name. Capturing the
-    // whole frame lets a co-expression stored in one of the enclosing
-    // locals (mapReduce's `put(tasks, t)`) close a cell → value →
-    // factory → cell cycle that shared_ptr can never reclaim. For alias
-    // mode the filter must keep body-bound names too: `local x` inside a
-    // `<>` body rebinds the *enclosing* slot cell.
-    const auto referenced = shadow ? transform::freeIdents(body) : transform::mentionedIdents(body);
-    std::vector<std::pair<std::string, VarPtr>> slotVars;
-    for (std::size_t i = 0; i < frame->slotCount(); ++i) {
-      const std::string& name = layout->slotNames[i];
-      if (std::find(referenced.begin(), referenced.end(), name) == referenced.end()) continue;
-      slotVars.emplace_back(name, frame->var(i));
-    }
-    if (!shadow) {
-      auto alias = globals_->child();
-      for (auto& [name, var] : slotVars) alias->bind(name, var);
-      return aliasFactory(*this, body, std::move(alias));
-    }
-    return [this, body, slotVars = std::move(slotVars)]() -> GenPtr {
-      auto shadowScope = globals_->child();
-      for (const auto& [name, var] : slotVars) {
-        if (auto late = std::dynamic_pointer_cast<LateBoundVar>(var)) {
-          // A late-bound name only shadows while it is acting as a
-          // local; once a global exists the co-expression shares it.
-          if (late->actsAsLocal()) shadowScope->declare(name, late->frameCell()->get());
-        } else {
-          shadowScope->declare(name, var->get());  // copy, don't alias
-        }
-      }
-      return scopeBody(*this, body, shadowScope);
-    };
-  }
-  if (!shadow) return aliasFactory(*this, body, scope);
-  return [this, body, scope, referenced = transform::freeIdents(body)]() -> GenPtr {
-    auto shadowScope = scope->child();
-    for (const auto& name : referenced) {
-      if (auto local = scope->lookupLocal(name)) {
-        shadowScope->declare(name, local->get());  // copy, don't alias
-      }
-    }
-    return scopeBody(*this, body, shadowScope);
-  };
 }
 
 }  // namespace congen::interp

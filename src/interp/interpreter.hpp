@@ -25,9 +25,6 @@ class ThreadPool;
 
 namespace congen::interp {
 
-class Frame;
-struct FrameLayout;
-
 /// The interpreter has one execution engine, the bytecode VM. This
 /// single-value enum and defaultBackend() remain only because the
 /// benchmark driver (perfbench/driver/main.cpp) still prints them; they
@@ -37,10 +34,13 @@ enum class Backend : std::uint8_t { kVm };
 
 class Interpreter {
  public:
-  /// Options mostly matter to benchmarks (pipe sizing / pool choice).
   struct Options {
-    std::size_t pipeCapacity = 1024;
-    bool normalize = true;  // run the Section V.A flattening pass first
+    /// Run the Section V.A flattening pass first. The VM relies on it
+    /// for Icon's deferred argument dereferencing: unnormalized,
+    /// `r(x, x := e)` passes the *new* x, so Fig. 4's mapReduce
+    /// (`every x := r(x, f(!c))`) returns chunk sums 9 36 81 100, not
+    /// 14 77 194 100.
+    bool normalize = true;
     /// Hard resource budgets (0 = unlimited). Any non-zero budget gives
     /// this interpreter a ResourceGovernor: the process admission gate
     /// runs at construction (throws IconError 815 when shedding), and
@@ -91,14 +91,6 @@ class Interpreter {
 
   /// `record name(f1, ..., fn)` constructor procedure.
   [[nodiscard]] static ProcPtr makeRecordConstructor(const ast::NodePtr& decl);
-
-  /// Body factory for a `<>` (shadow = false) or `|<>` / `|>` (shadow =
-  /// true) site, compiled over `scope` — or, with a layout/frame pair,
-  /// inside that procedure activation. Each call builds a fresh body
-  /// machine; see interpreter.cpp for what each mode captures.
-  [[nodiscard]] GenFactory coExprFactory(const ast::NodePtr& body, bool shadow,
-                                         const ScopePtr& scope, const FrameLayout* layout,
-                                         const Frame* frame);
 
   [[nodiscard]] const ScopePtr& globalScope() const noexcept { return globals_; }
   [[nodiscard]] const Options& options() const noexcept { return options_; }

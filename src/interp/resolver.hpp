@@ -4,8 +4,8 @@
 // For each procedure, resolve() classifies every identifier in the body
 // exactly once — local slot, global, builtin, or late-bound — and
 // annotates the AST nodes (ast::Node::res / ::slot) so the frame-mode
-// compiler emits direct slot references instead of walking a scope chain
-// per name. The resulting FrameLayout is the static shape of the
+// compiler emits direct slot references instead of hashing names per
+// access. The resulting FrameLayout is the static shape of the
 // procedure's activation frame (interp/frame.hpp).
 #pragma once
 
@@ -38,8 +38,9 @@ struct FrameLayout {
   }
 };
 
-/// Resolve a procedure: parameters from `params` (a ParamList node; may be
-/// null for a parameterless body), then every name in `body`. Mutates the
+/// Resolve a procedure: parameters from `params` (a ParamList node; null
+/// for a parameterless body, such as a top-level `|<>` or `|>` body),
+/// then every name in `body`. Mutates the
 /// body's nodes in place (res/slot annotations). `globals` decides the
 /// Global vs Late split for free names — stable because Scope::declare
 /// keeps cells on redeclaration.

@@ -1,4 +1,4 @@
-// scope.hpp — lexical scopes mapping names to reified variables.
+// scope.hpp — the global table: names mapped to reified variables.
 #pragma once
 #include <atomic>
 #include <cstdint>
@@ -13,40 +13,23 @@ namespace congen::interp {
 class Scope;
 using ScopePtr = std::shared_ptr<Scope>;
 
-/// A chain of name → Var bindings. The outermost scope is the global
-/// scope; procedure calls and co-expression environments push children.
-class Scope : public std::enable_shared_from_this<Scope> {
+/// One interpreter's globals: procedures, records, `global` declarations
+/// and implicitly declared top-level names. Everything else lives in
+/// frames (interp/frame.hpp) laid out at compile time.
+class Scope {
  public:
-  static ScopePtr makeGlobal() { return std::make_shared<Scope>(Private{}, nullptr, true); }
-  [[nodiscard]] ScopePtr child() {
-    return std::make_shared<Scope>(Private{}, shared_from_this(), false);
-  }
+  static ScopePtr makeGlobal() { return std::make_shared<Scope>(); }
 
-  /// Walk the chain; nullptr if unbound.
+  /// nullptr if unbound.
   [[nodiscard]] VarPtr lookup(const std::string& name) const {
-    for (const Scope* s = this; s; s = s->parent_.get()) {
-      const auto it = s->vars_.find(name);
-      if (it != s->vars_.end()) return it->second;
-    }
-    return nullptr;
+    const auto it = vars_.find(name);
+    return it == vars_.end() ? nullptr : it->second;
   }
 
-  /// Like lookup, but stops before the global scope — used to decide
-  /// which names a co-expression must shadow (locals only).
-  [[nodiscard]] VarPtr lookupLocal(const std::string& name) const {
-    for (const Scope* s = this; s && !s->global_; s = s->parent_.get()) {
-      const auto it = s->vars_.find(name);
-      if (it != s->vars_.end()) return it->second;
-    }
-    return nullptr;
-  }
-
-  /// Bind `name` in this scope (shadowing outer bindings). Redeclaration
-  /// is keep-and-rebind: the *existing cell* is kept (so references
-  /// captured elsewhere — resolved slots, co-expression environments,
-  /// cached global bindings — stay valid) and only its value is rebound
-  /// to `initial`. Thus `local x := 1; local x` leaves x null but every
-  /// prior capture of x still names the same location.
+  /// Bind `name`. Redeclaration is keep-and-rebind: the *existing cell*
+  /// is kept (so references captured elsewhere — resolved slots,
+  /// co-expression frames, compiled chunks — stay valid) and only its
+  /// value is rebound to `initial`.
   VarPtr declare(const std::string& name, Value initial = Value::null()) {
     auto [it, inserted] = vars_.try_emplace(name, nullptr);
     if (inserted) {
@@ -58,31 +41,24 @@ class Scope : public std::enable_shared_from_this<Scope> {
     return it->second;
   }
 
-  /// Bind an existing variable in this scope.
-  void bind(const std::string& name, VarPtr var) {
-    vars_[name] = std::move(var);
-    version_.fetch_add(1, std::memory_order_release);
-  }
-
   /// Binding-set generation, bumped whenever a lookup's answer could
-  /// change (new declaration, rebind, clear) — never on plain value
-  /// assignment through an existing cell. The VM's inline caches pair a
-  /// resolved VarPtr with the version they observed; a stale version
-  /// falls back to the full re-check (LateBoundVar::target), so a racing
-  /// bump costs a miss, never a wrong binding.
+  /// change (new declaration, clear) — never on plain value assignment
+  /// through an existing cell. The VM's inline caches pair a resolved
+  /// VarPtr with the version they observed; a stale version falls back
+  /// to the full re-check (LateBoundVar::target), so a racing bump costs
+  /// a miss, never a wrong binding.
   [[nodiscard]] std::uint64_t version() const noexcept {
     return version_.load(std::memory_order_acquire);
   }
 
-  /// Drop every binding. Co-expression refresh factories capture their
-  /// enclosing ScopePtr, so a co-expression (or pipe) *stored in* that
-  /// scope forms a reference cycle that keeps both alive forever; the
-  /// owner of a scope clears it on teardown to break the cycle. The
-  /// stored values are nulled first, not just the map: cells outlive
-  /// this scope (resolved slots, co-expression environments, parked
-  /// body trees capture them), and a global cell holding a procedure
-  /// whose pooled bodies reference that very cell is a cycle the map
-  /// clear alone cannot break.
+  /// Drop every binding. A co-expression or pipe stored in a global can
+  /// reach that global's cell again (its body chunk loads it), a cycle
+  /// shared_ptr cannot reclaim; the interpreter clears its globals on
+  /// teardown to break it. The stored values are nulled first, not just
+  /// the map: cells outlive this table (chunks, frames and parked body
+  /// trees hold them), and a global cell holding a procedure whose pooled
+  /// bodies reference that very cell is a cycle the map clear alone
+  /// cannot break.
   void clear() noexcept {
     for (auto& [name, var] : vars_) {
       var->set(Value::null());
@@ -91,16 +67,8 @@ class Scope : public std::enable_shared_from_this<Scope> {
     version_.fetch_add(1, std::memory_order_release);
   }
 
-  [[nodiscard]] bool isGlobal() const noexcept { return global_; }
-
-  // make_shared needs a public constructor; Private keeps it internal.
-  struct Private {};
-  Scope(Private, ScopePtr parent, bool global) : parent_(std::move(parent)), global_(global) {}
-
  private:
   std::unordered_map<std::string, VarPtr> vars_;
-  ScopePtr parent_;
-  bool global_;
   std::atomic<std::uint64_t> version_{0};
 };
 

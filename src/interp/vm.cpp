@@ -37,13 +37,8 @@
 
 namespace congen::interp::vm {
 
-VmGen::VmGen(Interpreter& interp, ChunkPtr chunk, ScopePtr scope, const FrameLayout* layout,
-             FramePtr frame)
-    : interp_(interp),
-      chunk_(std::move(chunk)),
-      scope_(std::move(scope)),
-      layout_(layout),
-      frame_(std::move(frame)) {
+VmGen::VmGen(Interpreter& interp, ChunkPtr chunk, FramePtr frame)
+    : interp_(interp), chunk_(std::move(chunk)), frame_(std::move(frame)) {
   ics_.resize(static_cast<std::size_t>(chunk_->nCaches));
   stack_.reserve(16);
   resume_.reserve(8);
@@ -63,14 +58,52 @@ GenPtr VmGen::operandGen(const ChunkPtr& c) {
       default: break;
     }
   }
-  return create(interp_, c, scope_, layout_, frame_);
+  return create(interp_, c, frame_);
+}
+
+/// Each call builds the body's frame from its captures (§9 of
+/// docs/INTERNALS.md). A late slot that names a global at that moment —
+/// a LateBoundVar that finds one, or a creator slot already settled to
+/// it — shares the global; one acting as a local is copied like any
+/// local and stays local, even if a global of its name appears later.
+GenFactory VmGen::bodyFactory(const ChunkPtr& body) {
+  // Keep only the creator's cells the body names — never the frame.
+  std::vector<VarPtr> from;
+  for (const Capture& c : body->captures) {
+    from.push_back(c.mode == Capture::Mode::Fresh ? nullptr
+                                                  : frame_->var(static_cast<std::size_t>(c.slot)));
+  }
+  return [&interp = interp_, body, from = std::move(from)]() -> GenPtr {
+    auto frame = std::make_shared<Frame>(static_cast<std::size_t>(body->nSlots));
+    for (std::size_t i = 0; i < from.size(); ++i) {
+      const Capture& c = body->captures[i];
+      const auto slot = static_cast<std::size_t>(c.slot);
+      if (c.mode == Capture::Mode::Share) {
+        frame->bind(slot, from[i]);
+        continue;
+      }
+      VarPtr global = c.late ? interp.globalScope()->lookup(c.name) : nullptr;
+      if (global != nullptr && (from[i] == nullptr || from[i] == global ||
+                                dynamic_cast<const LateBoundVar*>(from[i].get()) != nullptr)) {
+        frame->bind(slot, std::move(global));
+      } else {
+        frame->bind(slot, CellVar::create(from[i] != nullptr ? from[i]->get() : Value::null()));
+      }
+    }
+    return create(interp, body, std::move(frame));
+  };
 }
 
 GenPtr VmGen::buildEscape(const EscapeSite& site) {
+  const ast::Node& n = *site.node;
+  if (n.kind == ast::Kind::Unary && n.text != "@" && n.text != "^") {
+    GenFactory body = bodyFactory(site.operands[0]);
+    if (n.text == "|>") return makePipeCreateGen(std::move(body));
+    return CoExprCreateGen::create(std::move(body));  // <>, |<>
+  }
   std::vector<GenPtr> ops;
   ops.reserve(site.operands.size());
   for (const auto& c : site.operands) ops.push_back(operandGen(c));
-  const ast::Node& n = *site.node;
   switch (n.kind) {
     case ast::Kind::KeywordVar:
       if (n.text == "subject") return makeSubjectVarGen();
@@ -96,13 +129,7 @@ GenPtr VmGen::buildEscape(const EscapeSite& site) {
       break;
   }
   if (n.text == "@") return ActivateGen::create(std::move(ops[0]));
-  if (n.text == "^") return RefreshGen::create(std::move(ops[0]));
-  GenFactory body =
-      interp_.coExprFactory(n.kids[0], /*shadow=*/n.text != "<>", scope_, layout_, frame_.get());
-  if (n.text == "|>") {
-    return makePipeCreateGen(std::move(body), interp_.options().pipeCapacity);
-  }
-  return CoExprCreateGen::create(std::move(body));
+  return RefreshGen::create(std::move(ops[0]));  // ^
 }
 
 void VmGen::syncFuel() {
@@ -469,7 +496,7 @@ bool VmGen::run(Result& out) {
               // declare makes the entry stale, never wrong.
               const VarPtr& lv = frame_->var(static_cast<std::size_t>(ins->a));
               ICEntry& ic = ics_[static_cast<std::size_t>(ins->b)];
-              const std::uint64_t ver = scope_->version();
+              const std::uint64_t ver = interp_.globalScope()->version();
               if (ic.ver != ver) {
                 ++icMissTally_;
                 ic.target = static_cast<LateBoundVar*>(lv.get())->target();

@@ -37,16 +37,13 @@ namespace congen::interp::vm {
 
 class VmGen final : public Gen {
  public:
-  /// Frame mode: `layout`/`frame` non-null (procedure bodies). Scope
-  /// mode: both null, identifiers were baked to direct VarPtr loads.
-  /// Escape sites' kernel nodes are built here, eagerly, over operand
-  /// sub-machines that share this activation's frame or scope.
-  VmGen(Interpreter& interp, ChunkPtr chunk, ScopePtr scope, const FrameLayout* layout,
-        FramePtr frame);
-  static std::shared_ptr<VmGen> create(Interpreter& interp, ChunkPtr chunk, ScopePtr scope,
-                                       const FrameLayout* layout, FramePtr frame) {
-    return std::make_shared<VmGen>(interp, std::move(chunk), std::move(scope), layout,
-                                   std::move(frame));
+  /// `frame` is null for global-mode chunks (identifiers were baked to
+  /// direct VarPtr loads). Escape sites' kernel nodes are built here,
+  /// eagerly, over operand sub-machines that share this activation's
+  /// frame.
+  VmGen(Interpreter& interp, ChunkPtr chunk, FramePtr frame);
+  static std::shared_ptr<VmGen> create(Interpreter& interp, ChunkPtr chunk, FramePtr frame) {
+    return std::make_shared<VmGen>(interp, std::move(chunk), std::move(frame));
   }
 
  protected:
@@ -112,7 +109,7 @@ class VmGen final : public Gen {
     std::int32_t beginPc;
   };
 
-  /// kLoadLate inline cache: the resolved binding plus the Scope version
+  /// kLoadLate inline cache: the resolved binding plus the globals version
   /// it was observed at. Stale version → full LateBoundVar::target()
   /// re-check, so a racing global declaration costs a miss, never a
   /// wrong binding.
@@ -247,11 +244,12 @@ class VmGen final : public Gen {
   /// load (`@c`, `s ? ...`, `x <- 1`), the ConstGen/VarGen that load
   /// stands for: same results, a fraction of a machine's cost per drive.
   [[nodiscard]] GenPtr operandGen(const ChunkPtr& chunk);
+  /// The factory behind a `<>`, `|<>` or `|>` site: each call runs the
+  /// body chunk on a new frame built from this activation's.
+  [[nodiscard]] GenFactory bodyFactory(const ChunkPtr& body);
 
   Interpreter& interp_;
   ChunkPtr chunk_;
-  ScopePtr scope_;
-  const FrameLayout* layout_;
   FramePtr frame_;
   std::vector<GenPtr> escapes_;  // one kernel node per escape site
 

@@ -14,6 +14,7 @@
 #include <cstddef>
 
 #include "kernel/gen.hpp"
+#include "runtime/error.hpp"
 
 namespace congen {
 
@@ -40,8 +41,10 @@ class CoExpression : public RcBase {
 
   /// Activation @c: step one iteration; nullopt is failure. Unlike a raw
   /// kernel generator, an exhausted co-expression stays exhausted until
-  /// refreshed (Icon semantics).
+  /// refreshed (Icon semantics). Throws 803 while another thread is
+  /// inside an activation of this co-expression.
   virtual std::optional<Value> activate() {
+    const Activation active(*this);
     if (exhausted_) return std::nullopt;
     auto v = body_->nextValue();
     if (!v) {
@@ -70,6 +73,38 @@ class CoExpression : public RcBase {
   [[nodiscard]] bool exhausted() const noexcept { return exhausted_; }
 
  protected:
+  /// Claims the co-expression for the calling thread for one activation.
+  /// Another thread already inside raises 803 instead of racing it on
+  /// the body; the same thread re-entering (a body that activates its
+  /// own co-expression) passes, as before. Claims hand over with
+  /// acquire/release, so activations on different threads in turn are
+  /// ordered.
+  class Activation {
+   public:
+    explicit Activation(CoExpression& c) : owner_(c.activeOn_) {
+      const void* holder = nullptr;
+      if (owner_.compare_exchange_strong(holder, self(), std::memory_order_acquire,
+                                         std::memory_order_relaxed)) {
+        held_ = true;
+      } else if (holder != self()) {
+        throw errConcurrentActivation();
+      }
+    }
+    ~Activation() {
+      if (held_) owner_.store(nullptr, std::memory_order_release);
+    }
+    Activation(const Activation&) = delete;
+    Activation& operator=(const Activation&) = delete;
+
+   private:
+    static const void* self() noexcept {
+      static thread_local const char tag = 0;
+      return &tag;
+    }
+    std::atomic<const void*>& owner_;
+    bool held_ = false;
+  };
+
   [[nodiscard]] const GenFactory& factory() const noexcept { return factory_; }
   /// Transfer the eagerly-built body out (pipes hand it to the producer
   /// thread, which becomes its sole user).
@@ -84,6 +119,7 @@ class CoExpression : public RcBase {
   GenPtr body_;
   std::size_t results_ = 0;
   bool exhausted_ = false;
+  std::atomic<const void*> activeOn_{nullptr};  // the thread inside activate(), if any
 };
 
 static_assert(std::is_base_of_v<RcBase, CoExpression>,

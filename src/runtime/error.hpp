@@ -67,6 +67,11 @@ inline IconError errOutOfMemory(const std::string& what) {
 inline IconError errStageFailed(const std::string& what) {
   return {801, "pipeline stage failed: " + what};
 }
+/// 803: a thread activated a co-expression or pipe while another thread
+/// was inside an activation of it (one thread at a time steps a generator).
+inline IconError errConcurrentActivation() {
+  return {803, "co-expression activated by two threads at once"};
+}
 // 81x — the errQuotaExceeded family (runtime/governor.hpp). With one
 // exception these are ordinary catchable run-time errors: `&error`
 // conversion applies at the shared kernel operator nodes, so the VM and

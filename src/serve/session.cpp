@@ -13,7 +13,6 @@ namespace {
 
 interp::Interpreter::Options sessionOptions(const Session::Config& config) {
   interp::Interpreter::Options options;
-  options.pipeCapacity = config.pipeCapacity;
   options.quotas = config.quotas;
   options.governed = true;  // always: the governor is the session root
   return options;

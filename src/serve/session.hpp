@@ -50,7 +50,6 @@ class Session {
  public:
   struct Config {
     governor::Limits quotas;  ///< per-tenant budgets (0 = unlimited)
-    std::size_t pipeCapacity = 1024;
     /// Per-request supervision (0 = off): soft-cancel after `soft`,
     /// diagnostics + hard terminate (816) after `hard`.
     std::chrono::milliseconds requestSoft{0};

@@ -67,7 +67,7 @@ int disassembleScript(const std::string& path, const std::set<std::string>& only
     if (item->kind != congen::ast::Kind::Def) continue;
     if (!only.empty() && only.find(item->text) == only.end()) continue;
     auto layout = resolve(item->kids[0], item->kids[1], *globals);
-    ChunkCompiler cc(interp, globals, &layout);
+    ChunkCompiler cc(interp, &layout);
     std::cout << disassemble(*cc.compileBody(item->text, item->kids[1]));
     any = true;
   }
@@ -85,7 +85,7 @@ int disassembleExpr(const std::string& source) {
     congen::transform::TempNames names;
     tree = congen::transform::normalize(tree, names);
   }
-  ChunkCompiler cc(interp, interp.globalScope());
+  ChunkCompiler cc(interp);
   std::cout << disassemble(*cc.compileExpr(tree));
   return 0;
 }

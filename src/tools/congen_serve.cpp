@@ -21,9 +21,10 @@
 //                                              committed-heap ceiling
 //   --request-soft MS --request-hard MS        per-request supervision:
 //                                              soft-cancel / hard 816
-//   --pipe-capacity N                          session pipe capacity
-//                                              (0 = the default,
-//                                              1024)
+//   --max-pipe-depth=N                         clamps each session pipe's
+//                                              capacity (default 1024;
+//                                              setquota("pipedepth")
+//                                              lowers it per session)
 //   --duration S                               exit after S seconds
 //                                              (CI smoke; 0 = run until
 //                                              SIGINT/SIGTERM)
@@ -32,7 +33,7 @@
 //   --metrics-json FILE                        JSON snapshot at exit
 //
 // Every numeric value must be a decimal integer in range (port 0-65535,
-// pipe capacity 0-2^20, durations < 2^31); anything
+// durations < 2^31) or a budget with an optional K/M/G suffix; anything
 // else is refused with a message and exit status 2.
 //
 // On a successful bind the daemon prints exactly one line to stdout:
@@ -50,7 +51,6 @@
 #include <string>
 #include <thread>
 
-#include "concur/pipe.hpp"
 #include "obs/metrics.hpp"
 #include "serve/server.hpp"
 
@@ -165,9 +165,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--request-hard") {
       config.session.requestHard =
           std::chrono::milliseconds(count("--request-hard", 0, kMaxDuration));
-    } else if (arg == "--pipe-capacity") {
-      config.session.pipeCapacity =
-          static_cast<std::size_t>(count("--pipe-capacity", 0, congen::Pipe::kMaxCapacity));
     } else if (arg == "--duration") {
       durationSec = static_cast<long>(count("--duration", 0, kMaxDuration));
     } else if (arg == "--stats") {

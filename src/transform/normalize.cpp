@@ -152,11 +152,4 @@ std::vector<std::string> freeIdents(const NodePtr& node) {
   return out;  // std::set iteration is already sorted
 }
 
-std::vector<std::string> mentionedIdents(const NodePtr& node) {
-  std::set<std::string> names;
-  collectIdents(node, names);
-  collectBound(node, names);
-  return {names.begin(), names.end()};
-}
-
 }  // namespace congen::transform

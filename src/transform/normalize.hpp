@@ -57,10 +57,4 @@ bool isSimple(const ast::NodePtr& node);
 /// scoping up for referenced locals").
 std::vector<std::string> freeIdents(const ast::NodePtr& node);
 
-/// Every name the expression can possibly look up: free references plus
-/// names it binds itself (locals, params, bound iterators). A superset
-/// of freeIdents; used to trim what a `<>` environment must alias — a
-/// slot the body never mentions can never be looked up through it.
-std::vector<std::string> mentionedIdents(const ast::NodePtr& node);
-
 }  // namespace congen::transform

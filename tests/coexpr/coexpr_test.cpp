@@ -2,6 +2,9 @@
 // environment shadowing (Fig. 1's <> |<> @ ^ ! calculus).
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
+
 #include "../testutil.hpp"
 #include "coexpr/shadow.hpp"
 #include "kernel/coexpression.hpp"
@@ -49,6 +52,57 @@ TEST(CoExprTest, FactoryRunsEagerlyAtCreation) {
   EXPECT_EQ(built, 1) << "body built at creation";
   c->activate();
   EXPECT_EQ(built, 1);
+}
+
+TEST(CoExprTest, SecondThreadActivatingRaises803) {
+  // The first activation parks inside the body; a second thread's @
+  // meanwhile must raise 803 instead of driving the same body.
+  std::latch entered(1);
+  std::latch release(1);
+  int steps = 0;
+  auto c = CoExpression::create([&]() -> GenPtr {
+    return CallbackGen::create([&]() -> CallbackGen::Puller {
+      return [&]() -> std::optional<Value> {
+        if (++steps == 1) {
+          entered.count_down();
+          release.wait();
+        }
+        return Value::integer(steps);
+      };
+    });
+  });
+  std::optional<Value> first;
+  std::thread activator([&] { first = c->activate(); });
+  entered.wait();
+  try {
+    (void)c->activate();
+    ADD_FAILURE() << "a concurrent activation must not run";
+  } catch (const IconError& e) {
+    EXPECT_EQ(e.number(), 803);
+  }
+  release.count_down();
+  activator.join();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->smallInt(), 1);
+  EXPECT_EQ(c->activate()->smallInt(), 2) << "activations in turn, on any thread, still work";
+}
+
+TEST(CoExprTest, SameThreadReentryIsNotConcurrent) {
+  // A body that activates its own co-expression re-enters on the same
+  // thread: that is not error 803.
+  CoExprPtr self;
+  int depth = 0;
+  auto c = CoExpression::create([&]() -> GenPtr {
+    return CallbackGen::create([&]() -> CallbackGen::Puller {
+      return [&]() -> std::optional<Value> {
+        if (++depth == 1) return self->activate();
+        return Value::integer(depth);
+      };
+    });
+  });
+  self = c;
+  EXPECT_EQ(c->activate()->smallInt(), 2);
+  self = nullptr;
 }
 
 TEST(ShadowTest, CopiesReferencedLocals) {

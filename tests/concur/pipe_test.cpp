@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <thread>
 
 #include "../testutil.hpp"
@@ -49,6 +50,51 @@ TEST(PipeBasics, RunsInAnotherThread) {
   });
   ASSERT_TRUE(pipe->activate().has_value());
   EXPECT_TRUE(different.load()) << "the piped expression runs on a pool thread";
+}
+
+TEST(PipeBasics, SecondConsumerThreadRaises803) {
+  // The producer holds its first value until released, so a consumer
+  // that claims the pipe waits inside its activation. The main thread
+  // probes with short timed activations (a timeout leaves the pipe
+  // re-activatable and takes nothing) until one meets that consumer.
+  std::latch release(1);
+  auto pipe = Pipe::create([&]() -> GenPtr {
+    return CallbackGen::create([&]() -> CallbackGen::Puller {
+      int n = 0;
+      return [&, n]() mutable -> std::optional<Value> {
+        if (n == 0) release.wait();
+        if (++n > 2) return std::nullopt;
+        return Value::integer(n);
+      };
+    });
+  });
+  std::optional<Value> first;
+  std::thread consumer([&] {
+    for (;;) {
+      try {
+        first = pipe->activate();
+        return;
+      } catch (const IconError& e) {
+        ASSERT_EQ(e.number(), 803);  // met a probe: claim again
+      }
+    }
+  });
+  int number = 0;
+  while (number == 0) {
+    try {
+      EXPECT_FALSE(
+          pipe->activateUntil(std::chrono::steady_clock::now() + std::chrono::milliseconds(1)));
+    } catch (const IconError& e) {
+      number = e.number();
+    }
+  }
+  EXPECT_EQ(number, 803);
+  release.count_down();
+  consumer.join();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->smallInt(), 1);
+  EXPECT_EQ(pipe->activate()->smallInt(), 2) << "the other thread may consume in turn";
+  EXPECT_FALSE(pipe->activate().has_value());
 }
 
 TEST(PipeThrottle, CapacityBoundsProduction) {

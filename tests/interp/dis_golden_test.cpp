@@ -73,7 +73,7 @@ std::string disassembleProc(const std::string& source, const std::string& procNa
   for (const auto& item : prog->kids) {
     if (item->kind != ast::Kind::Def || item->text != procName) continue;
     auto layout = resolve(item->kids[0], item->kids[1], *globals);
-    ChunkCompiler cc(interp, globals, &layout);
+    ChunkCompiler cc(interp, &layout);
     return disassemble(*cc.compileBody(item->text, item->kids[1]));
   }
   ADD_FAILURE() << "no procedure " << procName << " in source";

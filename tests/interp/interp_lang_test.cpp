@@ -127,6 +127,53 @@ TEST(PipeLang, PipeShadowsLocals) {
   EXPECT_EQ(interp.evalOne("run()")->smallInt(), 60);
 }
 
+TEST(CaptureTrimming, StoredCoExpressionsAndPipesDieWithTheirCall) {
+  // Each call keeps a <> in `c` and three pipes in `tasks`. Their bodies
+  // capture only the cells they name (n, x), so no body can reach the
+  // local it is stored in: every co-expression and pipe dies with its
+  // call. Capturing the whole frame would close c → co-expression → frame
+  // → c and leak one of each per call.
+  Interpreter::Options options;
+  options.governed = true;
+  Interpreter interp(options);
+  interp.load(R"(
+    def keep(n) {
+      local c, x, tasks, total;
+      tasks := [];
+      c := <> (n to n + 2);
+      every x := 1 to 3 do put(tasks, |> (x * n));
+      total := @c;
+      every total +:= @!tasks;
+      return total;
+    }
+  )");
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(interp.evalOne("keep(" + std::to_string(i) + ")")->smallInt(), 7 * i);
+  }
+  const auto usage = interp.resourceGovernor()->usage();
+  EXPECT_EQ(usage.liveCoexprs, 0u);
+  EXPECT_EQ(usage.livePipes, 0u);
+}
+
+TEST(ConcurrentActivation, SharedCoExpressionIsError803NotACrash) {
+  // The pipe's producer and main both step `c`. Whichever thread meets
+  // the other inside an activation raises 803 (surfacing at `@p` when it
+  // is the producer); before the guard both drove one machine and the
+  // process died. Should the two loops happen not to overlap, the run
+  // completes instead. coexpr_test and pipe_test pin 803 exactly.
+  Interpreter interp;
+  interp.load(R"(
+    def main(a) { local c, p; c := <> (1 to 100000000); p := |> { every 1 to 1000000 do @c; 1 }; every 1 to 1000000 do @c; write(@p) }
+  )");
+  try {
+    auto gen = interp.call("main", {Value::list(ListImpl::create())});
+    while (gen->nextValue()) {
+    }
+  } catch (const IconError& e) {
+    EXPECT_EQ(e.number(), 803) << e.what();
+  }
+}
+
 TEST(Fig3Program, WordCountPipelineMatchesSequential) {
   Interpreter interp;
   auto lines = ListImpl::create();
@@ -209,7 +256,9 @@ TEST(Fig4Program, ChunkGeneratorAlone) {
 }
 
 TEST(ThrottleLang, BoundedPipeStillDelivers) {
-  Interpreter interp(Interpreter::Options{.pipeCapacity = 2, .normalize = true});
+  Interpreter::Options options;
+  options.quotas.maxPipeDepth = 2;
+  Interpreter interp(options);
   std::vector<std::int64_t> expected;
   for (int i = 1; i <= 200; ++i) expected.push_back(i);
   EXPECT_EQ(evalInts(interp, "! |> (1 to 200)"), expected);

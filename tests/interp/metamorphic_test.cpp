@@ -141,8 +141,8 @@ TEST_P(MetamorphicLaws, CoExpressionDrainEqualsDirect) {
 }
 
 TEST_P(MetamorphicLaws, NormalizationPreservesRandomExpressions) {
-  Interpreter raw(Interpreter::Options{.pipeCapacity = 64, .normalize = false});
-  Interpreter normd(Interpreter::Options{.pipeCapacity = 64, .normalize = true});
+  Interpreter raw(Interpreter::Options{.normalize = false});
+  Interpreter normd(Interpreter::Options{.normalize = true});
   raw.load("def g(x) { suspend 1 to x; }");
   normd.load("def g(x) { suspend 1 to x; }");
   ExprGen g(GetParam() ^ 0x40A);

@@ -23,8 +23,11 @@ namespace {
 /// emitted code have genuinely separate implementations — suspend/resume
 /// through procedure calls, goal-directed failure propagation,
 /// alternation/limit/repeated-alternation, `every` loops with
-/// break/next, co-expressions (`create`/`@`/`^`), pipes (`|>`), and
-/// &error conversion. Termination is by construction: ranges have
+/// break/next, co-expressions (`create`/`<>`/`@`/`^`), pipes (`|>`),
+/// the environments they capture (copied locals and parameters, shared
+/// `<>` cells, refresh re-copies, a pipe nested in a `create` body),
+/// Icon's deferred argument dereferencing, and &error conversion.
+/// Termination is by construction: ranges have
 /// literal bounds, repeated alternation only appears under a limit,
 /// `while` loops count a local up to a literal, and generated
 /// procedures only call lower-numbered procedures (the call graph is a
@@ -104,7 +107,7 @@ class ProgramGen {
   }
 
   std::string stmt() {
-    switch (irand(0, 9)) {
+    switch (irand(0, 15)) {
       case 0:
         return "every v := " + seq(0) + " do write(v + " + lit() + ")";
       case 1:
@@ -131,6 +134,28 @@ class ProgramGen {
         // A pipe producer drained through promotion, then &error
         // conversion of a coercion fault into failure.
         return "every write(! (|> " + seq(0) + "))";
+      case 9:
+        // `create` copies v at creation: the write after it stays outside.
+        return "v := " + lit() + "; c := create (v to v + " + posLit() + "); v := " + lit() +
+               "; every 1 to " + posLit() + " do write(@c | \"done\"); write(v)";
+      case 10:
+        // `<>` shares v: each activation's write is seen outside.
+        return "v := " + lit() + "; c := <> ((1 to " + posLit() + ") & (v := v * 2 + " + lit() +
+               ")); every 1 to " + posLit() + " do write(@c | \"done\"); write(v)";
+      case 11:
+        // ^c re-copies the environment as it is now, after an outside write.
+        return "v := " + lit() + "; w := " + lit() + "; c := create (v | w | (v + w)); write(@c); v := " +
+               lit() + "; c := ^c; every 1 to " + posLit() + " do write(@c | \"no\")";
+      case 12:
+        // A pipe inside a `create` body copies from the body's own copy.
+        return "v := " + lit() + "; c := create (! (|> (v to v + " + posLit() + "))); v := " +
+               lit() + "; every 1 to " + posLit() + " do write(@c | \"done\")";
+      case 13:
+        // Deferred dereferencing: both arguments read v after v := e.
+        return "v := " + lit() + "; every write(v, v := " + seq(0) + ")";
+      case 14:
+        // `|<>` body writes only its own copy.
+        return "w := " + lit() + "; c := |<> (w +:= " + lit() + "); write(@c); write(@c | \"no\"); write(w)";
       default:
         return "&error := 2; every write((" + expr(0) +
                " + \"x\") | \"converted\"); write(&errornumber | \"noerr\")";
@@ -141,13 +166,19 @@ class ProgramGen {
     callLimit_ = i;
     std::ostringstream os;
     os << "procedure p" << i << "(a, b)\n  local i\n";
-    switch (irand(0, 2)) {
+    switch (irand(0, 3)) {
       case 0:
         os << "  every i := " << seq(1) << " do suspend i + a\n";
         os << "  if a < b then return a + b\n  fail\n";
         break;
       case 1:
         os << "  suspend " << seq(1) << "\n  suspend b\n";
+        break;
+      case 2:
+        // Pipes and co-expressions over the parameters: each copies a and
+        // b at creation, so the later write to a is not seen inside.
+        os << "  every i := ! (|> ((a to b) \\ " << posLit() << ")) do suspend i + a\n";
+        os << "  i := create (a | b); a := " << lit() << "; suspend @i | a\n";
         break;
       default:
         os << "  if a > b then fail\n  return " << expr(1) << "\n";

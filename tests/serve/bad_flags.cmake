@@ -16,9 +16,7 @@ set(cases
   "--port|-1"
   "--port|12x"
   "--port| 7"
-  "--pipe-capacity|abc"
-  "--pipe-capacity|1048577"
-  "--pipe-capacity|-5"
+  "--max-pipe-depth=abc"
   "--admission-sessions|many"
   "--request-soft|1.5"
   "--request-hard|-1"
@@ -41,7 +39,7 @@ foreach(case IN LISTS cases)
 endforeach()
 
 execute_process(
-  COMMAND "${SERVE}" --port 0 --duration 1 --pipe-capacity 0
+  COMMAND "${SERVE}" --port 0 --duration 1 --max-pipe-depth=16
           --request-soft 0 --admission-sessions 8 --max-heap=64M
   RESULT_VARIABLE status
   OUTPUT_QUIET ERROR_QUIET

@@ -423,10 +423,9 @@ std::pair<std::size_t, std::size_t> livePipeDepth() {
 }
 
 TEST(ServeSession, PipeCapacityZeroStreamsOnTheDefaultBound) {
-  // --pipe-capacity 0 means the 1024 default: an endless producer runs
+  // A session's pipes take the 1024 default: an endless producer runs
   // ahead until its ring is full, and no further.
   Session::Config config;
-  config.pipeCapacity = 0;
   Session session(config);
   (void)evalOne(session, "p := |> seq(1)");
   EXPECT_NE(evalOne(session, "@p").find("\"results\":[\"1\"]"), std::string::npos);

@@ -122,7 +122,7 @@ Server::Config stressConfig() {
   config.port = 0;
   // Small pipes make producers park early — the interesting regime for
   // disconnect-vs-parked-queue-op races.
-  config.session.pipeCapacity = 8;
+  config.session.quotas.maxPipeDepth = 8;
   return config;
 }
 

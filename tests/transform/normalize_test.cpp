@@ -119,8 +119,8 @@ TEST_P(NormalizationEquivalence, SameResultSequence) {
     def pick(x) { if x % 2 == 0 then return x; fail; }
   )";
 
-  interp::Interpreter raw(interp::Interpreter::Options{.pipeCapacity = 64, .normalize = false});
-  interp::Interpreter normd(interp::Interpreter::Options{.pipeCapacity = 64, .normalize = true});
+  interp::Interpreter raw(interp::Interpreter::Options{.normalize = false});
+  interp::Interpreter normd(interp::Interpreter::Options{.normalize = true});
   raw.load(defs);
   normd.load(defs);
 
