@@ -153,6 +153,17 @@ void describeA(std::ostringstream& os, const Chunk& c, Op op, std::int32_t a) {
   }
 }
 
+/// A load that pushes no ref, or a subscript that builds no trapped
+/// variable: the compiler proved nothing reads the variable.
+bool refStripped(const Insn& ins) {
+  switch (ins.op) {
+    case Op::kLoadVar:
+    case Op::kLoadSlot: return ins.b == 1;
+    case Op::kIndex: return ins.a == 1;
+    default: return false;
+  }
+}
+
 }  // namespace
 
 std::string disassemble(const Chunk& chunk) {
@@ -189,6 +200,7 @@ std::string disassemble(const Chunk& chunk) {
         describeA(os, chunk, ins.op, ins.a);
         break;
     }
+    if (refStripped(ins)) os << "  (stripped)";
     os << "\n";
   }
   if (!chunk.consts.empty()) {

@@ -53,7 +53,8 @@ enum class Op : std::uint8_t {
   kAssign,     // pop r, l; l.ref->set(r.value); push {r.value, l.ref}
   kAugAssign,  // a: BinKind — pop r, l; combine-and-store
   kSwap,       // pop r, l; exchange; push {old r, l.ref}
-  kIndex,      // pop i, c; push element (trapped var) or efail
+  kIndex,      // pop i, c; push element (trapped var) or efail; a=1:
+               // nothing reads the variable, so no trapped var is built
   kField,      // a: field-name constant index — pop o; push field var
   kSlice,      // pop to, from, c; push section or efail
   kListLit,    // a: element count — pop n entries; push the list

@@ -58,17 +58,42 @@ std::int32_t ChunkCompiler::emit(Op op, std::int32_t a, std::int32_t b) {
   return static_cast<std::int32_t>(chunk_.code.size()) - 1;
 }
 
+namespace {
+
+/// Mark an instruction whose result's variable nobody reads: a load
+/// skips the ref push (b=1), a subscript the trapped variable (a=1).
+void stripRef(Insn& ins) {
+  if (ins.op == Op::kLoadVar || ins.op == Op::kLoadSlot) {
+    ins.b = 1;
+  } else if (ins.op == Op::kIndex) {
+    ins.a = 1;
+  }
+}
+
+}  // namespace
+
 std::int32_t ChunkCompiler::emitPop() {
-  if (!chunk_.code.empty()) {
-    Insn& last = chunk_.code.back();
-    // The normalized conjunction `(x in e) & rest` discards the kIn
-    // result immediately: binding the doomed entry to the variable costs
-    // a shared_ptr copy per backtracking step on the hottest
-    // goal-directed search path.
+  auto& code = chunk_.code;
+  // The popped value's producer: the last instruction, or the one before
+  // a trailing kUnmark (which leaves the value stack alone).
+  std::size_t at = code.size();
+  if (at > 0 && code[at - 1].op == Op::kUnmark) --at;
+  if (at > 0) {
+    Insn& last = code[at - 1];
     if (last.op == Op::kIn) {
+      // The normalized conjunction `(x in e) & rest` discards the kIn
+      // result immediately: binding the doomed entry to the variable
+      // costs a shared_ptr copy per backtracking step on the hottest
+      // goal-directed search path.
       last.b |= 2;
-    } else if (last.op == Op::kLoadVar || last.op == Op::kLoadSlot) {
-      last.b = 1;
+    } else if (last.op == Op::kUnOp && at > 1 &&
+               (last.a == static_cast<std::int32_t>(UnKind::NonNull) ||
+                last.a == static_cast<std::int32_t>(UnKind::IfNull))) {
+      // `\e` and `/e` pass their operand's entry through unchanged, so
+      // a dropped null test drops its operand's variable too.
+      stripRef(code[at - 2]);
+    } else {
+      stripRef(last);
     }
   }
   return emit(Op::kPop);
@@ -144,16 +169,16 @@ ChunkPtr ChunkCompiler::compileStmt(const NodePtr& s) {
 // ---------------------------------------------------------------------
 
 /// Compile an operand whose consumer never reads the variable reference
-/// (invoke callees/args, to-by bounds, subscripts, …). When the operand
-/// is a bare variable load, the ref push is stripped (b=1): suspension
-/// slices spanning the operand then skip the VarPtr refcount churn on
-/// every backtracking restore.
+/// (operator and invoke operands, to-by bounds, subscripts, list
+/// elements, the right side of `:=` and `op:=`). When the operand is a
+/// bare variable load, the ref push is stripped (b=1): suspension slices
+/// spanning the operand then skip the VarPtr refcount churn on every
+/// backtracking restore. When it is a whole subscript, the trapped
+/// variable is never built (a=1).
 void ChunkCompiler::valueOperand(const NodePtr& n) {
   const std::int32_t from = here();
   expr(n);
-  if (here() != from + 1) return;  // not a single-instruction operand
-  Insn& ins = chunk_.code.back();
-  if (ins.op == Op::kLoadVar || ins.op == Op::kLoadSlot) ins.b = 1;
+  if (here() == from + 1 || n->kind == Kind::Index) stripRef(chunk_.code.back());
 }
 
 void ChunkCompiler::expr(const NodePtr& n) {
@@ -179,7 +204,7 @@ void ChunkCompiler::expr(const NodePtr& n) {
       if (n->text == "<-") { escape(n); return; }
       const std::int32_t bracket = here();
       expr(n->kids[0]);
-      expr(n->kids[1]);
+      valueOperand(n->kids[1]);  // := and op:= read the right value only
       if (n->text == ":=") {
         emit(Op::kAssign, 0, bracket);
       } else {
@@ -268,10 +293,7 @@ void ChunkCompiler::expr(const NodePtr& n) {
       {
         const std::int32_t calleeFrom = here();
         identifier(n);
-        if (here() == calleeFrom + 1) {
-          Insn& callee = chunk_.code.back();
-          if (callee.op == Op::kLoadVar || callee.op == Op::kLoadSlot) callee.b = 1;
-        }
+        if (here() == calleeFrom + 1) stripRef(chunk_.code.back());
       }
       std::int32_t argc = 0;
       if (!isThis) {
@@ -373,7 +395,7 @@ void ChunkCompiler::statement(const NodePtr& n) {
         } else {
           emit(Op::kLoadVar, varIdx(var, decl->text));
         }
-        expr(decl->kids[0]);
+        valueOperand(decl->kids[0]);
         emit(Op::kAssign, 0, bracket);
         emit(Op::kUnmark);
         emitPop();

@@ -2,8 +2,11 @@
 // emitted code's at three seams:
 //
 //  * every value operation (binary/unary/index/field/slice/assign/swap)
-//    goes through the shared kernel/ops apply helpers — agreement by
-//    construction;
+//    goes through the shared kernel/ops helpers — agreement by
+//    construction. Assignments, subscripts and null tests use their
+//    in-place forms (storeInto, augAssignInPlace, swapInPlace,
+//    indexInPlace, passesNullTest) on the stack entries; the *Tuple
+//    wrappers the kernel nodes call are built on the same functions;
 //  * constructs the compiler doesn't flatten run as the same kernel
 //    nodes emitted code builds, over operand sub-machines, through
 //    Drive suspensions;
@@ -609,10 +612,19 @@ bool VmGen::run(Result& out) {
               VM_NEXT();
             }
             VM_OP(kUnOp) {
+              const auto k = static_cast<UnKind>(ins->a);
+              if (k == UnKind::NonNull || k == UnKind::IfNull) {
+                // The entry is the result as it stands, or there is none.
+                if (!passesNullTest(k, stack_.back().v)) {
+                  stack_.pop_back();
+                  VM_FAIL();
+                }
+                VM_NEXT();
+              }
               {
                 Entry& t = stack_.back();
                 Result opnd(std::move(t.v), std::move(t.ref));
-                auto res = applyUnary(static_cast<UnKind>(ins->a), opnd);
+                auto res = applyUnary(k, opnd);
                 if (!res) {
                   stack_.pop_back();
                   VM_FAIL();
@@ -622,47 +634,47 @@ bool VmGen::run(Result& out) {
               }
               VM_NEXT();
             }
-            VM_OP(kAssign)
-            VM_OP(kAugAssign)
-            VM_OP(kSwap) {
-              {
-                const std::size_t n = stack_.size();
-                Result l(std::move(stack_[n - 2].v), std::move(stack_[n - 2].ref));
-                Result r(std::move(stack_[n - 1].v), std::move(stack_[n - 1].ref));
-                std::optional<Result> res;
-                if (ins->op == Op::kAssign) {
-                  res = assignTuple(l, r);
-                } else if (ins->op == Op::kSwap) {
-                  res = swapTuple(l, r);
-                } else {
-                  res = augAssignTuple(static_cast<BinKind>(ins->a), l, r);
-                }
-                if (!res) {
-                  shrinkStack(n - 2);
-                  VM_FAIL();
-                }
-                stack_.pop_back();
-                Entry& dst = stack_.back();
-                dst.v = std::move(res->value);
-                dst.ref = std::move(res->ref);
+            // Assignments work in place: the left entry becomes the
+            // result, keeping its ref (the variable assigned through),
+            // and the right entry is popped.
+            VM_OP(kAssign) {
+              const std::size_t n = stack_.size();
+              Entry& l = stack_[n - 2];
+              storeInto(l.ref, stack_[n - 1].v);
+              l.v = std::move(stack_[n - 1].v);
+              stack_.pop_back();
+              VM_NEXT();
+            }
+            VM_OP(kAugAssign) {
+              const std::size_t n = stack_.size();
+              Entry& l = stack_[n - 2];
+              if (!augAssignInPlace(static_cast<BinKind>(ins->a), l.v, l.ref, stack_[n - 1].v)) {
+                shrinkStack(n - 2);
+                VM_FAIL();
               }
+              stack_.pop_back();
+              VM_NEXT();
+            }
+            VM_OP(kSwap) {
+              const std::size_t n = stack_.size();
+              Entry& l = stack_[n - 2];
+              swapInPlace(l.v, l.ref, stack_[n - 1].ref);
+              stack_.pop_back();
               VM_NEXT();
             }
             VM_OP(kIndex) {
-              {
-                const std::size_t n = stack_.size();
-                Result c(std::move(stack_[n - 2].v), std::move(stack_[n - 2].ref));
-                Result i(std::move(stack_[n - 1].v), std::move(stack_[n - 1].ref));
-                auto res = indexTuple(c, i);
-                if (!res) {
-                  shrinkStack(n - 2);
-                  VM_FAIL();
-                }
-                stack_.pop_back();
-                Entry& dst = stack_.back();
-                dst.v = std::move(res->value);
-                dst.ref = std::move(res->ref);
+              // The collection entry becomes the element. a=1: nothing
+              // reads the element's variable (compiler.cpp), so no
+              // trapped variable is built.
+              const std::size_t n = stack_.size();
+              Entry& c = stack_[n - 2];
+              const bool stripped = ins->a != 0;
+              if (!indexInPlace(c.v, stack_[n - 1].v, stripped ? nullptr : &c.ref)) {
+                shrinkStack(n - 2);
+                VM_FAIL();
               }
+              if (stripped) c.ref = nullptr;
+              stack_.pop_back();
               VM_NEXT();
             }
             VM_OP(kField) {
@@ -808,11 +820,7 @@ bool VmGen::run(Result& out) {
               const VarPtr& var = (ins->b & 1) != 0
                                       ? frame_->var(static_cast<std::size_t>(ins->a))
                                       : chunk_->vars[static_cast<std::size_t>(ins->a)];
-              if (Value* c = var->cell()) {
-                *c = t.v;  // plain cells skip the virtual set
-              } else {
-                var->set(t.v);
-              }
+              storeInto(var, t.v);
               // Value stays; the result becomes the variable — unless the
               // compiler proved the entry is discarded (b bit 1), which
               // skips a shared_ptr copy per backtracking step in the

@@ -106,6 +106,8 @@ std::optional<Value> applyBinary(BinKind k, const Value& a, const Value& b) {
   return std::nullopt;
 }
 
+bool passesNullTest(UnKind k, const Value& v) { return v.isNull() == (k == UnKind::IfNull); }
+
 std::optional<Result> applyUnary(UnKind k, Result& r) {
   switch (k) {
     case UnKind::Negate: return Result{ops::negate(r.value)};
@@ -117,43 +119,58 @@ std::optional<Result> applyUnary(UnKind k, Result& r) {
     case UnKind::Size: return Result{Value::integer(r.value.size())};
     case UnKind::Deref: return Result{r.value};
     case UnKind::NonNull:
-      if (r.value.isNull()) return std::nullopt;
-      return r;
     case UnKind::IfNull:
-      if (!r.value.isNull()) return std::nullopt;
+      if (!passesNullTest(k, r.value)) return std::nullopt;
       return r;
   }
   return std::nullopt;
 }
 
-std::optional<Result> indexTuple(Result& c, Result& i) {
-  const Value& v = c.value;
-  if (v.isList()) {
-    const std::int64_t idx = i.value.requireInt64("list subscript");
-    auto elem = v.list()->at(idx);
-    if (!elem) return std::nullopt;  // out of range: fail, don't error
-    return Result{std::move(*elem), ListElemVar::create(v.list(), idx)};
+bool indexInPlace(Value& c, const Value& i, VarPtr* trapped) {
+  // Each branch copies the element out before it overwrites `c`, which
+  // may hold the only reference to the collection.
+  if (c.isList()) {
+    const std::int64_t idx = i.requireInt64("list subscript");
+    auto elem = c.list()->at(idx);
+    if (!elem) return false;  // out of range: fail, don't error
+    if (trapped != nullptr) *trapped = ListElemVar::create(c.list(), idx);
+    c = std::move(*elem);
+    return true;
   }
-  if (v.isTable()) {
-    return Result{v.table()->lookup(i.value), TableElemVar::create(v.table(), i.value)};
+  if (c.isTable()) {
+    Value elem = c.table()->lookup(i);
+    if (trapped != nullptr) *trapped = TableElemVar::create(c.table(), i);
+    c = std::move(elem);
+    return true;
   }
-  if (v.isRecord()) {
-    const std::int64_t idx = i.value.requireInt64("record subscript");
-    auto elem = v.record()->at(idx);
-    if (!elem) return std::nullopt;
-    return Result{std::move(*elem), RecordElemVar::create(v.record(), idx)};
+  if (c.isRecord()) {
+    const std::int64_t idx = i.requireInt64("record subscript");
+    auto elem = c.record()->at(idx);
+    if (!elem) return false;
+    if (trapped != nullptr) *trapped = RecordElemVar::create(c.record(), idx);
+    c = std::move(*elem);
+    return true;
   }
-  if (v.isString()) {
-    const std::int64_t idx = i.value.requireInt64("string subscript");
-    const auto& s = v.str();
+  if (c.isString()) {
+    const std::int64_t idx = i.requireInt64("string subscript");
+    const auto& s = c.str();
     const std::int64_t n = static_cast<std::int64_t>(s.size());
     std::int64_t off = -1;
     if (idx >= 1 && idx <= n) off = idx - 1;
     else if (idx < 0 && -idx <= n) off = n + idx;
-    if (off < 0) return std::nullopt;
-    return Result{Value::string(std::string(1, s[static_cast<std::size_t>(off)]))};
+    if (off < 0) return false;
+    Value ch = Value::string(std::string(1, s[static_cast<std::size_t>(off)]));
+    if (trapped != nullptr) *trapped = nullptr;
+    c = std::move(ch);
+    return true;
   }
-  throw errInvalidValue("subscript applied to " + v.typeName());
+  throw errInvalidValue("subscript applied to " + c.typeName());
+}
+
+std::optional<Result> indexTuple(Result& c, Result& i) {
+  Result out{c.value};  // c stays: a product reuses it for every index
+  if (!indexInPlace(out.value, i.value, &out.ref)) return std::nullopt;
+  return out;
 }
 
 std::optional<Result> fieldTuple(Result& o, std::string_view name) {
@@ -194,27 +211,48 @@ std::optional<Value> sliceTuple(const Value& v, const Value& from, const Value& 
   return Value::list(std::move(out));
 }
 
+void storeInto(const VarPtr& ref, const Value& v) {
+  if (!ref) throw errInvalidValue("assignment to a non-variable");
+  if (Value* c = ref->cell()) {
+    *c = v;  // plain cells skip the virtual set
+  } else {
+    ref->set(v);
+  }
+}
+
+bool augAssignInPlace(BinKind k, Value& lv, const VarPtr& lref, const Value& rv) {
+  if (!lref) throw errInvalidValue("augmented assignment to a non-variable");
+  auto v = applyBinary(k, lref->get(), rv);
+  if (!v) return false;  // comparison-augmented ops can fail
+  storeInto(lref, *v);
+  lv = std::move(*v);
+  return true;
+}
+
+void swapInPlace(Value& lv, const VarPtr& lref, const VarPtr& rref) {
+  if (!lref || !rref) throw errInvalidValue("swap of a non-variable");
+  Value l = lref->get();
+  Value r = rref->get();
+  storeInto(lref, r);
+  storeInto(rref, l);
+  lv = std::move(r);
+}
+
 std::optional<Result> assignTuple(Result& l, Result& r) {
-  if (!l.ref) throw errInvalidValue("assignment to a non-variable");
-  l.ref->set(r.value);
+  storeInto(l.ref, r.value);
   return Result{r.value, l.ref};
 }
 
 std::optional<Result> swapTuple(Result& l, Result& r) {
-  if (!l.ref || !r.ref) throw errInvalidValue("swap of a non-variable");
-  const Value lv = l.ref->get();
-  const Value rv = r.ref->get();
-  l.ref->set(rv);
-  r.ref->set(lv);
-  return Result{rv, l.ref};
+  Result out{Value::null(), l.ref};
+  swapInPlace(out.value, out.ref, r.ref);
+  return out;
 }
 
 std::optional<Result> augAssignTuple(BinKind k, Result& l, Result& r) {
-  if (!l.ref) throw errInvalidValue("augmented assignment to a non-variable");
-  auto v = applyBinary(k, l.ref->get(), r.value);
-  if (!v) return std::nullopt;  // comparison-augmented ops can fail
-  l.ref->set(*v);
-  return Result{std::move(*v), l.ref};
+  Result out{Value::null(), l.ref};
+  if (!augAssignInPlace(k, out.value, out.ref, r.value)) return std::nullopt;
+  return out;
 }
 
 // ---------------------------------------------------------------------

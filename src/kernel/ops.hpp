@@ -78,6 +78,36 @@ std::optional<Result> swapTuple(Result& l, Result& r);
 /// fails.
 std::optional<Result> augAssignTuple(BinKind k, Result& l, Result& r);
 
+// In-place forms: the one definition of the null-test, store and
+// subscript rules. The VM applies them to its value-stack entries, so
+// no Result is built; applyUnary and the *Tuple functions above wrap
+// them for the kernel nodes.
+
+/// \e and /e (k is NonNull or IfNull): does `v` pass? A passing operand
+/// is the result unchanged, variable reference included.
+bool passesNullTest(UnKind k, const Value& v);
+
+/// The store of every assignment: `v` into the variable `ref`. Throws
+/// "assignment to a non-variable" when `ref` is null; a plain cell takes
+/// a direct write instead of the virtual set.
+void storeInto(const VarPtr& ref, const Value& v);
+
+/// lhs op:= rhs: stores the variable's value combined with `rv` through
+/// `lref` and leaves it in `lv` (the result is the variable `lref`).
+/// false when a comparison-augmented op fails.
+bool augAssignInPlace(BinKind k, Value& lv, const VarPtr& lref, const Value& rv);
+
+/// lhs :=: rhs: exchanges the two variables and leaves the left one's
+/// new value in `lv` (the result is the variable `lref`).
+void swapInPlace(Value& lv, const VarPtr& lref, const VarPtr& rref);
+
+/// c[i]: `c` becomes the element — a list, table or record member, or a
+/// one-character string. With `trapped` non-null it also receives the
+/// element's trapped variable (null for a string). false = out of range
+/// (goal-directed failure; `c` is left alone). Errors throw before
+/// anything is written.
+bool indexInPlace(Value& c, const Value& i, VarPtr* trapped);
+
 /// Unary operation: for each operand result, apply fn; nullopt results
 /// are filtered (the search continues with the next operand result).
 class UnOpGen final : public Gen {

@@ -174,6 +174,37 @@ end
                                                      "stream"));
 }
 
+// A copy of the search benchmark's two hot procedures (nqueens' q and a
+// goal-directed subset-sum). Every subscript in them is either assigned
+// through or only tested and dropped, so the listing shows which
+// trapped variables the compiler strips.
+TEST(DisGolden, SearchWorkload) {
+  const std::string source = R"(global n, rows, ups, downs, solution, xs;
+
+def q(c) {
+  local r;
+  every r := 1 to n do {
+    if /rows[r] & /ups[n + r - c] & /downs[r + c - 1] then {
+      rows[r] := ups[n + r - c] := downs[r + c - 1] := 1;
+      solution[c] := r;
+      if c == n then suspend solution;
+      else suspend q(c + 1);
+      rows[r] := ups[n + r - c] := downs[r + c - 1] := &null;
+    }
+  }
+}
+
+def subsum(xs, i, t) {
+  if t == 0 then return "";
+  if i > *xs | t < 0 then fail;
+  suspend xs[i] || " " || subsum(xs, i + 1, t - xs[i]);
+  suspend subsum(xs, i + 1, t);
+}
+)";
+  expectMatchesGolden("search_workload",
+                      disassembleProc(source, "q") + disassembleProc(source, "subsum"));
+}
+
 }  // namespace
 }  // namespace congen::interp::vm
 

@@ -152,6 +152,53 @@ TEST(NullTests, BackslashAndSlash) {
   EXPECT_EQ(interp.evalOne("y")->smallInt(), 7) << "already non-null: assignment fails silently";
 }
 
+// The compiler drops a subscript's trapped variable only where nothing
+// can read it. These shapes read it — through a return, a suspension, a
+// null test or a swap — so each assignment must still land in the list.
+TEST(SubscriptRefs, ReturnedAndSuspendedSubscriptsStayAssignable) {
+  Interpreter interp;
+  interp.load(R"(
+    global l
+    def f() { return l[2]; }
+    def g() { suspend l[1 to 3]; }
+    def zero() { every g() := 0; }
+  )");
+  interp.evalOne("l := [1, 2, 3]");
+  interp.evalOne("f() := 9");
+  EXPECT_EQ(interp.evalOne("l[2]")->smallInt(), 9) << "f() := 9 assigns through l[2]";
+  interp.evalAll("zero()");
+  EXPECT_EQ(evalInts(interp, "!l"), (std::vector<std::int64_t>{0, 0, 0}))
+      << "every g() := 0 assigns each suspended element";
+}
+
+TEST(SubscriptRefs, NullTestsAndSwapAssignThroughTheElement) {
+  Interpreter interp;
+  interp.load(R"(
+    global l
+    def fill() { local i; every i := 1 to 3 do /l[i] := 7; }
+  )");
+  interp.evalOne("l := [&null, 2, &null]");
+  interp.evalAll("fill()");
+  EXPECT_EQ(evalInts(interp, "!l"), (std::vector<std::int64_t>{7, 2, 7}))
+      << "/l[i] := 7 fills only the null elements";
+  interp.evalOne("(\\l[1]) +:= 10");
+  EXPECT_EQ(interp.evalOne("l[1]")->smallInt(), 17);
+  interp.evalOne("l[1] :=: l[3]");
+  EXPECT_EQ(evalInts(interp, "!l"), (std::vector<std::int64_t>{7, 2, 17}));
+}
+
+TEST(SubscriptRefs, OutOfRangeSubscriptsStillFail) {
+  Interpreter interp;
+  interp.load(R"(
+    global l
+    def probe() { local r; r := "failed"; /l[9] & (r := "passed"); return r; }
+  )");
+  interp.evalOne("l := [1, 2, 3]");
+  interp.evalOne("x := l[9] | \"nine fails\"");
+  EXPECT_EQ(interp.evalOne("x")->str(), "nine fails");
+  EXPECT_EQ(interp.evalOne("probe()")->str(), "failed") << "a dropped /l[9] still fails";
+}
+
 TEST(Globals, ExplicitDeclaration) {
   Interpreter interp;
   interp.load(R"(

@@ -26,7 +26,9 @@ namespace {
 /// break/next, co-expressions (`create`/`<>`/`@`/`^`), pipes (`|>`),
 /// the environments they capture (copied locals and parameters, shared
 /// `<>` cells, refresh re-copies, a pipe nested in a `create` body),
-/// Icon's deferred argument dereferencing, and &error conversion.
+/// Icon's deferred argument dereferencing, subscripts of a local list,
+/// table and string (reads in and out of range, stores, `op:=`, `:=:`,
+/// null tests), and &error conversion.
 /// Termination is by construction: ranges have
 /// literal bounds, repeated alternation only appears under a limit,
 /// `while` loops count a local up to a literal, and generated
@@ -42,7 +44,7 @@ class ProgramGen {
     std::ostringstream os;
     for (int i = 0; i < nProcs_; ++i) os << proc(i);
     callLimit_ = nProcs_;
-    os << "procedure main(args)\n  local v, w, c\n";
+    os << "procedure main(args)\n  local v, w, c, l, t\n";
     const int stmts = irand(2, 4);
     for (int i = 0; i < stmts; ++i) os << "  " << stmt() << ";\n";
     os << "end\n";
@@ -54,6 +56,12 @@ class ProgramGen {
 
   std::string lit() { return std::to_string(irand(-3, 9)); }
   std::string posLit() { return std::to_string(irand(1, 9)); }
+  /// A subscript of a four-element list: in range either way, or not.
+  std::string idx() { return std::to_string(irand(-5, 5)); }
+  /// A subscript of `[int, &null, int, &null]` naming an integer (or
+  /// out of range), so `+:=` on it cannot raise.
+  std::string intIdx() { return pick({"1", "3", "-2", "-4", "5"}); }
+  std::string key() { return pick({"1", "2", "\"a\"", "\"b\""}); }
 
   /// Single-valued integer-ish expression (may fail, may call procs).
   std::string expr(int depth) {
@@ -107,7 +115,7 @@ class ProgramGen {
   }
 
   std::string stmt() {
-    switch (irand(0, 15)) {
+    switch (irand(0, 18)) {
       case 0:
         return "every v := " + seq(0) + " do write(v + " + lit() + ")";
       case 1:
@@ -156,9 +164,29 @@ class ProgramGen {
       case 14:
         // `|<>` body writes only its own copy.
         return "w := " + lit() + "; c := |<> (w +:= " + lit() + "); write(@c); write(@c | \"no\"); write(w)";
-      default:
+      case 15:
         return "&error := 2; every write((" + expr(0) +
                " + \"x\") | \"converted\"); write(&errornumber | \"noerr\")";
+      case 16:
+        // List reads in and out of range (0 and +-5 fail), then stores.
+        return "l := [" + lit() + ", " + lit() + ", " + lit() + ", " + lit() +
+               "]; every v := -5 to 5 do write(l[v] | \"out\"); l[" + idx() + "] := " + expr(0) +
+               "; l[" + idx() + "] := l[" + idx() + "] := " + lit() + "; every write(!l)";
+      case 17:
+        // op:=, :=: and null tests as a statement, a condition, an
+        // operand and an assignment target.
+        return "l := [" + lit() + ", &null, " + lit() + ", &null]; l[" + intIdx() + "] +:= " + lit() +
+               "; l[" + idx() + "] :=: l[" + idx() + "]; /l[" + idx() + "]; \\l[" + idx() +
+               "]; if /l[" + idx() + "] then write(\"null\") else write(\"set\"); write(\\l[" +
+               idx() + "] | \"null\"); write((/l[" + idx() + "] & \"none\") | \"some\"); /l[" +
+               idx() + "] := " + lit() + "; every v := 1 to 4 do write(\\l[v] | \"null\")";
+      default:
+        // A table, a string subscript, and a non-variable assignment
+        // converted to failure.
+        return "t := table(" + lit() + "); t[" + key() + "] := " + expr(0) + "; t[" + key() +
+               "] +:= " + lit() + "; t[" + key() + "] :=: t[" + key() + "]; write(t[1], t[2], t[\"a\"], " +
+               "t[\"b\"]); w := \"congen\"; write(w[" + idx() + "] | \"out\"); &error := 1; " +
+               "write((1 := 2) | \"converted\"); write(&errornumber | \"noerr\")";
     }
   }
 
