@@ -28,39 +28,26 @@ FdParker::~FdParker() {
   ::close(wakeWrite_);
 }
 
-bool FdParker::park(std::vector<pollfd>& fds, std::chrono::milliseconds timeout) {
+bool FdParker::park(std::vector<pollfd>& fds) {
   fds.push_back({wakeRead_, POLLIN, 0});
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
   int ready;
-  for (;;) {
-    int waitMs = -1;
-    if (timeout.count() >= 0) {
-      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - std::chrono::steady_clock::now());
-      waitMs = static_cast<int>(left.count() < 0 ? 0 : left.count());
-    }
-    ready = ::poll(fds.data(), fds.size(), waitMs);
-    if (ready >= 0 || errno != EINTR) break;
-    // EINTR: recompute the remaining budget and go back to sleep.
-  }
-  bool woken = false;
-  if (ready > 0 && (fds.back().revents & POLLIN) != 0) {
-    woken = true;
+  do {
+    ready = ::poll(fds.data(), fds.size(), -1);
+  } while (ready < 0 && errno == EINTR);
+  const bool woken = ready > 0 && (fds.back().revents & POLLIN) != 0;
+  if (woken) {
     char buf[64];
     while (::read(wakeRead_, buf, sizeof buf) > 0) {
     }
   }
   fds.pop_back();
-  if (ready <= 0) return false;
-  if (woken) --ready;
-  return woken || ready > 0;
+  return woken;
 }
 
 void FdParker::wake() noexcept {
   const char byte = 1;
   // EAGAIN means the pipe already holds an unconsumed wake — coalesced,
-  // nothing to do. Any other failure is ignorable for the same reason a
-  // lost futex wake is not: the parker re-polls its fds on every cycle.
+  // nothing to do. Nothing else can fail: the parker owns both ends.
   [[maybe_unused]] ssize_t n = ::write(wakeWrite_, &byte, 1);
 }
 

@@ -1,13 +1,13 @@
 // fd_park.hpp — poll(2)-based parking for file-descriptor event loops.
 //
-// The serve daemon's accept loop (src/serve/server.cpp) owns the
+// The serve daemon's event loop (src/serve/server.cpp) owns the
 // listener and every live session socket and must sleep until one of
 // them is readable — but it must also be wakeable from other threads
-// (shutdown, a session task handing a socket back for more reads)
-// without busy-polling or a timeout tick. FdParker wraps that pattern:
+// (stop(), a session task closing its connection) without busy-polling
+// or a timeout tick. FdParker wraps that pattern:
 //
-//   - park(fds, timeout) sleeps in ::poll over the caller's descriptor
-//     set plus an internal self-pipe;
+//   - park(fds) sleeps in ::poll, with no timeout, over the caller's
+//     descriptor set plus an internal self-pipe;
 //   - wake() (any thread, async-signal-safe) writes one byte to the
 //     self-pipe, making a concurrent or future park() return
 //     immediately. Wakes are sticky-until-consumed and coalesce: any
@@ -17,11 +17,10 @@
 //
 // This is the same park/unpark shape as SpscRing's futex protocol, one
 // layer up: the "futex word" is the pipe, the kernel does the fence.
-// EINTR is retried internally; park() only returns on readiness, wake,
-// or timeout expiry.
+// EINTR is retried internally; park() only returns on readiness or a
+// wake.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <vector>
 
@@ -36,12 +35,11 @@ class FdParker {
   FdParker(const FdParker&) = delete;
   FdParker& operator=(const FdParker&) = delete;
 
-  /// Sleep until some fd in `fds` has pending events, wake() is called,
-  /// or `timeout` expires (negative = wait forever). On return, the
-  /// revents fields of `fds` are filled in as by ::poll; a wakeup via
-  /// wake() is consumed and reported by the return value, not in `fds`.
-  /// Returns true when woken or some fd is ready, false on pure timeout.
-  bool park(std::vector<pollfd>& fds, std::chrono::milliseconds timeout);
+  /// Sleep until some fd in `fds` has pending events or wake() is
+  /// called. On return, the revents fields of `fds` are filled in as by
+  /// ::poll; a wakeup via wake() is consumed and reported by the return
+  /// value, not in `fds`. Returns true when woken.
+  bool park(std::vector<pollfd>& fds);
 
   /// Make the current or next park() return immediately. Safe from any
   /// thread and from signal handlers (one write() on an O_NONBLOCK fd).

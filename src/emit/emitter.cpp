@@ -653,16 +653,14 @@ std::string emitModule(const NodePtr& program, const EmitOptions& opts) {
 
 std::string emitModuleWithExprs(const NodePtr& program, const std::vector<NodePtr>& exprRegions,
                                 const EmitOptions& opts) {
-  NodePtr prog = opts.normalize ? transform::normalizeProgram(program) : program;
+  // Emission always normalizes (Section V.A flattening): the Fig. 5
+  // output shape depends on it.
+  NodePtr prog = transform::normalizeProgram(program);
   std::vector<NodePtr> exprs;
   exprs.reserve(exprRegions.size());
   for (const auto& e : exprRegions) {
-    if (opts.normalize) {
-      transform::TempNames names;
-      exprs.push_back(transform::normalize(e, names));
-    } else {
-      exprs.push_back(e);
-    }
+    transform::TempNames names;
+    exprs.push_back(transform::normalize(e, names));
   }
   Emitter emitter(opts, topLevelGlobals(prog, opts));
   return emitter.module(prog, exprs);

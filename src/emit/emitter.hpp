@@ -28,9 +28,6 @@ namespace congen::emit {
 struct EmitOptions {
   std::string moduleName = "CongenModule";
   std::size_t pipeCapacity = 1024;
-  /// Normalize (Section V.A flattening) before emission. On by default;
-  /// emission requires it for faithful Fig. 5 output shape.
-  bool normalize = true;
   /// Names known to be provided by the host via set() — never treated as
   /// implicit locals.
   std::vector<std::string> hostGlobals;

@@ -205,7 +205,6 @@ ProcPtr Interpreter::makeProcedure(const ast::NodePtr& def) {
     });
     if (state->layout.poolable) {
       if (auto parked = state->pool->take()) {
-        if (obs::metricsEnabled()) [[unlikely]] obs::VmStats::get().framesPooled.add(1);
         std::static_pointer_cast<BodyRootGen>(parked)->unpackArgs(args);
         return parked;
       }

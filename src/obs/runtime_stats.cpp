@@ -92,7 +92,6 @@ VmStats& VmStats::get() {
   auto& r = Registry::global();
   static VmStats* s = new VmStats{
       r.counter("vm.dispatches"),
-      r.counter("vm.frames_pooled"),
       r.counter("vm.icache_hits"),
       r.counter("vm.icache_misses"),
   };

@@ -108,7 +108,6 @@ struct GovernorStats {
 /// Bytecode VM backend (interp/vm.hpp).
 struct VmStats {
   Counter& dispatches;    ///< instructions dispatched
-  Counter& framesPooled;  ///< VM procedure bodies reused from a BodyPool
   Counter& icacheHits;    ///< kLoadLate inline-cache hits
   Counter& icacheMisses;  ///< kLoadLate full re-checks (cold or stale)
   static VmStats& get();

@@ -22,9 +22,6 @@ namespace {
 
 /// Cap on buffered HTTP header bytes before the connection is dropped.
 constexpr std::size_t kMaxHttpHeader = 16 * 1024;
-/// Event-loop park budget: a safety tick — every state change that
-/// matters (readable socket, finished task, stop()) wakes the parker.
-constexpr std::chrono::milliseconds kParkTick{250};
 
 std::string httpResponse(int code, const char* reason, const char* contentType,
                          const std::string& body, bool headOnly) {
@@ -62,6 +59,11 @@ void Server::stop() {
     stopping_.store(true, std::memory_order_release);
     parker_.wake();
     eventThread_.join();
+    // The loop closed every connection on its way out. A session task
+    // still running drops its Conn, and so its Session, before it counts
+    // itself out.
+    std::unique_lock lock(mu_);
+    drained_.wait(lock, [this] { return tasksInFlight_ == 0; });
   }
   running_.store(false, std::memory_order_release);
   if (admissionInstalled_) {
@@ -74,53 +76,29 @@ std::size_t Server::liveSessions() const {
   std::lock_guard lock(mu_);
   std::size_t n = 0;
   for (const auto& [fd, conn] : conns_) {
-    if (conn->session != nullptr && !conn->closing) ++n;
+    if (conn->session != nullptr) ++n;
   }
   return n;
 }
 
 void Server::eventLoop() {
   std::vector<pollfd> fds;
-  bool listenerOpen = true;
-  for (;;) {
-    const bool stopping = stopping_.load(std::memory_order_acquire);
-    if (stopping && listenerOpen) {
-      listener_.reset();  // refuse new connects while draining
-      listenerOpen = false;
-    }
-    // Sweep closeable connections and build the poll set. Session
-    // destruction (interpreter teardown) runs outside the lock.
-    std::vector<std::shared_ptr<Conn>> reaped;
-    bool drainedOut = false;
-    {
+  bool rebuild = true;
+  while (!stopping_.load(std::memory_order_acquire)) {
+    if (rebuild) {
       std::lock_guard lock(mu_);
-      if (stopping) {
-        for (auto& [fd, conn] : conns_) {
-          if (!conn->closing) beginCloseLockedImpl(conn, /*peerHungUp=*/false);
-        }
-      }
-      for (auto it = conns_.begin(); it != conns_.end();) {
-        if (it->second->closing && !it->second->scheduled) {
-          reaped.push_back(std::move(it->second));
-          it = conns_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      drainedOut = stopping && conns_.empty() && tasksInFlight_ == 0;
       fds.clear();
-      if (listenerOpen) fds.push_back({listener_->fd(), POLLIN, 0});
-      for (const auto& [fd, conn] : conns_) {
-        if (!conn->closing) fds.push_back({fd, POLLIN | POLLRDHUP, 0});
-      }
+      fds.push_back({listener_->fd(), POLLIN, 0});
+      for (const auto& [fd, conn] : conns_) fds.push_back({fd, POLLIN | POLLRDHUP, 0});
     }
-    reaped.clear();
-    if (drainedOut) return;
-    parker_.park(fds, kParkTick);
+    // Only a close or stop() wakes the parker, and either one changes
+    // the connection set.
+    rebuild = parker_.park(fds);
     for (const pollfd& p : fds) {
       if (p.revents == 0) continue;
-      if (listenerOpen && p.fd == listener_->fd()) {
+      if (p.fd == listener_->fd()) {
         acceptPending();
+        rebuild = true;
         continue;
       }
       std::shared_ptr<Conn> conn;
@@ -129,11 +107,18 @@ void Server::eventLoop() {
         auto it = conns_.find(p.fd);
         if (it != conns_.end()) conn = it->second;
       }
-      if (conn == nullptr || conn->closing.load(std::memory_order_acquire)) continue;
       bool peerHungUp = false;
-      if (!pumpConn(conn, peerHungUp)) beginClose(conn, peerHungUp);
+      if (conn != nullptr && !pumpConn(conn, peerHungUp)) beginClose(conn, peerHungUp);
     }
   }
+  listener_.reset();  // refuse new connects
+  std::unordered_map<int, std::shared_ptr<Conn>> open;
+  {
+    std::lock_guard lock(mu_);
+    open.swap(conns_);
+    for (const auto& [fd, conn] : open) beginCloseLockedImpl(conn, /*peerHungUp=*/false);
+  }
+  // `open` drops here, outside mu_, freeing every Session no task holds.
 }
 
 void Server::acceptPending() {
@@ -156,7 +141,6 @@ void Server::acceptPending() {
     conn->socket = std::move(s);
     conn->decoder = FrameDecoder(config_.maxFramePayload);
     std::lock_guard lock(mu_);
-    conn->id = nextConnId_++;
     conns_.emplace(conn->socket.fd(), conn);
   }
 }
@@ -207,12 +191,24 @@ bool Server::pumpConn(const std::shared_ptr<Conn>& conn, bool& peerHungUp) {
       }
       return false;
     }
-    std::lock_guard lock(mu_);
-    const auto now = std::chrono::steady_clock::now();
-    while (auto payload = conn->decoder.next()) {
-      conn->pending.emplace_back(now, std::move(*payload));
+    bool refused;
+    {
+      std::lock_guard lock(mu_);
+      const auto now = std::chrono::steady_clock::now();
+      while (auto payload = conn->decoder.next()) {
+        conn->pending.emplace_back(now, std::move(*payload));
+      }
+      refused = !scheduleLocked(conn);
     }
-    scheduleLocked(conn);
+    if (refused) {
+      // The client waits for a reply and sends nothing more, so a request
+      // left queued would never be answered.
+      try {
+        writeAll(conn->socket, makeError(kErrInternal, "cannot schedule the request"));
+      } catch (const std::exception&) {
+      }
+      return false;
+    }
   }
   return true;
 }
@@ -249,16 +245,14 @@ void Server::classify(const std::shared_ptr<Conn>& conn) {
       }
     } catch (const std::exception&) {
     }
-    std::lock_guard lock(mu_);
-    beginCloseLockedImpl(conn, /*peerHungUp=*/false);
+    beginClose(conn, /*peerHungUp=*/false);
     return;
   }
   const std::string hello = makeHello();
   try {
     writeAll(conn->socket, hello);
   } catch (const std::exception&) {
-    std::lock_guard lock(mu_);
-    beginCloseLockedImpl(conn, /*peerHungUp=*/true);
+    beginClose(conn, /*peerHungUp=*/true);
     return;
   }
   if (metrics) [[unlikely]] {
@@ -311,8 +305,7 @@ void Server::answerHttp(const std::shared_ptr<Conn>& conn) {
   } catch (const std::exception&) {
   }
   conn->socket.shutdownWrite();
-  std::lock_guard lock(mu_);
-  beginCloseLockedImpl(conn, /*peerHungUp=*/false);
+  beginClose(conn, /*peerHungUp=*/false);
 }
 
 void Server::beginClose(const std::shared_ptr<Conn>& conn, bool peerHungUp) {
@@ -323,34 +316,40 @@ void Server::beginClose(const std::shared_ptr<Conn>& conn, bool peerHungUp) {
 void Server::beginCloseLockedImpl(const std::shared_ptr<Conn>& conn, bool peerHungUp) {
   if (conn->closing) return;
   conn->closing = true;
-  conn->hungUp = conn->hungUp || peerHungUp;
+  // The caller holds its own reference, so this erase never frees the
+  // Conn under mu_. The wake makes the event loop rebuild its poll set.
+  conns_.erase(conn->socket.fd());
+  parker_.wake();
   if (conn->session != nullptr) {
     // The disconnect IS the cancellation: terminating the governor
     // cancels every pipe linked under the session root (parked queue
     // ops abort within one operation) and makes any in-flight drive
     // throw 816 at its next charge point.
     conn->session->onDisconnect();
-    if (conn->hungUp && obs::metricsEnabled()) [[unlikely]] {
+    if (peerHungUp && obs::metricsEnabled()) [[unlikely]] {
       obs::ServeStats::get().disconnects.add(1);
     }
     if (obs::metricsEnabled()) [[unlikely]] obs::ServeStats::get().sessionsActive.sub(1);
   }
 }
 
-void Server::scheduleLocked(const std::shared_ptr<Conn>& conn) {
+bool Server::scheduleLocked(const std::shared_ptr<Conn>& conn) {
   if (conn->scheduled || conn->closing || conn->session == nullptr || conn->pending.empty()) {
-    return;
+    return true;
   }
   conn->scheduled = true;
   ++tasksInFlight_;
   try {
-    ThreadPool::global().submit([this, conn] { sessionTask(std::move(conn)); });
+    // The task must own its reference, to drop it before it counts
+    // itself out (see sessionTask). A plain capture of `conn` would be
+    // const, and std::move would copy it.
+    ThreadPool::global().submit([this, c = conn]() mutable { sessionTask(std::move(c)); });
   } catch (const std::exception&) {
-    // Submit failure (cap, injected fault): the frames stay queued; the
-    // next readable edge retries. Nothing is lost, just delayed.
-    conn->scheduled = false;
+    conn->scheduled = false;  // thread cap or injected fault
     --tasksInFlight_;
+    return false;
   }
+  return true;
 }
 
 void Server::sessionTask(std::shared_ptr<Conn> conn) {
@@ -362,16 +361,13 @@ void Server::sessionTask(std::shared_ptr<Conn> conn) {
       if (conn->closing || conn->pending.empty()) {
         conn->scheduled = false;
         // Drop our Conn reference BEFORE decrementing tasksInFlight_:
-        // if the event thread already erased this conn from the map, we
-        // hold the last reference, and the Session (with its admitted
-        // governor budget) must be fully released before stop() can
-        // observe the drain and return.
+        // once the connection has closed we may hold the last reference,
+        // and the Session (with its admitted governor budget) must be
+        // fully released before stop() can observe the drain and return.
         lock.unlock();
         conn.reset();
         lock.lock();
-        --tasksInFlight_;
-        drained_.notify_all();
-        parker_.wake();  // let the event loop reap / re-check drain
+        if (--tasksInFlight_ == 0) drained_.notify_all();
         return;
       }
       item = std::move(conn->pending.front());

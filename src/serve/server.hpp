@@ -4,8 +4,9 @@
 // session request processing runs as tasks on the shared ThreadPool
 // (the same pool the sessions' own pipes use — a blocked
 // drive grows the pool, it never starves the event loop). The event
-// thread parks in poll(2) via concur/fd_park.hpp, wakeable by stop()
-// and by finishing session tasks.
+// thread parks in poll(2) via concur/fd_park.hpp with no timeout; only a
+// ready socket, a closing connection or stop() wakes it, and it rebuilds
+// its poll set only after an accept or a close.
 //
 // Connection lifecycle:
 //   accept -> classify on first bytes
@@ -21,8 +22,10 @@
 //   hangup (POLLRDHUP / EOF / read error) -> Session::onDisconnect()
 //         terminates the governor: in-flight drives unwind with 816 at
 //         the next charge point, linked pipes cancel, parked queue ops
-//         abort within one operation. The connection is reaped once the
-//         in-flight task (if any) finishes.
+//         abort within one operation.
+//   close (any cause) -> the connection leaves the map at once; its last
+//         holder — the event thread, or a session task still running —
+//         closes the socket and frees the Session, outside the mutex.
 //
 // The event thread never blocks on a session: reads are non-blocking,
 // HTTP responses are bounded, and session work always happens on the
@@ -80,7 +83,7 @@ class Server {
   /// the address is unavailable.
   void start();
   /// Graceful shutdown: stop accepting, terminate every live session,
-  /// drain in-flight tasks, join the event thread. Idempotent.
+  /// join the event thread, wait for in-flight tasks. Idempotent.
   void stop();
 
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
@@ -94,7 +97,8 @@ class Server {
   enum class ConnKind : std::uint8_t { kUnknown, kHttp, kSession };
 
   struct Conn {
-    std::uint64_t id = 0;
+    // Declared first, so it closes last: the peer reads EOF only after
+    // the Session is freed.
     Socket socket;
     ConnKind kind = ConnKind::kUnknown;
     std::string sniff;  // bytes buffered before classification
@@ -104,11 +108,7 @@ class Server {
     // the session task. Guarded by the server mutex.
     std::deque<std::pair<std::chrono::steady_clock::time_point, std::string>> pending;
     bool scheduled = false;  // a pool task is draining `pending`
-    // No further reads; reap when unscheduled. Written only under the
-    // server mutex, but atomic because the event thread checks it
-    // between lock regions (a session task can close concurrently).
-    std::atomic<bool> closing{false};
-    bool hungUp = false;  // peer disconnected (vs. server-side close); under mu_
+    bool closing = false;    // out of conns_: no further reads or tasks; under mu_
   };
 
   void eventLoop();
@@ -121,7 +121,8 @@ class Server {
   void answerHttp(const std::shared_ptr<Conn>& conn);
   void beginClose(const std::shared_ptr<Conn>& conn, bool peerHungUp);
   void beginCloseLockedImpl(const std::shared_ptr<Conn>& conn, bool peerHungUp);
-  void scheduleLocked(const std::shared_ptr<Conn>& conn);
+  /// False when the pool refused the session task.
+  bool scheduleLocked(const std::shared_ptr<Conn>& conn);
   void sessionTask(std::shared_ptr<Conn> conn);
 
   Config config_;
@@ -134,8 +135,7 @@ class Server {
 
   mutable std::mutex mu_;
   std::condition_variable drained_;
-  std::unordered_map<int, std::shared_ptr<Conn>> conns_;  // by fd
-  std::uint64_t nextConnId_ = 1;
+  std::unordered_map<int, std::shared_ptr<Conn>> conns_;  // open connections, by fd
   std::size_t tasksInFlight_ = 0;
 
   bool admissionInstalled_ = false;

@@ -38,7 +38,13 @@
 //                                       governed session: soft-cancel
 //                                       after <s> seconds, diagnostics +
 //                                       hard teardown after <h>
+//
+// Every numeric value must be a decimal integer in range (seconds
+// 1..2^31-1, HARD >= SOFT) or, for --max-*, a budget with an optional
+// K/M/G suffix; anything else is refused with a message and exit
+// status 2.
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -47,6 +53,7 @@
 #include <thread>
 
 #include "concur/pipe.hpp"
+#include "flags.hpp"
 #include "frontend/lexer.hpp"
 #include "interp/interpreter.hpp"
 #include "kernel/trace.hpp"
@@ -59,25 +66,6 @@
 namespace {
 
 constexpr std::size_t kReplResultLimit = 64;  // guard against infinite generators
-
-/// Parse "64M"-style budget values (K/M/G binary suffixes). Returns
-/// false on garbage; 0 is accepted and means unlimited.
-bool parseBudget(const std::string& text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long raw = std::strtoull(text.c_str(), &end, 10);
-  std::uint64_t scale = 1;
-  if (*end == 'K' || *end == 'k') {
-    scale = 1024, ++end;
-  } else if (*end == 'M' || *end == 'm') {
-    scale = 1024 * 1024, ++end;
-  } else if (*end == 'G' || *end == 'g') {
-    scale = 1024ULL * 1024 * 1024, ++end;
-  }
-  if (end == text.c_str() || *end != '\0') return false;
-  out = static_cast<std::uint64_t>(raw) * scale;
-  return true;
-}
 
 void printResults(congen::GenPtr gen, std::size_t limit) {
   std::size_t count = 0;
@@ -188,20 +176,18 @@ int run(int argc, char** argv, congen::interp::Interpreter& interp) {
 int main(int argc, char** argv) {
   congen::interp::Interpreter::Options options;
   ObsOptions obs;
-  long timeoutSeconds = 0;
-  long superviseSoftSec = 0;
-  long superviseHardSec = 0;
+  using congen::tools::kMaxDuration;
+  using congen::tools::parseCount;
+  std::uint64_t timeoutSeconds = 0;
+  std::uint64_t superviseSoftSec = 0;
+  std::uint64_t superviseHardSec = 0;
   // Prefix options, in any order: --timeout <sec> arms the watchdog,
   // --trace enables iterator-protocol monitoring, --stats /
   // --metrics-json / --trace-out wire the metrics registry and the
   // structured trace sink.
   for (;;) {
     if (argc >= 3 && std::string(argv[1]) == "--timeout") {
-      timeoutSeconds = std::strtol(argv[2], nullptr, 10);
-      if (timeoutSeconds <= 0) {
-        std::cerr << "congen-run: --timeout needs a positive number of seconds\n";
-        return 2;
-      }
+      timeoutSeconds = parseCount("congen-run", "--timeout", argv[2], 1, kMaxDuration);
       argc -= 2;
       argv += 2;
       continue;
@@ -238,37 +224,18 @@ int main(int argc, char** argv) {
       continue;
     }
     if (argc >= 2 && std::string(argv[1]).rfind("--max-", 0) == 0) {
-      const std::string arg(argv[1]);
-      auto budgetFlag = [&](const std::string& prefix, std::uint64_t& slot) -> int {
-        if (arg.rfind(prefix, 0) != 0) return 0;
-        if (!parseBudget(arg.substr(prefix.size()), slot)) {
-          std::cerr << "congen-run: bad value in " << arg << " (want e.g. 64M)\n";
-          return -1;
-        }
-        return 1;
-      };
-      int r = 0;
-      if ((r = budgetFlag("--max-heap=", options.quotas.maxHeapBytes)) != 0 ||
-          (r = budgetFlag("--max-fuel=", options.quotas.maxFuel)) != 0 ||
-          (r = budgetFlag("--max-pipes=", options.quotas.maxPipes)) != 0 ||
-          (r = budgetFlag("--max-coexprs=", options.quotas.maxCoexprs)) != 0 ||
-          (r = budgetFlag("--max-pipe-depth=", options.quotas.maxPipeDepth)) != 0 ||
-          (r = budgetFlag("--max-depth=", options.quotas.maxDepth)) != 0) {
-        if (r < 0) return 2;
-        --argc;
-        ++argv;
-        continue;
-      }
-      std::cerr << "congen-run: unknown option " << arg << "\n";
-      return 2;
-    }
-    if (argc >= 4 && std::string(argv[1]) == "--supervise") {
-      superviseSoftSec = std::strtol(argv[2], nullptr, 10);
-      superviseHardSec = std::strtol(argv[3], nullptr, 10);
-      if (superviseSoftSec <= 0 || superviseHardSec < superviseSoftSec) {
-        std::cerr << "congen-run: --supervise wants SOFT HARD seconds, 0 < SOFT <= HARD\n";
+      if (!congen::tools::parseQuotaFlag("congen-run", argv[1], options.quotas)) {
+        std::cerr << "congen-run: unknown option " << argv[1] << "\n";
         return 2;
       }
+      --argc;
+      ++argv;
+      continue;
+    }
+    if (argc >= 4 && std::string(argv[1]) == "--supervise") {
+      superviseSoftSec = parseCount("congen-run", "--supervise SOFT", argv[2], 1, kMaxDuration);
+      superviseHardSec =
+          parseCount("congen-run", "--supervise HARD", argv[3], superviseSoftSec, kMaxDuration);
       options.governed = true;  // supervision needs a session governor
       argc -= 3;
       argv += 3;

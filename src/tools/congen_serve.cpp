@@ -39,18 +39,16 @@
 // On a successful bind the daemon prints exactly one line to stdout:
 //   congen-serve: listening on HOST:PORT
 // and flushes it — scripts wait for that line before connecting.
-#include <atomic>
-#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
 
+#include "flags.hpp"
 #include "obs/metrics.hpp"
 #include "serve/server.hpp"
 
@@ -58,42 +56,7 @@ namespace {
 
 volatile std::sig_atomic_t g_signalled = 0;
 
-// Upper bound for the millisecond and second flags: far past any real
-// deadline, and small enough that now() + duration cannot overflow.
-constexpr std::uint64_t kMaxDuration = INT32_MAX;
-
 void onSignal(int) { g_signalled = 1; }
-
-// Reads the decimal digits at the front of `text` into `out`. Returns
-// the first character after them, or nullptr when there are none (a
-// sign, a space, an empty string) or the value does not fit.
-const char* parseDigits(const char* text, std::uint64_t& out) {
-  const auto [end, ec] = std::from_chars(text, text + std::strlen(text), out);
-  return ec == std::errc{} ? end : nullptr;
-}
-
-bool parseBudget(const std::string& text, std::uint64_t& out) {
-  std::uint64_t raw = 0;
-  const char* end = parseDigits(text.c_str(), raw);
-  if (end == nullptr) return false;
-  std::uint64_t scale = 1;
-  if (*end == 'K' || *end == 'k') {
-    scale = 1024, ++end;
-  } else if (*end == 'M' || *end == 'm') {
-    scale = 1024 * 1024, ++end;
-  } else if (*end == 'G' || *end == 'g') {
-    scale = 1024ULL * 1024 * 1024, ++end;
-  }
-  if (*end != '\0' || raw > UINT64_MAX / scale) return false;
-  out = raw * scale;
-  return true;
-}
-
-/// A plain decimal integer in [lo, hi].
-bool parseCount(const char* text, std::uint64_t lo, std::uint64_t hi, std::uint64_t& out) {
-  const char* end = parseDigits(text, out);
-  return end != nullptr && *end == '\0' && out >= lo && out <= hi;
-}
 
 }  // namespace
 
@@ -104,6 +67,7 @@ int main(int argc, char** argv) {
   std::string metricsJsonPath;
   long durationSec = 0;
 
+  using congen::tools::kMaxDuration;
   for (int i = 1; i < argc; ++i) {
     const std::string arg(argv[i]);
     auto value = [&](const char* flag) -> const char* {
@@ -113,48 +77,20 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    auto count = [&](const char* flag, std::uint64_t lo, std::uint64_t hi) -> std::uint64_t {
-      const char* text = value(flag);
-      std::uint64_t n = 0;
-      if (!parseCount(text, lo, hi, n)) {
-        std::cerr << "congen-serve: bad " << flag << " value '" << text
-                  << "' (want a decimal integer in " << lo << ".." << hi << ")\n";
-        std::exit(2);
-      }
-      return n;
+    auto count = [&](const char* flag, std::uint64_t lo, std::uint64_t hi) {
+      return congen::tools::parseCount("congen-serve", flag, value(flag), lo, hi);
     };
+    if (congen::tools::parseQuotaFlag("congen-serve", argv[i], config.session.quotas)) continue;
     if (arg == "--host") {
       config.host = value("--host");
     } else if (arg == "--port") {
       config.port = static_cast<std::uint16_t>(count("--port", 0, 65535));
-    } else if (arg.rfind("--max-", 0) == 0) {
-      auto& q = config.session.quotas;
-      auto budgetFlag = [&](const std::string& prefix, std::uint64_t& slot) -> int {
-        if (arg.rfind(prefix, 0) != 0) return 0;
-        if (!parseBudget(arg.substr(prefix.size()), slot)) {
-          std::cerr << "congen-serve: bad value in " << arg << " (want e.g. 64M)\n";
-          return -1;
-        }
-        return 1;
-      };
-      int r = 0;
-      if ((r = budgetFlag("--max-heap=", q.maxHeapBytes)) != 0 ||
-          (r = budgetFlag("--max-fuel=", q.maxFuel)) != 0 ||
-          (r = budgetFlag("--max-pipes=", q.maxPipes)) != 0 ||
-          (r = budgetFlag("--max-coexprs=", q.maxCoexprs)) != 0 ||
-          (r = budgetFlag("--max-pipe-depth=", q.maxPipeDepth)) != 0 ||
-          (r = budgetFlag("--max-depth=", q.maxDepth)) != 0) {
-        if (r < 0) return 2;
-      } else {
-        std::cerr << "congen-serve: unknown option " << arg << "\n";
-        return 2;
-      }
     } else if (arg == "--admission-sessions") {
       config.admission.maxSessions =
           static_cast<std::size_t>(count("--admission-sessions", 0, SIZE_MAX));
     } else if (arg == "--admission-heap") {
       std::uint64_t bytes = 0;
-      if (!parseBudget(value("--admission-heap"), bytes)) {
+      if (!congen::tools::parseBudget(value("--admission-heap"), bytes)) {
         std::cerr << "congen-serve: bad --admission-heap value (want e.g. 1G)\n";
         return 2;
       }

@@ -388,6 +388,37 @@ TEST(ServeShutdown, StopDrainsLiveSessionsAndRestartWorks) {
   (void)firstPort;
 }
 
+TEST(ServeShutdown, StopWaitsForARequestInFlight) {
+  Server::Config config = baseConfig();
+  // A committed quota puts the session through the admission gate, whose
+  // count shows when the Session is really gone.
+  config.session.quotas.maxHeapBytes = 64u << 20;
+  ASSERT_TRUE(eventually([] { return governor::Admission::global().liveSessions() == 0; }));
+  Server server(config);
+  server.start();
+  TestClient client(server.port());
+  const auto requestsBefore = obs::ServeStats::get().requests.value();
+  // A program whose top-level loop practically never ends.
+  client.send({Verb::kSubmit, "every 1 to 1000000000000 do 0", 0});
+  client.expectHello();
+  ASSERT_TRUE(eventually([&] { return obs::ServeStats::get().requests.value() > requestsBefore; }));
+  server.stop();  // terminates the drive, then waits for its task
+  EXPECT_EQ(governor::Admission::global().liveSessions(), 0u);
+  std::string line;
+  if (client.tryReadLine(line)) {
+    EXPECT_EQ(responseCode(line), 816) << line;
+  }
+  EXPECT_TRUE(client.atEof());
+  EXPECT_EQ(server.liveSessions(), 0u);
+  server.start();
+  TestClient again(server.port());
+  again.send({Verb::kSubmit, "1 + 1", 0});
+  again.expectHello();
+  EXPECT_EQ(again.readLine(), "{\"ok\":true,\"kind\":\"generator\"}");
+  EXPECT_NE(again.roundTrip({Verb::kNext, "", 1}).find("\"results\":[\"2\"]"), std::string::npos);
+  server.stop();
+}
+
 /// SUBMIT `body`, then NEXT 1: the NEXT response.
 std::string evalOne(Session& session, const std::string& body) {
   (void)session.handle({Verb::kSubmit, body, 0});

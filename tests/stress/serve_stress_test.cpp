@@ -1,5 +1,5 @@
 // serve_stress_test.cpp — the congen-serve daemon under connection
-// churn, mid-stream disconnects, and injected accept/write faults.
+// churn, mid-stream disconnects, and injected accept, write and submit faults.
 //
 // Runs an in-process Server and hammers it from raw-socket clients that
 // misbehave on purpose: hang up instead of CLOSE, hang up between
@@ -13,6 +13,7 @@
 // and ServeWrite sites are armed too: accept() throwing (EMFILE stand-
 // in) must leave the accept loop running, and a write-loop throw — a
 // torn frame mid-response — must tear down exactly that one session.
+// A PoolSubmit failure must answer the stranded request with 903.
 #include <atomic>
 #include <cerrno>
 #include <string>
@@ -80,6 +81,14 @@ struct RawClient {
       return false;
     }
     return true;
+  }
+
+  /// True when the server closed the connection: EOF, not a stall.
+  bool closedByPeer() {
+    pollfd pfd{sock.fd(), POLLIN, 0};
+    char byte;
+    return buf.empty() && ::poll(&pfd, 1, kReadTimeoutMs) == 1 &&
+           ::recv(sock.fd(), &byte, 1, 0) == 0;
   }
 
   bool readLine(std::string& line) {
@@ -255,6 +264,43 @@ TEST(ServeStress, SurvivesInjectedAcceptAndWriteFaults) {
   ASSERT_TRUE(client.readLine(line));
   EXPECT_NE(line.find("\"results\":[\"7\"]"), std::string::npos) << line;
   EXPECT_TRUE(stress::eventually([&] { return server.liveSessions() <= 1; }));
+  server.stop();
+}
+
+TEST(ServeStress, FailedSessionSubmitIsATypedRefusal) {
+  if (!FaultInjector::compiledIn()) {
+    GTEST_SKIP() << "built without CONGEN_FAULT_INJECTION — nothing to do";
+  }
+  Server server(stressConfig());
+  server.start();
+  {
+    // Every ThreadPool::submit fails: the request's session task is
+    // never scheduled, and the client, waiting for its reply, sends
+    // nothing more.
+    ScopedFaultInjection arm(stress::seed(), SitePolicy{});
+    auto& inj = FaultInjector::instance();
+    inj.armSite(FaultSite::PoolSubmit,
+                SitePolicy{/*delayPerMille=*/0, /*maxDelayMicros=*/0, /*failPerMille=*/1000});
+    RawClient client;
+    ASSERT_TRUE(client.connect(server.port()));
+    client.send({Verb::kSubmit, "1 + 1", 0});
+    std::string line;
+    ASSERT_TRUE(client.readLine(line));
+    EXPECT_NE(line.find("hello"), std::string::npos) << line;
+    ASSERT_TRUE(client.readLine(line)) << "the request was never answered";
+    EXPECT_NE(line.find("\"code\":903"), std::string::npos) << line;
+    EXPECT_TRUE(client.closedByPeer());
+  }
+  // Disarmed: a new session is served.
+  RawClient client;
+  ASSERT_TRUE(client.connect(server.port()));
+  client.send({Verb::kSubmit, "1 + 1", 0});
+  client.send({Verb::kNext, "", 1});
+  std::string line;
+  ASSERT_TRUE(client.readLine(line));  // hello
+  ASSERT_TRUE(client.readLine(line));  // generator
+  ASSERT_TRUE(client.readLine(line));
+  EXPECT_NE(line.find("\"results\":[\"2\"]"), std::string::npos) << line;
   server.stop();
 }
 
