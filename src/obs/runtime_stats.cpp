@@ -108,6 +108,7 @@ ServeStats& ServeStats::get() {
       r.counter("serve.sessions_shed"),
       r.counter("serve.sessions_terminated"),
       r.counter("serve.requests"),
+      r.counter("serve.session_reads"),
       r.counter("serve.results_streamed"),
       r.counter("serve.protocol_errors"),
       r.counter("serve.disconnects"),

@@ -124,6 +124,7 @@ struct ServeStats {
   Counter& sessionsShed;         ///< admission refusals answered with 815
   Counter& sessionsTerminated;   ///< supervisor hard teardowns (816 path)
   Counter& requests;             ///< complete request frames processed
+  Counter& sessionReads;         ///< request frames a session task read itself
   Counter& resultsStreamed;      ///< values delivered in NEXT responses
   Counter& protocolErrors;       ///< 9xx responses (bad frame/verb/state)
   Counter& disconnects;          ///< sessions torn down by peer hangup

@@ -59,9 +59,10 @@ void Server::stop() {
     stopping_.store(true, std::memory_order_release);
     parker_.wake();
     eventThread_.join();
-    // The loop closed every connection on its way out. A session task
-    // still running drops its Conn, and so its Session, before it counts
-    // itself out.
+    // The loop closed every connection on its way out, shutting down the
+    // socket of each one whose task still runs, so no blocked write can
+    // hold the drain. A session task drops its Conn, and so its Session,
+    // before it counts itself out.
     std::unique_lock lock(mu_);
     drained_.wait(lock, [this] { return tasksInFlight_ == 0; });
   }
@@ -89,12 +90,15 @@ void Server::eventLoop() {
       std::lock_guard lock(mu_);
       fds.clear();
       fds.push_back({listener_->fd(), POLLIN, 0});
-      for (const auto& [fd, conn] : conns_) fds.push_back({fd, POLLIN | POLLRDHUP, 0});
+      for (const auto& [fd, conn] : conns_) {
+        const short events = conn->taskReads ? POLLRDHUP : POLLIN | POLLRDHUP;
+        fds.push_back({fd, events, 0});
+      }
     }
-    // Only a close or stop() wakes the parker, and either one changes
-    // the connection set.
+    // Only a close, a hand-back or stop() wakes the parker, and each one
+    // changes the connection set or what the loop asks of a socket.
     rebuild = parker_.park(fds);
-    for (const pollfd& p : fds) {
+    for (pollfd& p : fds) {
       if (p.revents == 0) continue;
       if (p.fd == listener_->fd()) {
         acceptPending();
@@ -102,13 +106,32 @@ void Server::eventLoop() {
         continue;
       }
       std::shared_ptr<Conn> conn;
+      bool taskReads = false;
       {
         std::lock_guard lock(mu_);
         auto it = conns_.find(p.fd);
-        if (it != conns_.end()) conn = it->second;
+        if (it == conns_.end()) continue;
+        conn = it->second;
+        taskReads = conn->taskReads;
       }
-      bool peerHungUp = false;
-      if (conn != nullptr && !pumpConn(conn, peerHungUp)) beginClose(conn, peerHungUp);
+      if (taskReads) {
+        // POLLRDHUP, all the loop asks while a task reads: the peer hung up.
+        beginClose(conn, /*peerHungUp=*/true);
+        continue;
+      }
+      switch (pumpConn(conn)) {
+        case Pumped::kOpen:
+          break;
+        case Pumped::kHandedOff:
+          p.events = POLLRDHUP;
+          break;
+        case Pumped::kClose:
+          beginClose(conn, /*peerHungUp=*/false);
+          break;
+        case Pumped::kHungUp:
+          beginClose(conn, /*peerHungUp=*/true);
+          break;
+      }
     }
   }
   listener_.reset();  // refuse new connects
@@ -116,7 +139,12 @@ void Server::eventLoop() {
   {
     std::lock_guard lock(mu_);
     open.swap(conns_);
-    for (const auto& [fd, conn] : open) beginCloseLockedImpl(conn, /*peerHungUp=*/false);
+    for (const auto& [fd, conn] : open) {
+      beginCloseLockedImpl(conn, /*peerHungUp=*/false);
+      // Its task may be blocked writing to a client that stopped reading:
+      // with the socket shut both ways, that send fails (EPIPE) at once.
+      if (conn->scheduled) ::shutdown(fd, SHUT_RDWR);
+    }
   }
   // `open` drops here, outside mu_, freeing every Session no task holds.
 }
@@ -145,7 +173,7 @@ void Server::acceptPending() {
   }
 }
 
-bool Server::pumpConn(const std::shared_ptr<Conn>& conn, bool& peerHungUp) {
+Server::Pumped Server::pumpConn(const std::shared_ptr<Conn>& conn) {
   const bool metrics = obs::metricsEnabled();
   char buf[64 * 1024];
   for (;;) {
@@ -153,13 +181,9 @@ bool Server::pumpConn(const std::shared_ptr<Conn>& conn, bool& peerHungUp) {
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       if (errno == EINTR) continue;
-      peerHungUp = true;  // reset and kin: peer is gone
-      return false;
+      return Pumped::kHungUp;  // reset and kin: peer is gone
     }
-    if (n == 0) {
-      peerHungUp = true;
-      return false;
-    }
+    if (n == 0) return Pumped::kHungUp;
     if (metrics) [[unlikely]] {
       obs::ServeStats::get().bytesRead.add(static_cast<std::uint64_t>(n));
     }
@@ -167,7 +191,7 @@ bool Server::pumpConn(const std::shared_ptr<Conn>& conn, bool& peerHungUp) {
     if (conn->kind == ConnKind::kUnknown) {
       conn->sniff.append(bytes);
       classify(conn);
-      if (conn->closing) return true;  // shed or bad classification
+      if (conn->closing) return Pumped::kClose;  // shed or bad classification
       if (conn->kind == ConnKind::kUnknown) continue;  // need more bytes
     } else if (conn->kind == ConnKind::kHttp) {
       conn->sniff.append(bytes);
@@ -177,9 +201,9 @@ bool Server::pumpConn(const std::shared_ptr<Conn>& conn, bool& peerHungUp) {
     if (conn->kind == ConnKind::kHttp) {
       if (conn->sniff.find("\r\n\r\n") != std::string::npos) {
         answerHttp(conn);
-        return true;  // closing was set by answerHttp
+        return Pumped::kClose;  // answerHttp began the close
       }
-      if (conn->sniff.size() > kMaxHttpHeader) return false;
+      if (conn->sniff.size() > kMaxHttpHeader) return Pumped::kClose;
       continue;
     }
     // Session frames.
@@ -189,17 +213,25 @@ bool Server::pumpConn(const std::shared_ptr<Conn>& conn, bool& peerHungUp) {
         writeAll(conn->socket, makeError(kErrFrameTooLarge, "frame exceeds payload limit"));
       } catch (const std::exception&) {
       }
-      return false;
+      return Pumped::kClose;
     }
-    bool refused;
+    std::uint64_t frames = 0;
+    bool byTask, refused = false, handedOff = false;
     {
       std::lock_guard lock(mu_);
       const auto now = std::chrono::steady_clock::now();
       while (auto payload = conn->decoder.next()) {
         conn->pending.emplace_back(now, std::move(*payload));
+        ++frames;
       }
-      refused = !scheduleLocked(conn);
+      // Only the owner of the reads gets here, so this says who it is.
+      byTask = conn->taskReads;
+      if (!byTask) {
+        refused = !scheduleLocked(conn, now);
+        handedOff = conn->taskReads;
+      }
     }
+    if (byTask && metrics) [[unlikely]] obs::ServeStats::get().sessionReads.add(frames);
     if (refused) {
       // The client waits for a reply and sends nothing more, so a request
       // left queued would never be answered.
@@ -207,10 +239,11 @@ bool Server::pumpConn(const std::shared_ptr<Conn>& conn, bool& peerHungUp) {
         writeAll(conn->socket, makeError(kErrInternal, "cannot schedule the request"));
       } catch (const std::exception&) {
       }
-      return false;
+      return Pumped::kClose;
     }
+    if (handedOff) return Pumped::kHandedOff;  // the task reads what follows
   }
-  return true;
+  return Pumped::kOpen;
 }
 
 void Server::classify(const std::shared_ptr<Conn>& conn) {
@@ -320,6 +353,9 @@ void Server::beginCloseLockedImpl(const std::shared_ptr<Conn>& conn, bool peerHu
   // Conn under mu_. The wake makes the event loop rebuild its poll set.
   conns_.erase(conn->socket.fd());
   parker_.wake();
+  // A task waiting on the socket for its next request wakes at once (and
+  // the peer is sent nothing).
+  if (conn->taskReads) ::shutdown(conn->socket.fd(), SHUT_RD);
   if (conn->session != nullptr) {
     // The disconnect IS the cancellation: terminating the governor
     // cancels every pipe linked under the session root (parked queue
@@ -333,11 +369,15 @@ void Server::beginCloseLockedImpl(const std::shared_ptr<Conn>& conn, bool peerHu
   }
 }
 
-bool Server::scheduleLocked(const std::shared_ptr<Conn>& conn) {
+bool Server::scheduleLocked(const std::shared_ptr<Conn>& conn,
+                            std::chrono::steady_clock::time_point now) {
   if (conn->scheduled || conn->closing || conn->session == nullptr || conn->pending.empty()) {
     return true;
   }
   conn->scheduled = true;
+  // A client that sent this soon after its previous answer is in a busy
+  // loop: the task that answers it reads its next requests too.
+  conn->taskReads = now - conn->answeredAt < kLinger;
   ++tasksInFlight_;
   try {
     // The task must own its reference, to drop it before it counts
@@ -346,6 +386,7 @@ bool Server::scheduleLocked(const std::shared_ptr<Conn>& conn) {
     ThreadPool::global().submit([this, c = conn]() mutable { sessionTask(std::move(c)); });
   } catch (const std::exception&) {
     conn->scheduled = false;  // thread cap or injected fault
+    conn->taskReads = false;
     --tasksInFlight_;
     return false;
   }
@@ -354,25 +395,32 @@ bool Server::scheduleLocked(const std::shared_ptr<Conn>& conn) {
 
 void Server::sessionTask(std::shared_ptr<Conn> conn) {
   const bool metrics = obs::metricsEnabled();
-  for (;;) {
-    std::pair<std::chrono::steady_clock::time_point, std::string> item;
-    {
-      std::unique_lock lock(mu_);
-      if (conn->closing || conn->pending.empty()) {
-        conn->scheduled = false;
-        // Drop our Conn reference BEFORE decrementing tasksInFlight_:
-        // once the connection has closed we may hold the last reference,
-        // and the Session (with its admitted governor budget) must be
-        // fully released before stop() can observe the drain and return.
-        lock.unlock();
-        conn.reset();
-        lock.lock();
-        if (--tasksInFlight_ == 0) drained_.notify_all();
-        return;
+  std::unique_lock lock(mu_);
+  while (!conn->closing) {
+    if (conn->pending.empty()) {
+      if (!conn->taskReads) break;
+      // This task owns the reads: wait up to kLinger for the next request.
+      // A poll error (EINTR) reads nothing and waits again.
+      lock.unlock();
+      pollfd pfd{conn->socket.fd(), POLLIN, 0};
+      const bool readable = ::poll(&pfd, 1, static_cast<int>(kLinger.count())) != 0;
+      const Pumped pumped = readable ? pumpConn(conn) : Pumped::kOpen;
+      if (pumped == Pumped::kClose || pumped == Pumped::kHungUp) {
+        beginClose(conn, pumped == Pumped::kHungUp);
       }
-      item = std::move(conn->pending.front());
-      conn->pending.pop_front();
+      lock.lock();
+      if (!readable) {
+        if (!conn->closing) {
+          conn->taskReads = false;  // a quiet client: the loop reads it again
+          parker_.wake();
+        }
+        break;
+      }
+      continue;
     }
+    auto item = std::move(conn->pending.front());
+    conn->pending.pop_front();
+    lock.unlock();
     std::string parseError;
     std::optional<Request> request = parseRequest(item.second, parseError);
     std::string response;
@@ -389,19 +437,31 @@ void Server::sessionTask(std::shared_ptr<Conn> conn) {
     } catch (const std::exception&) {
       wrote = false;  // dead peer or injected ServeWrite fault
     }
+    const auto answeredAt = std::chrono::steady_clock::now();
     if (metrics) [[unlikely]] {
       auto& stats = obs::ServeStats::get();
       if (wrote) stats.bytesWritten.add(response.size());
       const auto micros = std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - item.first);
+          answeredAt - item.first);
       stats.requestLatencyMicros.record(static_cast<std::uint64_t>(micros.count()));
     }
+    lock.lock();
+    conn->answeredAt = answeredAt;
     if (!wrote) {
-      beginClose(conn, /*peerHungUp=*/true);
+      beginCloseLockedImpl(conn, /*peerHungUp=*/true);
     } else if (conn->session->closeRequested() || conn->session->dead()) {
-      beginClose(conn, /*peerHungUp=*/false);
+      beginCloseLockedImpl(conn, /*peerHungUp=*/false);
     }
   }
+  conn->scheduled = false;
+  // Drop our Conn reference BEFORE decrementing tasksInFlight_: once the
+  // connection has closed we may hold the last reference, and the Session
+  // (with its admitted governor budget) must be fully released before
+  // stop() can observe the drain and return.
+  lock.unlock();
+  conn.reset();
+  lock.lock();
+  if (--tasksInFlight_ == 0) drained_.notify_all();
 }
 
 }  // namespace congen::serve

@@ -8,7 +8,11 @@
 // supervisor termination), HTTP observability on the same port, and the
 // disconnect-cancels-producer regression (a hung-up client must retire
 // its pipe producers, observed through the pipe.live gauge). The
-// ServeSession suite drives Session objects directly on the test thread.
+// ServeReads suite pins who reads a connection: a session task answering
+// back-to-back requests reads the next ones itself, spaced requests stay
+// with the event loop. The ServeSession suite drives Session objects
+// directly on the test thread.
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <sstream>
@@ -16,6 +20,8 @@
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <poll.h>
 
 #include <gtest/gtest.h>
 
@@ -52,6 +58,36 @@ bool eventually(F cond, std::chrono::milliseconds budget = std::chrono::seconds(
 int responseCode(const std::string& line) {
   const std::size_t at = line.find("\"code\":");
   return at == std::string::npos ? 0 : std::atoi(line.c_str() + at + 7);
+}
+
+/// A committed quota puts each session through the admission gate, whose
+/// count shows when a Session is really gone.
+Server::Config gatedConfig() {
+  Server::Config config = baseConfig();
+  config.session.quotas.maxHeapBytes = 64u << 20;
+  return config;
+}
+
+/// The gate is process-global: wait out any admitted session a prior
+/// test's teardown is still releasing.
+bool gateEmpty() {
+  return eventually([] { return governor::Admission::global().liveSessions() == 0; });
+}
+
+std::uint64_t sessionReads() { return obs::ServeStats::get().sessionReads.value(); }
+
+/// The NEXT 1 answer whose one result is `n`.
+std::string nextOne(int n) {
+  return "{\"ok\":true,\"done\":false,\"results\":[\"" + std::to_string(n) + "\"]}";
+}
+
+/// Opens a session on `seq(1)` and answers `n` back-to-back NEXT 1s, so
+/// its task ends up owning the reads, waiting on the socket.
+void warmUp(TestClient& client, int n) {
+  client.send({Verb::kSubmit, "seq(1)", 0});
+  client.expectHello();
+  EXPECT_EQ(client.readLine(), "{\"ok\":true,\"kind\":\"generator\"}");
+  for (int i = 1; i <= n; ++i) EXPECT_EQ(client.roundTrip({Verb::kNext, "", 1}), nextOne(i));
 }
 
 TEST(ServeLifecycle, SubmitNextCancelClose) {
@@ -250,6 +286,56 @@ TEST(ServeConcurrency, ManySessionsInterleave) {
   server.stop();
 }
 
+TEST(ServeReads, BackToBackRequestsAreReadByTheirTask) {
+  Server server(baseConfig());
+  server.start();
+  TestClient client(server.port());
+  const auto before = sessionReads();
+  // The SUBMIT and the first NEXT reach the loop, which hands the reads
+  // to the task that answers that NEXT; the task reads the other 49. A
+  // stall past kLinger on a loaded machine may hand them back once.
+  warmUp(client, 50);
+  EXPECT_GE(sessionReads() - before, 45u);
+  server.stop();
+}
+
+TEST(ServeReads, SpacedRequestsStayWithTheLoop) {
+  Server server(baseConfig());
+  server.start();
+  TestClient client(server.port());
+  const auto before = sessionReads();
+  client.send({Verb::kSubmit, "1 to 5", 0});
+  client.expectHello();
+  EXPECT_EQ(client.readLine(), "{\"ok\":true,\"kind\":\"generator\"}");
+  std::this_thread::sleep_for(10 * Server::kLinger);
+  EXPECT_EQ(client.roundTrip({Verb::kNext, "", 2}),
+            "{\"ok\":true,\"done\":false,\"results\":[\"1\",\"2\"]}");
+  std::this_thread::sleep_for(10 * Server::kLinger);
+  EXPECT_EQ(client.roundTrip({Verb::kNext, "", 1}), nextOne(3));
+  // Sent at once, yet the loop reads it: the task that answered the
+  // spaced NEXT did not stay to wait on the socket.
+  EXPECT_EQ(client.roundTrip({Verb::kNext, "", 5}),
+            "{\"ok\":true,\"done\":true,\"results\":[\"4\",\"5\"]}");
+  EXPECT_EQ(sessionReads(), before);
+  server.stop();
+}
+
+TEST(ServeReads, PipelinedBatchToAReadingTaskAnswersInOrder) {
+  Server server(baseConfig());
+  server.start();
+  TestClient client(server.port());
+  warmUp(client, 5);
+  const auto before = sessionReads();
+  // Three frames in one write, while the task waits on the socket.
+  client.sendRaw(encodeFrame({Verb::kSubmit, "\"a\" | \"b\"", 0}) +
+                 encodeFrame({Verb::kNext, "", 1}) + encodeFrame({Verb::kNext, "", 5}));
+  EXPECT_EQ(client.readLine(), "{\"ok\":true,\"kind\":\"generator\"}");
+  EXPECT_EQ(client.readLine(), "{\"ok\":true,\"done\":false,\"results\":[\"\\\"a\\\"\"]}");
+  EXPECT_EQ(client.readLine(), "{\"ok\":true,\"done\":true,\"results\":[\"\\\"b\\\"\"]}");
+  EXPECT_GE(sessionReads() - before, 3u);
+  server.stop();
+}
+
 TEST(ServeQuota, FuelTripSurfacesAs810InFrame) {
   Server::Config config = baseConfig();
   config.session.quotas.maxFuel = 50000;
@@ -365,6 +451,28 @@ TEST(ServeDisconnect, MidStreamHangupCancelsPipeProducer) {
   server.stop();
 }
 
+TEST(ServeDisconnect, HangupEndsARequestWhoseTaskOwnsTheReads) {
+  ASSERT_TRUE(gateEmpty());
+  Server server(gatedConfig());
+  server.start();
+  {
+    TestClient client(server.port());
+    warmUp(client, 5);
+    auto& stats = obs::ServeStats::get();
+    const auto requestsBefore = stats.requests.value();
+    // A program whose top-level loop practically never ends, read by the
+    // task that owns the reads.
+    client.send({Verb::kSubmit, "every 1 to 1000000000000 do 0", 0});
+    ASSERT_TRUE(eventually([&] { return stats.requests.value() > requestsBefore; }));
+    client.hangUp();
+  }
+  // The loop still watches the socket for a hangup, which ends the drive
+  // and so the task and its Session.
+  EXPECT_TRUE(eventually([&] { return server.liveSessions() == 0; }));
+  EXPECT_TRUE(gateEmpty());
+  server.stop();
+}
+
 TEST(ServeShutdown, StopDrainsLiveSessionsAndRestartWorks) {
   Server::Config config = baseConfig();
   Server server(config);
@@ -389,12 +497,8 @@ TEST(ServeShutdown, StopDrainsLiveSessionsAndRestartWorks) {
 }
 
 TEST(ServeShutdown, StopWaitsForARequestInFlight) {
-  Server::Config config = baseConfig();
-  // A committed quota puts the session through the admission gate, whose
-  // count shows when the Session is really gone.
-  config.session.quotas.maxHeapBytes = 64u << 20;
-  ASSERT_TRUE(eventually([] { return governor::Admission::global().liveSessions() == 0; }));
-  Server server(config);
+  ASSERT_TRUE(gateEmpty());
+  Server server(gatedConfig());
   server.start();
   TestClient client(server.port());
   const auto requestsBefore = obs::ServeStats::get().requests.value();
@@ -410,6 +514,57 @@ TEST(ServeShutdown, StopWaitsForARequestInFlight) {
   }
   EXPECT_TRUE(client.atEof());
   EXPECT_EQ(server.liveSessions(), 0u);
+  server.start();
+  TestClient again(server.port());
+  again.send({Verb::kSubmit, "1 + 1", 0});
+  again.expectHello();
+  EXPECT_EQ(again.readLine(), "{\"ok\":true,\"kind\":\"generator\"}");
+  EXPECT_NE(again.roundTrip({Verb::kNext, "", 1}).find("\"results\":[\"2\"]"), std::string::npos);
+  server.stop();
+}
+
+TEST(ServeShutdown, StopEndsATaskWaitingOnItsSocket) {
+  ASSERT_TRUE(gateEmpty());
+  Server server(gatedConfig());
+  server.start();
+  TestClient client(server.port());
+  warmUp(client, 5);
+  server.stop();  // the task waits on the socket for a sixth request
+  EXPECT_TRUE(client.atEof());
+  EXPECT_EQ(governor::Admission::global().liveSessions(), 0u);
+  EXPECT_EQ(server.liveSessions(), 0u);
+  server.start();
+  TestClient again(server.port());
+  again.send({Verb::kSubmit, "1 + 1", 0});
+  again.expectHello();
+  EXPECT_EQ(again.readLine(), "{\"ok\":true,\"kind\":\"generator\"}");
+  EXPECT_NE(again.roundTrip({Verb::kNext, "", 1}).find("\"results\":[\"2\"]"), std::string::npos);
+  server.stop();
+}
+
+TEST(ServeShutdown, StopDoesNotWaitForAStalledReader) {
+  ASSERT_TRUE(gateEmpty());
+  Server server(gatedConfig());
+  server.start();
+  TestClient client(server.port());
+  client.send({Verb::kSubmit, "!list(100, repl(\"x\", 200000))", 0});
+  client.expectHello();
+  EXPECT_EQ(client.readLine(), "{\"ok\":true,\"kind\":\"generator\"}");
+  // About 20 MB of answer, of which the client reads nothing: once its
+  // first bytes arrive, the task is blocked writing the rest.
+  client.send({Verb::kNext, "", 100});
+  pollfd pfd{client.socket().fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 10000), 1);
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    server.stop();
+    stopped = true;
+  });
+  const bool returned = eventually([&] { return stopped.load(); });
+  EXPECT_TRUE(returned) << "stop() waited on a client that stopped reading";
+  if (!returned) client.hangUp();  // the write fails, and stop() returns
+  stopper.join();
+  EXPECT_EQ(governor::Admission::global().liveSessions(), 0u);
   server.start();
   TestClient again(server.port());
   again.send({Verb::kSubmit, "1 + 1", 0});
