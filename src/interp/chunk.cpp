@@ -10,7 +10,11 @@ const char* opName(Op op) {
     case Op::kConst: return "CONST";
     case Op::kLoadVar: return "LOADVAR";
     case Op::kLoadSlot: return "LOADSLOT";
+    case Op::kLoadCell: return "LOADCELL";
     case Op::kLoadLate: return "LOADLATE";
+    case Op::kStoreVar: return "STOREVAR";
+    case Op::kStoreSlot: return "STORESLOT";
+    case Op::kStoreCell: return "STORECELL";
     case Op::kPop: return "POP";
     case Op::kMark: return "MARK";
     case Op::kUnmark: return "UNMARK";
@@ -26,13 +30,14 @@ const char* opName(Op op) {
     case Op::kAugAssign: return "AUGASSIGN";
     case Op::kSwap: return "SWAP";
     case Op::kIndex: return "INDEX";
+    case Op::kSubTarget: return "SUBTARGET";
+    case Op::kStoreSub: return "STORESUB";
     case Op::kField: return "FIELD";
     case Op::kSlice: return "SLICE";
     case Op::kListLit: return "LISTLIT";
     case Op::kInvoke: return "INVOKE";
     case Op::kToBy: return "TOBY";
     case Op::kPromote: return "PROMOTE";
-    case Op::kIn: return "IN";
     case Op::kAltBegin: return "ALT";
     case Op::kRaltBegin: return "RALT";
     case Op::kRaltNote: return "RALTNOTE";
@@ -97,6 +102,7 @@ Operands operandsOf(Op op) {
     case Op::kAssign:
     case Op::kSwap:
     case Op::kIndex:
+    case Op::kSubTarget:
     case Op::kSlice:
       return Operands::ABracket;  // a unused, b = bracket
     case Op::kBinOp:
@@ -106,9 +112,12 @@ Operands operandsOf(Op op) {
     case Op::kListLit:
     case Op::kInvoke:
     case Op::kToBy:
+    case Op::kStoreVar:
+    case Op::kStoreSlot:
+    case Op::kStoreCell:
+    case Op::kStoreSub:
       return Operands::ABBracket;  // a meaningful, b = bracket
     case Op::kLoadLate:
-    case Op::kIn:
     case Op::kLimitBegin:
     case Op::kNext:
       return Operands::AB;
@@ -123,6 +132,7 @@ void describeA(std::ostringstream& os, const Chunk& c, Op op, std::int32_t a) {
       os << "  ; " << c.consts[static_cast<std::size_t>(a)].image();
       break;
     case Op::kLoadVar:
+    case Op::kStoreVar:
       if (a >= 0 && static_cast<std::size_t>(a) < c.varNames.size()) {
         os << "  ; " << c.varNames[static_cast<std::size_t>(a)];
       }
@@ -135,6 +145,9 @@ void describeA(std::ostringstream& os, const Chunk& c, Op op, std::int32_t a) {
       break;
     case Op::kAugAssign:
       os << "  ; " << binKindName(static_cast<BinKind>(a)) << ":=";
+      break;
+    case Op::kStoreSub:
+      if (a != 0) os << "  ; " << binKindName(static_cast<BinKind>(a - 1)) << ":=";
       break;
     case Op::kUnOp:
       os << "  ; " << unKindName(static_cast<UnKind>(a));
@@ -153,13 +166,20 @@ void describeA(std::ostringstream& os, const Chunk& c, Op op, std::int32_t a) {
   }
 }
 
-/// A load that pushes no ref, or a subscript that builds no trapped
-/// variable: the compiler proved nothing reads the variable.
+/// A load that pushes no ref, a subscript that builds no trapped
+/// variable, or a store or call whose result travels without one: the
+/// compiler proved nothing reads the variable.
 bool refStripped(const Insn& ins) {
   switch (ins.op) {
     case Op::kLoadVar:
-    case Op::kLoadSlot: return ins.b == 1;
-    case Op::kIndex: return ins.a == 1;
+    case Op::kLoadSlot:
+    case Op::kLoadCell: return ins.b == 1;
+    case Op::kStoreVar:
+    case Op::kStoreSlot:
+    case Op::kStoreCell:
+    case Op::kStoreSub:
+    case Op::kIndex:
+    case Op::kInvoke: return (ins.a & kRefStripped) != 0;
     default: return false;
   }
 }
@@ -190,15 +210,16 @@ std::string disassemble(const Chunk& chunk) {
         break;
       case Operands::AB:
         os << " " << ins.a << " " << ins.b;
-        if (ins.op == Op::kIn && (ins.b & 1) == 0) describeA(os, chunk, Op::kLoadVar, ins.a);
         break;
       case Operands::ABracket:
         os << " [" << ins.b << "]";
         break;
-      case Operands::ABBracket:
-        os << " " << ins.a << " [" << ins.b << "]";
-        describeA(os, chunk, ins.op, ins.a);
+      case Operands::ABBracket: {
+        const std::int32_t a = ins.a & ~kRefStripped;
+        os << " " << a << " [" << ins.b << "]";
+        describeA(os, chunk, ins.op, a);
         break;
+      }
     }
     if (refStripped(ins)) os << "  (stripped)";
     os << "\n";
@@ -219,6 +240,11 @@ std::string disassemble(const Chunk& chunk) {
     for (const Capture& c : chunk.captures) {
       os << " " << kModes[static_cast<int>(c.mode)] << " s" << c.slot << "=" << c.name;
     }
+    os << "\n";
+  }
+  if (!chunk.cellSlots.empty()) {
+    os << "cells:";
+    for (const CellSlot& c : chunk.cellSlots) os << " s" << c.slot << "=" << c.name << (c.late ? " late" : "");
     os << "\n";
   }
   for (std::size_t i = 0; i < chunk.loops.size(); ++i) {

@@ -3,11 +3,18 @@
 // The interpreter's execution form: where emitted code re-enters a chain
 // of virtual doNext() calls per produced element, the VM re-enters a
 // flat dispatch loop at a saved pc. A Chunk is the static half of that:
-// fixed-width instructions, a constant table that reuses the
-// process-wide interned atoms and builtin constants, a line map for
+// fixed-width instructions, a constant table the chunk owns (its literals
+// die with it; builtin constants are shared), a line map for
 // diagnostics, and the side tables the resumable machine needs — loop
 // shapes, escape sites (constructs that run as kernel nodes over operand
 // sub-chunks), and the &error conversion-handler map.
+//
+// A procedure body's locals are the Value slots of its activation
+// (kLoadSlot/kStoreSlot). Only a slot something else must alias lives
+// in a cell of the activation's frame (kLoadCell/kStoreCell): a late
+// name, or a name a nested chunk reaches — an escape operand's machine
+// or a co-expression body. Every other chunk (escape operands,
+// co-expression bodies) reaches its slots through frame cells.
 //
 // Goal-directed failure is a jump target here: `kMark` opens a bounded
 // region with a failure continuation pc, and `kEfail` either resumes the
@@ -31,10 +38,14 @@ using congen::UnKind;
 
 enum class Op : std::uint8_t {
   // -- values ----------------------------------------------------------
-  kConst,     // a: constant index — push {value}
-  kLoadVar,   // a: var-table index — push {var->get(), var}; b=1: ref-stripped
-  kLoadSlot,  // a: frame slot — push {cell->get(), cell}; b=1: ref-stripped
+  kConst,     // a: constant index — push the value
+  kLoadVar,   // a: var-table index — push var->get() and the variable; b=1: ref-stripped
+  kLoadSlot,  // a: activation slot (a procedure's plain Value slot); b=1: ref-stripped
+  kLoadCell,  // a: frame slot held in a cell (shared with a nested chunk); b=1: ref-stripped
   kLoadLate,  // a: frame slot (a LateBoundVar), b: inline-cache index
+  kStoreVar,  // a: var index — store the top value into the variable; it stays as the result
+  kStoreSlot, // a: activation slot — as kStoreVar, into a plain slot
+  kStoreCell, // a: frame slot held in a cell — as kStoreVar, through the cell
   kPop,       // discard the top stack entry
 
   // -- control ---------------------------------------------------------
@@ -43,28 +54,31 @@ enum class Op : std::uint8_t {
   kJump,      // a: target pc
   kEfail,     // goal-directed failure: resume or unwind
   kYield,     // expression result (eval, top-level and operand chunks)
-  kSuspend,   // `suspend e`: yield the top entry flagged kSuspend
-  kReturn,    // `return e`: yield flagged kReturn, then terminate
-  kFailBody,  // `fail`: yield {&null, kFailBody}, then terminate
+  kSuspend,   // `suspend e`: hand the top entry to the caller, keep the activation
+  kReturn,    // `return e`: hand the top entry to the caller, end the activation
+  kFailBody,  // `fail`: end the activation with failure
 
   // -- operators (b = bracket start pc: the &error conversion span) ----
   kBinOp,      // a: BinKind — pop r, l; push fn(l,r) or efail
   kUnOp,       // a: UnKind — pop r; push fn(r) or efail
-  kAssign,     // pop r, l; l.ref->set(r.value); push {r.value, l.ref}
+  kAssign,     // pop r, l; store r through l's variable; push {r, l's variable}
   kAugAssign,  // a: BinKind — pop r, l; combine-and-store
-  kSwap,       // pop r, l; exchange; push {old r, l.ref}
-  kIndex,      // pop i, c; push element (trapped var) or efail; a=1:
-               // nothing reads the variable, so no trapped var is built
+  kSwap,       // pop r, l; exchange; push {old r, l's variable}
+  kIndex,      // pop i, c; push element (trapped var) or efail; a:
+               // kRefStripped — nothing reads the variable, so no
+               // trapped var is built
+  kSubTarget,  // c[i] as an assignment target: check the subscript (efail
+               // or error as kIndex would), leave c and i for kStoreSub
+  kStoreSub,   // a: 0 (:=) or 1 + BinKind (op:=) — pop v, i, c; store
+               // through c at i; push the stored value
   kField,      // a: field-name constant index — pop o; push field var
   kSlice,      // pop to, from, c; push section or efail
   kListLit,    // a: element count — pop n entries; push the list
-  kInvoke,     // a: argc — pop args and callee; drive the call
+  kInvoke,     // a: argc — pop args and callee; call it
   kToBy,       // pop by, to, from; inline int range or drive a RangeGen
 
   // -- generators ------------------------------------------------------
   kPromote,    // !e — pop v; drive PromoteGen::makeElementGen(v)
-  kIn,         // (x in e) — a: slot or var index, b: 1 = frame slot;
-               // assign the top value to the var, re-ref the top entry
   kAltBegin,   // a: pc of the second branch — push an Alt suspension
   kRaltBegin,  // |e — a: static ralt depth — push a Ralt record
   kRaltNote,   // a: ralt depth — mark the pass as productive
@@ -85,6 +99,11 @@ enum class Op : std::uint8_t {
   // -- escapes ---------------------------------------------------------
   kEscape,  // a: escape-site index — drive the site's kernel node
 };
+
+/// Flag on `a` of the loads' siblings — the store ops, kIndex,
+/// kStoreSub and kInvoke: nothing reads the result's variable
+/// (compiler.cpp), so none travels with it.
+inline constexpr std::int32_t kRefStripped = 1 << 30;
 
 /// Number of opcodes — sizes the VM's dispatch table (vm.cpp pins its
 /// label array to this with a static_assert).
@@ -114,6 +133,13 @@ struct EscapeSite {
   std::vector<ChunkPtr> operands;  // case: control, then [value,] body per branch
   std::int32_t loopDepth = -1;     // innermost chunk loop at the site (-1: none)
   bool inLoopBody = false;         // body vs control position of that loop
+};
+
+/// A procedure slot that lives in a cell of its activation's frame.
+struct CellSlot {
+  std::int32_t slot;
+  bool late;         // a LateBoundVar over the cell, named `name`
+  std::string name;
 };
 
 /// One slot of a co-expression body's frame, as each creation fills it
@@ -154,8 +180,13 @@ struct Chunk {
   /// Co-expression bodies: the slots each creation puts in the body's
   /// frame (none for a top-level `<>`, compiled in global mode).
   std::vector<Capture> captures;
+  /// Procedure bodies: the slots held in frame cells (late, or reached
+  /// by a nested chunk); every other slot is a plain activation Value.
+  std::vector<CellSlot> cellSlots;
   std::int32_t nCaches = 0;  // inline-cache slots (kLoadLate sites)
   std::int32_t nSlots = 0;   // frame slots (0: global mode, no frame)
+  std::int32_t nParams = 0;  // procedure bodies: leading parameter slots
+  bool proc = false;         // a procedure body (compileBody)
   bool poolable = false;     // carried over from FrameLayout
 };
 

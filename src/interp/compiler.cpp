@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "builtins/builtins.hpp"
-#include "runtime/atom.hpp"
 #include "runtime/error.hpp"
 
 namespace congen::interp::vm {
@@ -35,6 +34,11 @@ bool isConvertible(Op op) {
     case Op::kAugAssign:
     case Op::kSwap:
     case Op::kIndex:
+    case Op::kSubTarget:
+    case Op::kStoreSub:
+    case Op::kStoreVar:
+    case Op::kStoreSlot:
+    case Op::kStoreCell:
     case Op::kField:
     case Op::kSlice:
     case Op::kListLit:
@@ -61,12 +65,35 @@ std::int32_t ChunkCompiler::emit(Op op, std::int32_t a, std::int32_t b) {
 namespace {
 
 /// Mark an instruction whose result's variable nobody reads: a load
-/// skips the ref push (b=1), a subscript the trapped variable (a=1).
+/// skips the ref push (b=1), a subscript the trapped variable, and a
+/// store or call hands on its value alone (kRefStripped on `a`).
 void stripRef(Insn& ins) {
-  if (ins.op == Op::kLoadVar || ins.op == Op::kLoadSlot) {
-    ins.b = 1;
-  } else if (ins.op == Op::kIndex) {
-    ins.a = 1;
+  switch (ins.op) {
+    case Op::kLoadVar:
+    case Op::kLoadSlot:
+    case Op::kLoadCell: ins.b = 1; break;
+    case Op::kIndex:
+    case Op::kStoreVar:
+    case Op::kStoreSlot:
+    case Op::kStoreCell:
+    case Op::kStoreSub:
+    case Op::kInvoke: ins.a |= kRefStripped; break;
+    default: break;
+  }
+}
+
+/// Nodes whose last instruction is the node's own result producer, so
+/// a consumer that reads no variable can strip it there. A product's
+/// result is its right operand's (normalization's `(t in e) & f(t)`).
+bool endsInProducer(const NodePtr& n) {
+  switch (n->kind) {
+    case Kind::Index:
+    case Kind::Invoke:
+    case Kind::NativeInvoke:
+    case Kind::BoundIter:
+    case Kind::Assign: return true;
+    case Kind::Binary: return n->text == "&" && endsInProducer(n->kids[1]);
+    default: return false;
   }
 }
 
@@ -80,13 +107,7 @@ std::int32_t ChunkCompiler::emitPop() {
   if (at > 0 && code[at - 1].op == Op::kUnmark) --at;
   if (at > 0) {
     Insn& last = code[at - 1];
-    if (last.op == Op::kIn) {
-      // The normalized conjunction `(x in e) & rest` discards the kIn
-      // result immediately: binding the doomed entry to the variable
-      // costs a shared_ptr copy per backtracking step on the hottest
-      // goal-directed search path.
-      last.b |= 2;
-    } else if (last.op == Op::kUnOp && at > 1 &&
+    if (last.op == Op::kUnOp && at > 1 &&
                (last.a == static_cast<std::int32_t>(UnKind::NonNull) ||
                 last.a == static_cast<std::int32_t>(UnKind::IfNull))) {
       // `\e` and `/e` pass their operand's entry through unchanged, so
@@ -141,13 +162,41 @@ ChunkPtr ChunkCompiler::finish() {
 
 ChunkPtr ChunkCompiler::compileBody(const std::string& name, const NodePtr& body) {
   chunk_.name = name;
+  std::vector<std::uint8_t> nested(layout_->slotCount(), 0);
+  nestedUse_ = &nested;
   statement(body);
   // A Block never falls through (its trailing kEfail is the body-mode
   // fail-at-end); for any other body shape, drain plain results exactly
   // like BodyRootGen: discard and resume until exhaustion.
   emitPop();
   emit(Op::kEfail);
+  nestedUse_ = nullptr;
+  placeSlots(nested);
   return finish();
+}
+
+/// A procedure's slots are its activation's Values, except the ones that
+/// something else must alias: a late name (its LateBoundVar falls back
+/// to a cell) and a name a nested chunk reaches (an escape operand's
+/// machine, a co-expression body's frame). Those move into cells, and
+/// their slot ops become cell ops.
+void ChunkCompiler::placeSlots(const std::vector<std::uint8_t>& nested) {
+  chunk_.proc = true;
+  chunk_.nParams = static_cast<std::int32_t>(layout_->nParams);
+  std::vector<bool> cell(layout_->slotCount(), false);
+  for (std::size_t s = 0; s < cell.size(); ++s) {
+    if (!layout_->late[s] && nested[s] == 0) continue;
+    cell[s] = true;
+    chunk_.cellSlots.push_back(
+        CellSlot{static_cast<std::int32_t>(s), static_cast<bool>(layout_->late[s]), layout_->slotNames[s]});
+  }
+  for (Insn& ins : chunk_.code) {
+    if (ins.op == Op::kLoadSlot && cell[static_cast<std::size_t>(ins.a)]) {
+      ins.op = Op::kLoadCell;
+    } else if (ins.op == Op::kStoreSlot && cell[static_cast<std::size_t>(ins.a & ~kRefStripped)]) {
+      ins.op = Op::kStoreCell;
+    }
+  }
 }
 
 ChunkPtr ChunkCompiler::compileExpr(const NodePtr& e) {
@@ -174,11 +223,12 @@ ChunkPtr ChunkCompiler::compileStmt(const NodePtr& s) {
 /// bare variable load, the ref push is stripped (b=1): suspension slices
 /// spanning the operand then skip the VarPtr refcount churn on every
 /// backtracking restore. When it is a whole subscript, the trapped
-/// variable is never built (a=1).
+/// variable is never built; when it is a call or an assignment, the
+/// result travels without its variable.
 void ChunkCompiler::valueOperand(const NodePtr& n) {
   const std::int32_t from = here();
   expr(n);
-  if (here() == from + 1 || n->kind == Kind::Index) stripRef(chunk_.code.back());
+  if (here() == from + 1 || endsInProducer(n)) stripRef(chunk_.code.back());
 }
 
 void ChunkCompiler::expr(const NodePtr& n) {
@@ -186,7 +236,7 @@ void ChunkCompiler::expr(const NodePtr& n) {
   switch (n->kind) {
     case Kind::IntLit: emit(Op::kConst, constIdx(parseIntLiteral(n->text))); return;
     case Kind::RealLit: emit(Op::kConst, constIdx(Value::real(std::stod(n->text)))); return;
-    case Kind::StrLit: emit(Op::kConst, constIdx(atomString(n->text))); return;
+    case Kind::StrLit: emit(Op::kConst, constIdx(Value::string(n->text))); return;
     case Kind::NullLit: emit(Op::kConst, constIdx(Value::null())); return;
     case Kind::FailLit: emit(Op::kEfail); return;
     case Kind::Ident:
@@ -203,15 +253,32 @@ void ChunkCompiler::expr(const NodePtr& n) {
     case Kind::Assign: {
       if (n->text == "<-") { escape(n); return; }
       const std::int32_t bracket = here();
-      expr(n->kids[0]);
-      valueOperand(n->kids[1]);  // := and op:= read the right value only
-      if (n->text == ":=") {
-        emit(Op::kAssign, 0, bracket);
-      } else {
+      const NodePtr& lhs = n->kids[0];
+      std::optional<BinKind> aug;
+      if (n->text != ":=") {
         const auto op = std::string_view(n->text).substr(0, n->text.size() - 2);
-        const auto k = binKindOf(op);
-        if (!k) throw std::invalid_argument("unknown binary operator: " + std::string(op));
-        emit(Op::kAugAssign, static_cast<std::int32_t>(*k), bracket);
+        aug = binKindOf(op);
+        if (!aug) throw std::invalid_argument("unknown binary operator: " + std::string(op));
+      } else if (const auto target = storeTarget(lhs, kUsed)) {
+        // A named variable: store straight into it.
+        valueOperand(n->kids[1]);
+        emit(target->op, target->a, bracket);
+        return;
+      }
+      if (lhs->kind == Kind::Index) {
+        // c[i] := e and c[i] op:= e store through the collection and
+        // key the target leaves on the stack: no trapped variable.
+        subscriptTarget(lhs);
+        valueOperand(n->kids[1]);
+        emit(Op::kStoreSub, aug ? 1 + static_cast<std::int32_t>(*aug) : 0, bracket);
+        return;
+      }
+      expr(lhs);
+      valueOperand(n->kids[1]);  // := and op:= read the right value only
+      if (aug) {
+        emit(Op::kAugAssign, static_cast<std::int32_t>(*aug), bracket);
+      } else {
+        emit(Op::kAssign, 0, bracket);
       }
       return;
     }
@@ -275,7 +342,7 @@ void ChunkCompiler::expr(const NodePtr& n) {
     case Kind::Field: {
       const std::int32_t bracket = here();
       valueOperand(n->kids[0]);
-      emit(Op::kField, constIdx(atomString(n->text)), bracket);
+      emit(Op::kField, constIdx(Value::string(n->text)), bracket);
       return;
     }
     case Kind::Invoke: {
@@ -333,12 +400,14 @@ void ChunkCompiler::expr(const NodePtr& n) {
       return;
     }
     case Kind::BoundIter: {
+      // (x in e) binds x to each result of e: a store, but no &error
+      // conversion point of its own (its span is the store alone).
       valueOperand(n->kids[0]);
       if (layout_ && n->slot >= 0) {
         noteSlot(n->slot, kUsed | kBound);
-        emit(Op::kIn, n->slot, 1);
+        emit(slotStoreOp(n->slot), n->slot, here());
       } else {
-        emit(Op::kIn, varIdx(interp_.globalScope()->declare(n->text), n->text), 0);
+        emit(Op::kStoreVar, varIdx(interp_.globalScope()->declare(n->text), n->text), here());
       }
       return;
     }
@@ -390,13 +459,13 @@ void ChunkCompiler::statement(const NodePtr& n) {
         anyInit = true;
         const std::int32_t mark = emit(Op::kMark);
         const std::int32_t bracket = here();
-        if (slotted) {
-          slotLoad(decl->slot);
-        } else {
-          emit(Op::kLoadVar, varIdx(var, decl->text));
-        }
+        if (slotted) noteSlot(decl->slot, kUsed);
         valueOperand(decl->kids[0]);
-        emit(Op::kAssign, 0, bracket);
+        if (slotted) {
+          emit(slotStoreOp(decl->slot), decl->slot, bracket);
+        } else {
+          emit(Op::kStoreVar, varIdx(var, decl->text), bracket);
+        }
         emit(Op::kUnmark);
         emitPop();
         patchA(mark, here());
@@ -496,15 +565,69 @@ void ChunkCompiler::statement(const NodePtr& n) {
 
 void ChunkCompiler::noteSlot(std::int32_t slot, std::uint8_t how) {
   if (slotUse_ != nullptr) (*slotUse_)[static_cast<std::size_t>(slot)] |= how;
+  if (cellSlots_ && nestedUse_ != nullptr) (*nestedUse_)[static_cast<std::size_t>(slot)] = 1;
+}
+
+bool ChunkCompiler::lateSlot(std::int32_t slot) const {
+  return !lateSettled_ && layout_->late[static_cast<std::size_t>(slot)];
 }
 
 void ChunkCompiler::slotLoad(std::int32_t slot) {
   noteSlot(slot, kUsed);
-  if (!lateSettled_ && layout_->late[static_cast<std::size_t>(slot)]) {
+  if (lateSlot(slot)) {
     emit(Op::kLoadLate, slot, chunk_.nCaches++);
   } else {
-    emit(Op::kLoadSlot, slot);
+    emit(cellSlots_ ? Op::kLoadCell : Op::kLoadSlot, slot);
   }
+}
+
+Op ChunkCompiler::slotStoreOp(std::int32_t slot) const {
+  // A late name stores through its LateBoundVar, which re-resolves.
+  return cellSlots_ || lateSlot(slot) ? Op::kStoreCell : Op::kStoreSlot;
+}
+
+/// Where `:=` on `n` can store directly — a slot, or a global — mirroring
+/// identifier()'s resolution order; nullopt for anything else (a builtin
+/// name, a computed target), which takes the generic kAssign.
+std::optional<ChunkCompiler::StoreTarget> ChunkCompiler::storeTarget(const NodePtr& n,
+                                                                    std::uint8_t how) {
+  if (n->kind != Kind::Ident && n->kind != Kind::TempRef) return std::nullopt;
+  if (n->line > 0) curLine_ = n->line;
+  auto slotTarget = [&](std::int32_t slot) {
+    noteSlot(slot, how);
+    return StoreTarget{slotStoreOp(slot), slot};
+  };
+  const ScopePtr& globals = interp_.globalScope();
+  if (layout_) {
+    switch (n->res) {
+      case ast::Res::Slot:
+      case ast::Res::Late:
+        return slotTarget(n->slot);
+      case ast::Res::Global:
+        if (auto var = globals->lookup(n->text)) return StoreTarget{Op::kStoreVar, varIdx(var, n->text)};
+        break;
+      case ast::Res::Builtin:
+        if (builtins::lookupConst(n->text) != nullptr) return std::nullopt;
+        break;
+      case ast::Res::Unresolved:
+        if (const auto slot = layout_->slotOf(n->text); slot >= 0) return slotTarget(slot);
+        break;
+    }
+  }
+  if (auto var = globals->lookup(n->text)) return StoreTarget{Op::kStoreVar, varIdx(var, n->text)};
+  if (builtins::lookupConst(n->text) != nullptr) return std::nullopt;
+  return StoreTarget{Op::kStoreVar, varIdx(globals->declare(n->text), n->text)};
+}
+
+/// `c[i]` as an assignment target. The subscript is checked where it is
+/// evaluated, before the right side runs (an out-of-range `l[9] := f()`
+/// never calls f), exactly where kIndex would fail or raise.
+void ChunkCompiler::subscriptTarget(const NodePtr& n) {
+  if (n->line > 0) curLine_ = n->line;
+  const std::int32_t bracket = here();
+  valueOperand(n->kids[0]);
+  valueOperand(n->kids[1]);
+  emit(Op::kSubTarget, 0, bracket);
 }
 
 void ChunkCompiler::identifier(const NodePtr& n) {
@@ -774,6 +897,7 @@ ChunkPtr ChunkCompiler::bodyChunk(const NodePtr& n, bool shadow, std::string nam
   ChunkCompiler sub(*this, layout, std::move(name));
   sub.lateSettled_ = lateSettled_ || shadow;
   sub.slotUse_ = layout != nullptr ? &use : nullptr;
+  if (layout != layout_) sub.nestedUse_ = nullptr;  // a layout of its own
   sub.expr(n);
   sub.emit(Op::kYield);
   for (std::size_t slot = 0; slot < use.size(); ++slot) {

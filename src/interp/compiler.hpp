@@ -7,8 +7,17 @@
 //  - frame mode (procedure bodies, co-expression bodies in them, and a
 //    top-level `|<>`/`|>` body over a layout of its own): the resolution
 //    pass has already classified every name, so identifiers compile to
-//    kLoadSlot / kLoadLate against the activation frame, and
-//    poolability/slot counts carry over from the FrameLayout unchanged.
+//    slot ops, and poolability/slot counts carry over from the
+//    FrameLayout unchanged. A procedure body's slots are its
+//    activation's Values (kLoadSlot/kStoreSlot) except those a nested
+//    chunk reaches or a late name falls back to, which are frame cells
+//    (kLoadCell/kStoreCell, kLoadLate); nested chunks reach every slot
+//    through cells.
+//
+// Assignments to a named variable and `in` bindings compile to direct
+// stores; `c[i] := e` and `c[i] op:= e` store through the collection and
+// key (kSubTarget, kStoreSub). A variable is pushed only where something
+// reads it (emitPop and valueOperand strip it everywhere else).
 //
 // Compile order is source order, node for node (declarations and temp
 // bindings are compile-time side effects), even where the emitted layout
@@ -18,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,10 +58,18 @@ class ChunkCompiler {
     bool inBody = false;
   };
 
+  /// A direct store: the op and its slot or var-table index.
+  struct StoreTarget {
+    Op op;
+    std::int32_t a;
+  };
+
   /// A sub-chunk compiler inheriting `parent`'s line and body context.
+  /// Its slots are frame cells shared with the enclosing activation.
   ChunkCompiler(const ChunkCompiler& parent, const FrameLayout* layout, std::string name)
       : interp_(parent.interp_), layout_(layout), lateSettled_(parent.lateSettled_),
-        slotUse_(parent.slotUse_), curLine_(parent.curLine_) {
+        cellSlots_(true), slotUse_(parent.slotUse_), nestedUse_(parent.nestedUse_),
+        curLine_(parent.curLine_) {
     chunk_.name = std::move(name);
   }
 
@@ -59,10 +77,9 @@ class ChunkCompiler {
   std::int32_t emit(Op op, std::int32_t a = 0, std::int32_t b = 0);
   /// Emit kPop, first stripping the variable-ness of the entry being
   /// discarded when the producing instruction is statically the one just
-  /// emitted: a kIn keeps its cell assignment but skips binding the
-  /// stack entry to the variable (b bit 1), and a kLoadVar/kLoadSlot
-  /// pushes ref-free (b = 1). Paths that jump over the producer land on
-  /// the kPop itself, so only entries this kPop discards are affected.
+  /// emitted (stripRef in compiler.cpp). Paths that jump over the
+  /// producer land on the kPop itself, so only entries this kPop
+  /// discards are affected.
   std::int32_t emitPop();
   [[nodiscard]] std::int32_t here() const noexcept {
     return static_cast<std::int32_t>(chunk_.code.size());
@@ -80,6 +97,11 @@ class ChunkCompiler {
   void statement(const ast::NodePtr& n);
   void identifier(const ast::NodePtr& n);
   void slotLoad(std::int32_t slot);
+  [[nodiscard]] bool lateSlot(std::int32_t slot) const;
+  [[nodiscard]] Op slotStoreOp(std::int32_t slot) const;
+  std::optional<StoreTarget> storeTarget(const ast::NodePtr& n, std::uint8_t how);
+  void subscriptTarget(const ast::NodePtr& n);
+  void placeSlots(const std::vector<std::uint8_t>& nested);
   void binary(const ast::NodePtr& n);
   void unary(const ast::NodePtr& n);
   void loop(const ast::NodePtr& n, LoopShape::Kind kind);
@@ -98,7 +120,13 @@ class ChunkCompiler {
   /// Inside a `|<>`/`|>` body: each creation settles every late slot to
   /// a global or a private cell, so late names load as plain slots.
   bool lateSettled_ = false;
+  /// A nested chunk (escape operand, co-expression body): every slot is
+  /// a frame cell.
+  bool cellSlots_ = false;
   std::vector<std::uint8_t>* slotUse_ = nullptr;  // innermost body's marks
+  /// The procedure body's slots some nested chunk names (they become
+  /// cells); null outside compileBody or under a layout of its own.
+  std::vector<std::uint8_t>* nestedUse_ = nullptr;
   Chunk chunk_;
   std::int32_t curLine_ = 0;
   std::vector<LoopCtx> loopCtx_;

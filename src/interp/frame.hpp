@@ -1,10 +1,11 @@
-// frame.hpp — flat, slot-indexed call frames.
+// frame.hpp — frames of reified cells, for what must alias a slot.
 //
-// The resolution pass (interp/resolver) assigns every name in a procedure
-// body a frame slot at compile time; a call then materializes one Frame —
-// a vector of cells, with no per-call hashmap.
-// Reusing a parked body (kernel BodyPool) rebinds the same frame: slots
-// are overwritten in place, no allocation, no hashing.
+// A procedure activation keeps its locals as plain Values in the
+// machine's slot array (interp/vm.hpp). Cells exist only where a slot
+// is aliased: a late-bound name (LateBoundVar over a fallback cell), a
+// name an escape operand's machine or a co-expression body reaches, and
+// every slot of those nested chunks themselves. A Frame is the vector of
+// those cells, indexed by slot.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "interp/resolver.hpp"
 #include "interp/scope.hpp"
 #include "runtime/var.hpp"
 
@@ -30,6 +30,9 @@ class LateBoundVar final : public Var {
 
   [[nodiscard]] Value get() const override { return target()->get(); }
   void set(Value v) override { target()->set(std::move(v)); }
+
+  /// The frame cell this name falls back to while no global exists.
+  [[nodiscard]] const VarPtr& fallback() const noexcept { return fallback_; }
 
   /// The binding an access would use right now.
   [[nodiscard]] const VarPtr& target() const {
@@ -51,51 +54,18 @@ class LateBoundVar final : public Var {
   mutable VarPtr cachedGlobal_;  // keeps the returned reference alive
 };
 
-/// One activation's storage: layout.slotCount() cells. `var(slot)` is
-/// what compiled identifier nodes reference — a plain cell for Slot
-/// names, a LateBoundVar wrapper for Late names.
-/// A co-expression body's frame has the same shape, but binds only the
-/// slots its body names (VmGen::bodyFactory).
+/// The cells of one activation or co-expression body, by slot. Only
+/// the slots something aliases are bound (see the header comment);
+/// VmGen::layoutSlots and VmGen::bodyFactory fill them.
 class Frame {
  public:
-  Frame(const FrameLayout& layout, const ScopePtr& globals) : nParams_(layout.nParams) {
-    const std::size_t n = layout.slotCount();
-    cells_.reserve(n);
-    vars_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      auto cell = std::make_shared<CellVar>();
-      if (layout.late[i]) {
-        vars_.push_back(LateBoundVar::create(layout.slotNames[i], globals, cell));
-      } else {
-        vars_.push_back(cell);
-      }
-      cells_.push_back(std::move(cell));
-    }
-  }
-
-  /// A co-expression body's frame: `slots` unbound slots.
-  explicit Frame(std::size_t slots) : vars_(slots), nParams_(0) {}
+  explicit Frame(std::size_t slots) : vars_(slots) {}
 
   [[nodiscard]] const VarPtr& var(std::size_t slot) const { return vars_[slot]; }
   void bind(std::size_t slot, VarPtr var) { vars_[slot] = std::move(var); }
 
-  /// Fresh-call state: parameter slots from `args` (missing ones &null,
-  /// extras ignored — Unicon's variadic convention), every other slot
-  /// reset to &null.
-  void rebind(const std::vector<Value>& args) {
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      if (i < nParams_ && i < args.size()) {
-        cells_[i]->set(args[i]);
-      } else {
-        cells_[i]->set(Value::null());
-      }
-    }
-  }
-
  private:
-  std::vector<std::shared_ptr<CellVar>> cells_;
   std::vector<VarPtr> vars_;
-  std::size_t nParams_;
 };
 
 using FramePtr = std::shared_ptr<Frame>;

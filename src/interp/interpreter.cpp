@@ -1,14 +1,11 @@
 #include "interp/interpreter.hpp"
 
-#include <mutex>
 #include <optional>
 
 #include "builtins/builtins.hpp"
 #include "concur/cancel.hpp"
 #include "frontend/parser.hpp"
 #include "interp/compiler.hpp"
-#include "interp/frame.hpp"
-#include "interp/resolver.hpp"
 #include "interp/vm.hpp"
 #include "kernel/basic.hpp"
 #include "kernel/control.hpp"
@@ -166,66 +163,44 @@ std::optional<Value> Interpreter::global(const std::string& name) const {
   return var->get();
 }
 
-namespace {
-
-/// Per-procedure compile-once state: resolve the layout and compile the
-/// chunk once (under call_once — pool threads can race the first
-/// invocation), then keep a free list of parked VmGen-rooted bodies.
-struct VmProcState {
-  Interpreter* interp;
-  std::string name;
-  NodePtr params, body;
-  std::once_flag once;
-  FrameLayout layout;
-  vm::ChunkPtr chunk;
-  std::shared_ptr<BodyPool> pool = std::make_shared<BodyPool>();
-};
-
-}  // namespace
-
-/// Invocation takes a parked body from the procedure's pool and rebinds
-/// its frame (no hashmap, no re-compilation); only when the
-/// pool is dry does a fresh machine start over a fresh flat frame.
-/// Parameters are variadic: missing args are &null, extras ignored
-/// (Unicon convention). Bodies that create co-expressions are not
-/// poolable (their environments outlive the call) and get one fresh
-/// frame + machine per call.
+/// A procedure value over compile-once code (vm::ProcCode). VM code of
+/// this interpreter calls it on its own machine (the ProcImpl code
+/// hook: no closure, no pool, no generator). The closure serves every
+/// other caller — the host, another interpreter, a kernel node: it takes
+/// a parked body from the procedure's pool and rebinds its slots, and
+/// only when the pool is dry starts a fresh machine. Parameters are
+/// variadic: missing args are &null, extras ignored (Unicon convention).
+/// Bodies that create co-expressions are not poolable (their
+/// environments outlive the call) and get a fresh machine per call.
 ProcPtr Interpreter::makeProcedure(const ast::NodePtr& def) {
-  auto state = std::make_shared<VmProcState>();
-  state->interp = this;
-  state->name = def->text;
-  state->params = def->kids[0];
-  state->body = def->kids[1];
-  return ProcImpl::create(def->text, [state](std::vector<Value> args) -> GenPtr {
-    Interpreter& in = *state->interp;
-    std::call_once(state->once, [&] {
-      state->layout = resolve(state->params, state->body, *in.globalScope());
-      vm::ChunkCompiler cc(in, &state->layout);
-      state->chunk = cc.compileBody(state->name, state->body);
-    });
-    if (state->layout.poolable) {
-      if (auto parked = state->pool->take()) {
+  auto code = std::make_shared<vm::ProcCode>(*this, def->text, def->kids[0], def->kids[1]);
+  auto pool = std::make_shared<BodyPool>();
+  auto proc = ProcImpl::create(def->text, [code, pool](std::vector<Value> args) -> GenPtr {
+    const vm::ChunkPtr& chunk = code->chunkPtr();
+    if (chunk->poolable) {
+      if (auto parked = pool->take()) {
         std::static_pointer_cast<BodyRootGen>(parked)->unpackArgs(args);
         return parked;
       }
     }
-    auto frame = std::make_shared<Frame>(state->layout, in.globalScope());
-    frame->rebind(args);
-    auto root = BodyRootGen::create(
-        vm::VmGen::create(in, state->chunk, frame));
-    root->setUnpackClosure([frame](const std::vector<Value>& a) { frame->rebind(a); });
-    if (state->layout.poolable) {
+    auto machine = vm::VmGen::create(code->interp, chunk, nullptr);
+    machine->bindArgs(args);
+    auto root = BodyRootGen::create(machine);
+    root->setUnpackClosure([m = machine.get()](const std::vector<Value>& a) { m->bindArgs(a); });
+    if (chunk->poolable) {
       // Weak on purpose: a parked body living in the pool must not
       // itself keep the pool alive (pool → body → recycler → pool is an
       // unreclaimable cycle). If the procedure value is dropped while a
       // body is in flight, parking just becomes a no-op.
       root->setRecycler(
-          [weakPool = std::weak_ptr<BodyPool>(state->pool)](std::shared_ptr<BodyRootGen> b) {
-            if (auto pool = weakPool.lock()) pool->put(std::move(b));
+          [weakPool = std::weak_ptr<BodyPool>(pool)](std::shared_ptr<BodyRootGen> b) {
+            if (auto p = weakPool.lock()) p->put(std::move(b));
           });
     }
     return root;
   });
+  proc->setCode(this, code.get());
+  return proc;
 }
 
 ProcPtr Interpreter::makeRecordConstructor(const ast::NodePtr& decl) {

@@ -1,31 +1,39 @@
 // vm.cpp — VmGen's dispatch loop. The machine's semantics are pinned to
 // emitted code's at three seams:
 //
-//  * every value operation (binary/unary/index/field/slice/assign/swap)
-//    goes through the shared kernel/ops helpers — agreement by
-//    construction. Assignments, subscripts and null tests use their
-//    in-place forms (storeInto, augAssignInPlace, swapInPlace,
-//    indexInPlace, passesNullTest) on the stack entries; the *Tuple
-//    wrappers the kernel nodes call are built on the same functions;
+//  * every value operation (binary/unary/index/field/slice) goes through
+//    the shared kernel/ops helpers — agreement by construction.
+//    Subscripts and null tests use their in-place forms (indexInPlace,
+//    passesNullTest), and `c[i] := e` the store rules beside them
+//    (subscriptInRange, subscriptGet, storeSubscript): the element is
+//    written through the collection, as its trapped variable would;
 //  * constructs the compiler doesn't flatten run as the same kernel
 //    nodes emitted code builds, over operand sub-machines, through
 //    Drive suspensions;
-//  * everything else (failure order, limits, loops, &error conversion)
-//    is covered by the conformance corpus and the VM-vs-emitted
+//  * everything else (failure order, limits, loops, &error conversion,
+//    calls) is covered by the conformance corpus and the VM-vs-emitted
 //    differential suite in tests/interp.
 //
 // Failure resolution: kEfail (or any failed op) resumes the newest
-// suspension above the innermost mark's recorded resume height; an
+// suspension above the running activation's innermost mark; an
 // exhausted region pops the mark, truncates both stacks to the mark's
-// heights, and jumps to the mark's failure pc. Resuming a suspension
+// heights, and jumps to the mark's failure pc; an activation with no
+// mark and no suspension left fails its call. Resuming a suspension
 // restores its saved slice of the value stack, so arbitrary
-// mid-expression state survives backtracking.
+// mid-expression state survives backtracking — across calls too: a Call
+// suspension's slice covers the suspended callee's region, and resuming
+// it hands control back to the callee, which fails into its own
+// suspensions.
 
 #include "interp/vm.hpp"
 
+#include <algorithm>
+#include <mutex>
 #include <utility>
 
 #include "concur/pipe.hpp"
+#include "interp/compiler.hpp"
+#include "interp/resolver.hpp"
 #include "kernel/basic.hpp"
 #include "kernel/coexpression.hpp"
 #include "kernel/compose.hpp"
@@ -40,28 +48,94 @@
 
 namespace congen::interp::vm {
 
-VmGen::VmGen(Interpreter& interp, ChunkPtr chunk, FramePtr frame)
-    : interp_(interp), chunk_(std::move(chunk)), frame_(std::move(frame)) {
-  ics_.resize(static_cast<std::size_t>(chunk_->nCaches));
-  stack_.reserve(16);
-  resume_.reserve(8);
-  marks_.reserve(8);
-  escapes_.reserve(chunk_->escapes.size());
-  for (const auto& site : chunk_->escapes) escapes_.push_back(buildEscape(site));
+// ---------------------------------------------------------------------
+// ProcCode
+// ---------------------------------------------------------------------
+
+ProcCode::ProcCode(Interpreter& in, std::string name, ast::NodePtr params, ast::NodePtr body)
+    : interp(in), name_(std::move(name)), params_(std::move(params)), body_(std::move(body)) {}
+
+const Chunk& ProcCode::compile() {
+  std::call_once(once_, [&] {
+    const FrameLayout layout = resolve(params_, body_, *interp.globalScope());
+    ChunkCompiler cc(interp, &layout);
+    chunk_ = cc.compileBody(name_, body_);
+    ready_.store(chunk_.get(), std::memory_order_release);
+  });
+  return *chunk_;
 }
 
-GenPtr VmGen::operandGen(const ChunkPtr& c) {
+// ---------------------------------------------------------------------
+// Construction, slots and escapes
+// ---------------------------------------------------------------------
+
+VmGen::VmGen(Interpreter& interp, ChunkPtr chunk, FramePtr frame)
+    : interp_(interp), chunk_(std::move(chunk)) {
+  root_.chunk = chunk_.get();
+  root_.frame = std::move(frame);
+  root_.ics.resize(static_cast<std::size_t>(chunk_->nCaches));
+  root_.escapes.resize(chunk_->escapes.size());
+  root_.marks.reserve(8);
+  stack_.reserve(16);
+  resume_.reserve(8);
+  if (chunk_->proc) layoutSlots(root_, nullptr, 0);
+}
+
+namespace {
+
+/// The cell behind a cell slot (a late name's LateBoundVar falls back
+/// to it).
+Var& cellOf(const Frame& frame, const CellSlot& cs) {
+  const VarPtr& v = frame.var(static_cast<std::size_t>(cs.slot));
+  return cs.late ? *static_cast<const LateBoundVar&>(*v).fallback() : *v;
+}
+
+}  // namespace
+
+void VmGen::layoutSlots(Act& a, Value* args, std::size_t nargs) {
+  const Chunk& c = *a.chunk;
+  const auto base = static_cast<std::size_t>(a.slotBase);
+  const auto n = static_cast<std::size_t>(c.nSlots);
+  const std::size_t np = std::min(nargs, static_cast<std::size_t>(c.nParams));
+  slots_.resize(base + n);
+  for (std::size_t i = 0; i < np; ++i) slots_[base + i] = std::move(args[i]);
+  if (c.cellSlots.empty()) return;
+  a.frame = std::make_shared<Frame>(n);
+  for (const CellSlot& cs : c.cellSlots) {
+    const auto slot = static_cast<std::size_t>(cs.slot);
+    auto cell = std::make_shared<CellVar>(std::move(slots_[base + slot]));
+    if (cs.late) {
+      a.frame->bind(slot, LateBoundVar::create(cs.name, interp_.globalScope(), std::move(cell)));
+    } else {
+      a.frame->bind(slot, std::move(cell));
+    }
+  }
+}
+
+void VmGen::bindArgs(const std::vector<Value>& args) {
+  const Chunk& c = *chunk_;
+  const std::size_t np = std::min(args.size(), static_cast<std::size_t>(c.nParams));
+  for (std::size_t i = 0; i < static_cast<std::size_t>(c.nSlots); ++i) {
+    slots_[i] = i < np ? args[i] : Value::null();
+  }
+  for (const CellSlot& cs : c.cellSlots) {
+    const auto slot = static_cast<std::size_t>(cs.slot);
+    cellOf(*root_.frame, cs).set(slot < np ? args[slot] : Value::null());
+  }
+}
+
+GenPtr VmGen::operandGen(const ChunkPtr& c, const FramePtr& frame) {
   if (c->code.size() == 2 && c->code[1].op == Op::kYield) {
     const Insn& load = c->code[0];
     switch (load.op) {
       case Op::kConst: return ConstGen::create(c->consts[static_cast<std::size_t>(load.a)]);
       case Op::kLoadVar: return VarGen::create(c->vars[static_cast<std::size_t>(load.a)]);
-      case Op::kLoadSlot:
-      case Op::kLoadLate: return VarGen::create(frame_->var(static_cast<std::size_t>(load.a)));
+      case Op::kLoadCell:
+      case Op::kLoadLate: return VarGen::create(frame->var(static_cast<std::size_t>(load.a)));
       default: break;
     }
   }
-  return create(interp_, c, frame_);
+  return create(interp_, c, frame);
 }
 
 /// Each call builds the body's frame from its captures (§9 of
@@ -69,12 +143,12 @@ GenPtr VmGen::operandGen(const ChunkPtr& c) {
 /// a LateBoundVar that finds one, or a creator slot already settled to
 /// it — shares the global; one acting as a local is copied like any
 /// local and stays local, even if a global of its name appears later.
-GenFactory VmGen::bodyFactory(const ChunkPtr& body) {
+GenFactory VmGen::bodyFactory(const ChunkPtr& body, const FramePtr& frame) {
   // Keep only the creator's cells the body names — never the frame.
   std::vector<VarPtr> from;
   for (const Capture& c : body->captures) {
     from.push_back(c.mode == Capture::Mode::Fresh ? nullptr
-                                                  : frame_->var(static_cast<std::size_t>(c.slot)));
+                                                  : frame->var(static_cast<std::size_t>(c.slot)));
   }
   return [&interp = interp_, body, from = std::move(from)]() -> GenPtr {
     auto frame = std::make_shared<Frame>(static_cast<std::size_t>(body->nSlots));
@@ -97,16 +171,16 @@ GenFactory VmGen::bodyFactory(const ChunkPtr& body) {
   };
 }
 
-GenPtr VmGen::buildEscape(const EscapeSite& site) {
+GenPtr VmGen::buildEscape(const EscapeSite& site, const Act& a) {
   const ast::Node& n = *site.node;
   if (n.kind == ast::Kind::Unary && n.text != "@" && n.text != "^") {
-    GenFactory body = bodyFactory(site.operands[0]);
+    GenFactory body = bodyFactory(site.operands[0], a.frame);
     if (n.text == "|>") return makePipeCreateGen(std::move(body));
     return CoExprCreateGen::create(std::move(body));  // <>, |<>
   }
   std::vector<GenPtr> ops;
   ops.reserve(site.operands.size());
-  for (const auto& c : site.operands) ops.push_back(operandGen(c));
+  for (const auto& c : site.operands) ops.push_back(operandGen(c, a.frame));
   switch (n.kind) {
     case ast::Kind::KeywordVar:
       if (n.text == "subject") return makeSubjectVarGen();
@@ -134,6 +208,159 @@ GenPtr VmGen::buildEscape(const EscapeSite& site) {
   if (n.text == "@") return ActivateGen::create(std::move(ops[0]));
   return RefreshGen::create(std::move(ops[0]));  // ^
 }
+
+// ---------------------------------------------------------------------
+// Variables of stack entries
+// ---------------------------------------------------------------------
+
+void VmGen::refSet(const Ref& r, const Value& v) {
+  if (r.slot >= 0) {
+    slots_[static_cast<std::size_t>(r.slot)] = v;
+  } else {
+    storeInto(r.var, v);
+  }
+}
+
+VarPtr VmGen::materialize(Ref& r) const {
+  return r.slot >= 0 ? CellVar::create(slots_[static_cast<std::size_t>(r.slot)]) : std::move(r.var);
+}
+
+void VmGen::yieldTop(Result& out, std::uint8_t flags) {
+  Ref r = takeTopRef();
+  out.value = std::move(stack_.back());
+  stack_.pop_back();
+  out.ref = r.slot >= 0 || r.var != nullptr ? materialize(r) : nullptr;
+  out.flags = flags;
+}
+
+// ---------------------------------------------------------------------
+// Activations
+// ---------------------------------------------------------------------
+
+void VmGen::enterCall(const Chunk& chunk, std::size_t calleeIdx, std::size_t nargs, bool stripped) {
+  if (acts_.size() >= kMaxActivations) throw errDepthQuota();
+  chargeDepth();  // --max-depth: one level per active call (may throw 813)
+  Act& a = acts_.push();
+  a.chunk = &chunk;
+  a.proc = std::move(stack_[calleeIdx]);
+  a.caller = cur_;
+  a.retPc = pc_;
+  a.callPc = curPc_;
+  a.slotBase = static_cast<std::int32_t>(slots_.size());
+  a.valBase = static_cast<std::int32_t>(calleeIdx);
+  a.suspBase = static_cast<std::int32_t>(resume_.size());
+  a.auxTop = -1;
+  a.stripped = stripped;
+  a.reDrive = false;
+  try {
+    layoutSlots(a, stack_.data() + calleeIdx + 1, nargs);
+    a.escapes.resize(chunk.escapes.size());
+    a.ics.resize(static_cast<std::size_t>(chunk.nCaches));
+  } catch (...) {
+    a.frame.reset();  // possibly half-bound
+    popActsFrom(static_cast<std::size_t>(a.index));
+    throw;
+  }
+  shrinkStack(calleeIdx);
+  cur_ = &a;
+  pc_ = 0;
+  traceEnter(a);
+}
+
+void VmGen::traceLeave(Act& a, const Value* v) {
+  if (a.traceDepth < 0) return;
+  if (v != nullptr) {
+    trace::produced(a.bodySpan, *v, a.traceDepth + 1);
+    trace::produced(a.callSpan, *v, a.traceDepth);
+  } else {
+    trace::failed(a.bodySpan, a.traceDepth + 1);
+    trace::failed(a.callSpan, a.traceDepth);
+  }
+  a.traceDepth = -1;
+}
+
+void VmGen::popActsFrom(std::size_t idx) {
+  if (idx >= acts_.size()) return;
+  const auto slotTop = static_cast<std::size_t>(acts_[idx].slotBase);
+  // A variable still on the stack that names a dying slot keeps its
+  // value in a cell of its own.
+  for (Ref& r : refs_) {
+    if (r.slot >= 0 && static_cast<std::size_t>(r.slot) >= slotTop) {
+      r.var = materialize(r);
+      r.slot = -1;
+    }
+  }
+  while (acts_.size() > idx) {
+    acts_.pop();
+    releaseDepth(1);
+  }
+  while (slots_.size() > slotTop) slots_.pop_back();
+}
+
+void VmGen::suspendToCaller(Value v, Ref ref, bool reDrive) {
+  Act& b = *cur_;
+  traceLeave(b, &v);
+  b.reDrive = reDrive;
+  cur_ = b.caller;
+  curPc_ = b.callPc;
+  // The caller's resume point for b: its slice runs from the caller's
+  // mark through b's whole region, which the caller is about to reuse.
+  Susp& s = pushSusp(Susp::Kind::Call);
+  s.callee = b.index;
+  const auto at = static_cast<std::size_t>(b.valBase);
+  shrinkStack(at);
+  stack_.push_back(std::move(v));
+  if (!b.stripped && (ref.slot >= 0 || ref.var != nullptr)) {
+    ref.at = b.valBase;
+    refs_.push_back(std::move(ref));
+  }
+  pc_ = b.retPc;
+}
+
+void VmGen::returnToCaller(Value v, Ref ref) {
+  Act& b = *cur_;
+  traceLeave(b, &v);
+  Act* caller = b.caller;
+  const auto at = static_cast<std::size_t>(b.valBase);
+  const std::int32_t retPc = b.retPc;
+  const bool hasRef = !b.stripped && (ref.slot >= 0 || ref.var != nullptr);
+  if (hasRef && ref.slot >= 0) {
+    // The slot dies with b: the caller gets a cell holding its value.
+    ref.var = materialize(ref);
+    ref.slot = -1;
+  }
+  shrinkStack(at);
+  truncResume(b.suspBase);
+  popActsFrom(static_cast<std::size_t>(b.index));
+  cur_ = caller;
+  stack_.push_back(std::move(v));
+  if (hasRef) {
+    ref.at = static_cast<std::int32_t>(at);
+    refs_.push_back(std::move(ref));
+  }
+  pc_ = retPc;
+}
+
+void VmGen::leaveCallees() {
+  while (cur_ != &root_) {
+    curPc_ = cur_->callPc;
+    failToCaller();
+  }
+}
+
+void VmGen::failToCaller() {
+  Act& b = *cur_;
+  traceLeave(b, nullptr);
+  Act* caller = b.caller;
+  shrinkStack(static_cast<std::size_t>(b.valBase));
+  truncResume(b.suspBase);
+  popActsFrom(static_cast<std::size_t>(b.index));
+  cur_ = caller;
+}
+
+// ---------------------------------------------------------------------
+// Suspensions, loops, fuel
+// ---------------------------------------------------------------------
 
 void VmGen::syncFuel() {
   // Bulk-charge the dispatches accumulated since the last sync. Unlike
@@ -165,31 +392,32 @@ bool VmGen::doNext(Result& out) {
 }
 
 void VmGen::doRestart() {
+  refs_.clear();
   stack_.clear();
-  resume_.clear();
-  marks_.clear();
-  loops_.clear();
+  while (!resume_.empty()) resume_.pop_back();
+  popActsFrom(0);
+  cur_ = &root_;
+  root_.marks.clear();
+  root_.loops.clear();
+  root_.auxTop = -1;
+  root_.reDrive = false;
   argScratch_.clear();
-  auxTop_ = -1;
   pc_ = curPc_ = 0;
   steps_ = 0;
   fuelSyncBase_ = 0;
   stepLimitTrip_ = kFuelSyncInterval;
   phase_ = Phase::Start;
-  for (auto& g : escapes_) g->restart();
+  for (auto& g : root_.escapes) {
+    if (g) g->restart();
+  }
   // Inline caches deliberately survive restarts: the scope-version check
   // keeps them correct, and pooled activations reuse the warm entries.
 }
 
-void VmGen::restoreAndPush(const Susp& s, Value v, VarPtr ref) {
-  restoreSlice(static_cast<std::size_t>(s.base), s.slice);
-  stack_.emplace_back(std::move(v), std::move(ref));
-}
-
 VmGen::Susp& VmGen::pushSusp(Susp::Kind kind) {
-  // The record may be a retired one whose slice kept its capacity;
+  // The record may be a retired one whose vectors kept their capacity;
   // every scalar field is reinitialized here (retire() already cleared
-  // slice and gen), so nothing of the previous occupant shows through.
+  // slice, refs and gen), so nothing of the previous occupant shows.
   Susp& s = resume_.push();
   s.kind = kind;
   s.ascending = true;
@@ -201,61 +429,77 @@ VmGen::Susp& VmGen::pushSusp(Susp::Kind kind) {
   s.escapeIdx = -1;
   s.target = -1;
   s.depth = -1;
+  s.callee = -1;
   s.remaining = 0;
   s.slice.assign(stack_.begin() + s.base, stack_.end());
+  if (!refs_.empty() && refs_.back().at >= s.base) {
+    std::size_t k = refs_.size();
+    while (k > 0 && refs_[k - 1].at >= s.base) --k;
+    s.refs.assign(refs_.begin() + static_cast<std::ptrdiff_t>(k), refs_.end());
+  }
   return s;
 }
 
 void VmGen::popSusp() {
-  if (auxTop_ == static_cast<std::int32_t>(resume_.size()) - 1) {
-    auxTop_ = resume_.back().prevAux;
+  if (cur_->auxTop == static_cast<std::int32_t>(resume_.size()) - 1) {
+    cur_->auxTop = resume_.back().prevAux;
   }
   resume_.pop_back();
 }
 
 void VmGen::truncResume(std::int32_t h) {
-  while (auxTop_ >= h) auxTop_ = resume_[static_cast<std::size_t>(auxTop_)].prevAux;
-  resume_.resize(static_cast<std::size_t>(h));
+  Act& a = *cur_;
+  while (a.auxTop >= h) a.auxTop = resume_[static_cast<std::size_t>(a.auxTop)].prevAux;
+  // Dropping a Call suspension ends its callee, and with it everything
+  // the callee (or a later sibling) left suspended above it.
+  std::int32_t cut = -1;
+  while (static_cast<std::int32_t>(resume_.size()) > h) {
+    if (resume_.back().kind == Susp::Kind::Call) cut = resume_.back().callee;
+    resume_.pop_back();
+  }
+  if (cut >= 0) popActsFrom(static_cast<std::size_t>(cut));
 }
 
 void VmGen::performBreak(std::int32_t depth) {
-  const LoopRec rec = loops_[static_cast<std::size_t>(depth)];
-  marks_.resize(static_cast<std::size_t>(rec.marksH));
+  Act& a = *cur_;
+  const LoopRec rec = a.loops[static_cast<std::size_t>(depth)];
+  a.marks.resize(static_cast<std::size_t>(rec.marksH));
   truncResume(rec.suspH);
   shrinkStack(static_cast<std::size_t>(rec.valH));
-  loops_.resize(static_cast<std::size_t>(depth));
+  a.loops.resize(static_cast<std::size_t>(depth));
   // Caller efails: a broken loop contributes no value (LoopGen parity).
 }
 
 VmGen::Flow VmGen::performNext(std::int32_t depth, bool inBody) {
-  const LoopRec rec = loops_[static_cast<std::size_t>(depth)];
+  Act& a = *cur_;
+  const LoopRec rec = a.loops[static_cast<std::size_t>(depth)];
   if (inBody) {
     // `next` from the body: abandon the body region (its mark's failure
     // pc is exactly the loop's continue point) but keep the control
     // expression's suspensions below it alive.
-    const MarkRec m = marks_[static_cast<std::size_t>(rec.bodyMarkIdx)];
+    const MarkRec m = a.marks[static_cast<std::size_t>(rec.bodyMarkIdx)];
     pc_ = m.failPc;
     truncResume(m.suspH);
     shrinkStack(static_cast<std::size_t>(m.valH));
-    marks_.resize(static_cast<std::size_t>(rec.bodyMarkIdx));
-    loops_.resize(static_cast<std::size_t>(depth) + 1);
+    a.marks.resize(static_cast<std::size_t>(rec.bodyMarkIdx));
+    a.loops.resize(static_cast<std::size_t>(depth) + 1);
     return Flow::Forward;
   }
   // `next` from inside the control expression (via an escape operand).
-  marks_.resize(static_cast<std::size_t>(rec.marksH));
+  a.marks.resize(static_cast<std::size_t>(rec.marksH));
   truncResume(rec.suspH);
   shrinkStack(static_cast<std::size_t>(rec.valH));
-  const LoopShape& shape = chunk_->loops[static_cast<std::size_t>(rec.shapeIdx)];
+  const LoopShape& shape = a.chunk->loops[static_cast<std::size_t>(rec.shapeIdx)];
   if (shape.topPc >= 0) {
     // while/until/repeat re-evaluate the control from the top.
-    loops_.resize(static_cast<std::size_t>(depth) + 1);
+    a.loops.resize(static_cast<std::size_t>(depth) + 1);
     pc_ = shape.topPc;
     return Flow::Forward;
   }
   // `every <e containing next>`: emitted code's LoopGen livelocks here
   // (the signal re-drives the same control state forever); the machine
   // ends the loop instead. Documented divergence (docs/INTERNALS.md).
-  loops_.resize(static_cast<std::size_t>(depth));
+  a.loops.resize(static_cast<std::size_t>(depth));
   return Flow::Efail;
 }
 
@@ -265,7 +509,7 @@ bool VmGen::driveTop(Result& out, Flow& flow) {
   Result r;
   bool produced;
   if (s.escapeIdx >= 0) {
-    const EscapeSite& site = chunk_->escapes[static_cast<std::size_t>(s.escapeIdx)];
+    const EscapeSite& site = cur_->chunk->escapes[static_cast<std::size_t>(s.escapeIdx)];
     try {
       produced = s.gen->next(r);
     } catch (const BreakSignal&) {
@@ -288,38 +532,79 @@ bool VmGen::driveTop(Result& out, Flow& flow) {
   }
   if (r.flags != Result::kNone) {
     // suspend/return/fail escaping a driven body (escape operands inside
-    // procedure bodies): yield it as this activation's result. Return
-    // and fail also terminate the activation; suspend re-drives.
-    phase_ = (r.flags & (Result::kReturn | Result::kFailBody)) != 0 ? Phase::Done : Phase::ReDrive;
-    out = std::move(r);
-    return true;
+    // procedure bodies): the activation's own suspend, return or fail.
+    // Return and fail also end the activation; suspend re-drives.
+    const bool ends = (r.flags & (Result::kReturn | Result::kFailBody)) != 0;
+    if (cur_ == &root_) {
+      phase_ = ends ? Phase::Done : Phase::ReDrive;
+      out = std::move(r);
+      return true;
+    }
+    if ((r.flags & Result::kFailBody) != 0) {
+      failToCaller();
+      flow = Flow::Efail;
+      return false;
+    }
+    Ref ref{-1, -1, std::move(r.ref)};
+    if (ends) {
+      returnToCaller(std::move(r.value), std::move(ref));
+    } else {
+      suspendToCaller(std::move(r.value), std::move(ref), true);
+    }
+    flow = Flow::Forward;
+    return false;
   }
   pc_ = s.opPc + 1;
-  restoreAndPush(s, std::move(r.value), std::move(r.ref));
+  restoreSlice(s);
+  stack_.push_back(std::move(r.value));
+  if (r.ref != nullptr) pushVarRef(stack_.size() - 1, std::move(r.ref));
   flow = Flow::Forward;
   return false;
 }
 
 bool VmGen::convertError(const IconError& e) {
-  if (curPc_ < 0 || static_cast<std::size_t>(curPc_) >= chunk_->convHandler.size()) return false;
-  const std::int32_t h = chunk_->convHandler[static_cast<std::size_t>(curPc_)];
-  if (h < 0) return false;
-  if (!ErrorEnv::convertToFailure(e)) return false;
-  // Unwind everything created inside the handler op's operand span
-  // [bracket, handler]. All such records are contiguous at the tops of
-  // their stacks (anything pushed while executing span pcs carries a
-  // span pc). The value stack needs no explicit cleanup: the efail that
-  // follows resumes below the span or truncates at a surviving mark.
-  const std::int32_t lo = chunk_->code[static_cast<std::size_t>(h)].b;
-  const std::int32_t hi = h;
-  while (!resume_.empty() && resume_.back().opPc >= lo && resume_.back().opPc <= hi) popSusp();
-  while (!marks_.empty() && marks_.back().markPc >= lo && marks_.back().markPc <= hi) {
-    marks_.pop_back();
+  for (;;) {
+    const Chunk& c = *cur_->chunk;
+    const std::int32_t h = curPc_ >= 0 && static_cast<std::size_t>(curPc_) < c.convHandler.size()
+                               ? c.convHandler[static_cast<std::size_t>(curPc_)]
+                               : -1;
+    if (h >= 0) {
+      if (!ErrorEnv::convertToFailure(e)) {
+        leaveCallees();
+        return false;
+      }
+      // Unwind everything created inside the handler op's operand span
+      // [bracket, handler]. All such records are contiguous at the tops
+      // of the activation's stacks (anything pushed while executing span
+      // pcs carries a span pc). The value stack needs no explicit
+      // cleanup: the efail that follows resumes below the span or
+      // truncates at a surviving mark.
+      const std::int32_t lo = c.code[static_cast<std::size_t>(h)].b;
+      const std::int32_t hi = h;
+      Act& a = *cur_;
+      while (static_cast<std::int32_t>(resume_.size()) > a.suspBase && resume_.back().opPc >= lo &&
+             resume_.back().opPc <= hi) {
+        if (resume_.back().kind == Susp::Kind::Call) {
+          // A suspended call in the span: drop it with its callee.
+          truncResume(acts_[static_cast<std::size_t>(resume_.back().callee)].suspBase);
+        } else {
+          popSusp();
+        }
+      }
+      while (!a.marks.empty() && a.marks.back().markPc >= lo && a.marks.back().markPc <= hi) {
+        a.marks.pop_back();
+      }
+      while (!a.loops.empty() && a.loops.back().beginPc >= lo && a.loops.back().beginPc <= hi) {
+        a.loops.pop_back();
+      }
+      return true;
+    }
+    if (cur_ == &root_) return false;
+    // Nothing in this callee converts it: the call ends, and the error
+    // surfaces at the caller's kInvoke.
+    curPc_ = cur_->callPc;
+    failToCaller();
   }
-  while (!loops_.empty() && loops_.back().beginPc >= lo && loops_.back().beginPc <= hi) {
-    loops_.pop_back();
-  }
-  return true;
 }
 
 // Dispatch strategy: the forward loop is token-threaded. Every op body
@@ -347,13 +632,30 @@ bool VmGen::convertError(const IconError& e) {
     goto* kOpLabels[static_cast<std::size_t>(ins->op)];         \
   } while (0)
 #define VM_FAIL() goto vm_fail
+// After a call, return or suspend switched activations.
+#define VM_RELOAD()             \
+  do {                          \
+    ck = cur_->chunk;           \
+    code = ck->code.data();     \
+  } while (0)
 
 bool VmGen::run(Result& out) {
+  // The live callee activations count against --max-depth while this
+  // run is on the thread's stack, as a BodyRootGen's guard would.
+  struct DepthHold {
+    VmGen& m;
+    ~DepthHold() { m.releaseDepth(m.depthHeld_); }
+  } hold{*this};
+  if (governor::depthActive()) [[unlikely]] {
+    for (std::size_t i = 0; i < acts_.size(); ++i) chargeDepth();
+  }
+
   Flow flow = Flow::Forward;
   switch (phase_) {
     case Phase::Done:
       return false;
     case Phase::Start:
+      cur_ = &root_;
       pc_ = 0;
       flow = Flow::Forward;
       break;
@@ -368,22 +670,24 @@ bool VmGen::run(Result& out) {
     }
   }
 
-  const Insn* code = chunk_->code.data();
   // Indexed by Op; order must mirror the enum (pinned by the assert).
   static const void* const kOpLabels[] = {
-      &&op_kConst,      &&op_kLoadVar,  &&op_kLoadSlot,     &&op_kLoadLate,
-      &&op_kPop,        &&op_kMark,     &&op_kUnmark,       &&op_kJump,
-      &&op_kEfail,      &&op_kYield,    &&op_kSuspend,      &&op_kReturn,
-      &&op_kFailBody,   &&op_kBinOp,    &&op_kUnOp,         &&op_kAssign,
-      &&op_kAugAssign,  &&op_kSwap,     &&op_kIndex,        &&op_kField,
-      &&op_kSlice,      &&op_kListLit,  &&op_kInvoke,       &&op_kToBy,
-      &&op_kPromote,    &&op_kIn,       &&op_kAltBegin,     &&op_kRaltBegin,
-      &&op_kRaltNote,   &&op_kLimitBegin, &&op_kLimitExit,  &&op_kLoopBegin,
-      &&op_kLoopBodyMark, &&op_kLoopEnd, &&op_kBreak,       &&op_kNext,
-      &&op_kThrowBreak, &&op_kThrowNext, &&op_kEscape,
+      &&op_kConst,      &&op_kLoadVar,     &&op_kLoadSlot,   &&op_kLoadCell,
+      &&op_kLoadLate,   &&op_kStoreVar,    &&op_kStoreSlot,  &&op_kStoreCell,
+      &&op_kPop,        &&op_kMark,        &&op_kUnmark,     &&op_kJump,
+      &&op_kEfail,      &&op_kYield,       &&op_kSuspend,    &&op_kReturn,
+      &&op_kFailBody,   &&op_kBinOp,       &&op_kUnOp,       &&op_kAssign,
+      &&op_kAugAssign,  &&op_kSwap,        &&op_kIndex,      &&op_kSubTarget,
+      &&op_kStoreSub,   &&op_kField,       &&op_kSlice,      &&op_kListLit,
+      &&op_kInvoke,     &&op_kToBy,        &&op_kPromote,    &&op_kAltBegin,
+      &&op_kRaltBegin,  &&op_kRaltNote,    &&op_kLimitBegin, &&op_kLimitExit,
+      &&op_kLoopBegin,  &&op_kLoopBodyMark, &&op_kLoopEnd,   &&op_kBreak,
+      &&op_kNext,       &&op_kThrowBreak,  &&op_kThrowNext,  &&op_kEscape,
   };
   static_assert(sizeof(kOpLabels) / sizeof(kOpLabels[0]) == kOpCount,
                 "dispatch table out of sync with the Op enum");
+  const Chunk* ck = nullptr;
+  const Insn* code = nullptr;
   const Insn* ins = nullptr;
   for (;;) {
     try {
@@ -391,7 +695,8 @@ bool VmGen::run(Result& out) {
         if (flow == Flow::Efail) {
           bool resolved = false;
           while (!resolved) {
-            const std::int32_t floor = marks_.empty() ? 0 : marks_.back().suspH;
+            Act& act = *cur_;
+            const std::int32_t floor = act.marks.empty() ? act.suspBase : act.marks.back().suspH;
             if (static_cast<std::int32_t>(resume_.size()) > floor) {
               Susp& s = resume_.back();
               switch (s.kind) {
@@ -409,8 +714,8 @@ bool VmGen::run(Result& out) {
                   } else {
                     s.fastCur = nxt;
                     pc_ = s.opPc + 1;
-                    restoreSlice(static_cast<std::size_t>(s.base), s.slice);
-                    stack_.emplace_back(Value::integer(nxt), nullptr);
+                    restoreSlice(s);
+                    stack_.push_back(Value::integer(nxt));
                     resolved = true;
                   }
                   break;
@@ -419,7 +724,7 @@ bool VmGen::run(Result& out) {
                   // One shot: jump to the right branch with the left's
                   // entry stack restored.
                   pc_ = s.target;
-                  restoreSlice(static_cast<std::size_t>(s.base), s.slice);
+                  restoreSlice(s);
                   popSusp();
                   resolved = true;
                   break;
@@ -429,7 +734,7 @@ bool VmGen::run(Result& out) {
                     // Last pass produced something: run e again.
                     s.produced = false;
                     pc_ = s.opPc + 1;
-                    restoreSlice(static_cast<std::size_t>(s.base), s.slice);
+                    restoreSlice(s);
                     resolved = true;
                   } else {
                     popSusp();
@@ -440,26 +745,45 @@ bool VmGen::run(Result& out) {
                   popSusp();  // bookkeeping only; failure flows past it
                   break;
                 }
+                case Susp::Kind::Call: {
+                  // Resume a suspended callee in place: restore its region
+                  // and fail into its own suspensions (or re-drive the
+                  // escape it suspended through).
+                  Act& callee = acts_[static_cast<std::size_t>(s.callee)];
+                  restoreSlice(s);
+                  popSusp();
+                  cur_ = &callee;
+                  traceEnter(callee);
+                  if (callee.reDrive) {
+                    callee.reDrive = false;
+                    Flow f = Flow::Forward;
+                    if (driveTop(out, f)) return true;
+                    if (f == Flow::Forward) resolved = true;
+                  }
+                  break;
+                }
               }
-            } else if (!marks_.empty()) {
-              const MarkRec m = marks_.back();
-              marks_.pop_back();
+            } else if (!act.marks.empty()) {
+              const MarkRec m = act.marks.back();
+              act.marks.pop_back();
               truncResume(m.suspH);
               shrinkStack(static_cast<std::size_t>(m.valH));
               pc_ = m.failPc;
               resolved = true;
-            } else {
+            } else if (cur_ == &root_) {
               phase_ = Phase::Done;
               return false;  // machine failure; Gen auto-restart re-arms
+            } else {
+              failToCaller();  // the callee is exhausted: its call fails
             }
           }
           flow = Flow::Forward;
-          continue;
         }
 
         // Forward dispatch. Within an op body: VM_NEXT() executes the
         // next instruction, VM_FAIL() efails the current one, `return`
         // yields. Jump ops assign pc_ directly.
+        VM_RELOAD();
         VM_NEXT();
       vm_step_limit:
         // Not a limit at all: the periodic fuel sync point. syncFuel may
@@ -469,36 +793,38 @@ bool VmGen::run(Result& out) {
         syncFuel();
         goto* kOpLabels[static_cast<std::size_t>(ins->op)];
             VM_OP(kConst)
-              stack_.emplace_back(chunk_->consts[static_cast<std::size_t>(ins->a)], nullptr);
+              stack_.push_back(ck->consts[static_cast<std::size_t>(ins->a)]);
               VM_NEXT();
             VM_OP(kLoadVar) {
-              const VarPtr& v = chunk_->vars[static_cast<std::size_t>(ins->a)];
+              const VarPtr& v = ck->vars[static_cast<std::size_t>(ins->a)];
               const Value* c = v->cell();  // plain cells skip the virtual get
-              if (ins->b != 0) {
-                // Consumer is ref-oblivious.
-                stack_.emplace_back(c != nullptr ? *c : v->get(), nullptr);
-              } else {
-                stack_.emplace_back(c != nullptr ? *c : v->get(), v);
-              }
+              stack_.push_back(c != nullptr ? *c : v->get());
+              if (ins->b == 0) pushVarRef(stack_.size() - 1, v);
               VM_NEXT();
             }
             VM_OP(kLoadSlot) {
-              const VarPtr& v = frame_->var(static_cast<std::size_t>(ins->a));
-              const Value* c = v->cell();
-              if (ins->b != 0) {
-                stack_.emplace_back(c != nullptr ? *c : v->get(), nullptr);
-              } else {
-                stack_.emplace_back(c != nullptr ? *c : v->get(), v);
+              const auto slot = static_cast<std::size_t>(cur_->slotBase + ins->a);
+              stack_.push_back(slots_[slot]);
+              if (ins->b == 0) {
+                refs_.push_back(Ref{static_cast<std::int32_t>(stack_.size()) - 1,
+                                    static_cast<std::int32_t>(slot), nullptr});
               }
               VM_NEXT();
             }
+            VM_OP(kLoadCell) {
+              const VarPtr& v = cur_->frame->var(static_cast<std::size_t>(ins->a));
+              const Value* c = v->cell();
+              stack_.push_back(c != nullptr ? *c : v->get());
+              if (ins->b == 0) pushVarRef(stack_.size() - 1, v);
+              VM_NEXT();
+            }
             VM_OP(kLoadLate) {
-              // The yielded ref is always the LateBoundVar (assignment
+              // The pushed variable is always the LateBoundVar (assignment
               // through it re-resolves); the cache accelerates the value
               // read only. Version is read before resolving, so a racing
               // declare makes the entry stale, never wrong.
-              const VarPtr& lv = frame_->var(static_cast<std::size_t>(ins->a));
-              ICEntry& ic = ics_[static_cast<std::size_t>(ins->b)];
+              const VarPtr& lv = cur_->frame->var(static_cast<std::size_t>(ins->a));
+              ICEntry& ic = cur_->ics[static_cast<std::size_t>(ins->b)];
               const std::uint64_t ver = interp_.globalScope()->version();
               if (ic.ver != ver) {
                 ++icMissTally_;
@@ -507,21 +833,52 @@ bool VmGen::run(Result& out) {
               } else {
                 ++icHitTally_;
               }
-              stack_.emplace_back(ic.target->get(), lv);
+              stack_.push_back(ic.target->get());
+              pushVarRef(stack_.size() - 1, lv);
+              VM_NEXT();
+            }
+            // Direct stores: the top value is stored and stays as the
+            // result; its variable travels only when something reads it.
+            VM_OP(kStoreVar) {
+              const VarPtr& var = ck->vars[static_cast<std::size_t>(ins->a & ~kRefStripped)];
+              const std::size_t top = stack_.size() - 1;
+              storeInto(var, stack_[top]);
+              dropRefsFrom(top);
+              if ((ins->a & kRefStripped) == 0) pushVarRef(top, var);
+              VM_NEXT();
+            }
+            VM_OP(kStoreSlot) {
+              const auto slot = static_cast<std::size_t>(cur_->slotBase + (ins->a & ~kRefStripped));
+              const std::size_t top = stack_.size() - 1;
+              slots_[slot] = stack_[top];
+              dropRefsFrom(top);
+              if ((ins->a & kRefStripped) == 0) {
+                refs_.push_back(
+                    Ref{static_cast<std::int32_t>(top), static_cast<std::int32_t>(slot), nullptr});
+              }
+              VM_NEXT();
+            }
+            VM_OP(kStoreCell) {
+              const VarPtr& var = cur_->frame->var(static_cast<std::size_t>(ins->a & ~kRefStripped));
+              const std::size_t top = stack_.size() - 1;
+              storeInto(var, stack_[top]);
+              dropRefsFrom(top);
+              if ((ins->a & kRefStripped) == 0) pushVarRef(top, var);
               VM_NEXT();
             }
             VM_OP(kPop)
               stack_.pop_back();
+              dropRefsFrom(stack_.size());
               VM_NEXT();
             VM_OP(kMark)
-              marks_.push_back({ins->a, static_cast<std::int32_t>(resume_.size()),
-                                static_cast<std::int32_t>(stack_.size()), curPc_});
+              cur_->marks.push_back({ins->a, static_cast<std::int32_t>(resume_.size()),
+                                     static_cast<std::int32_t>(stack_.size()), curPc_});
               VM_NEXT();
             VM_OP(kUnmark) {
               // Leave the bounded expression's single result; drop its
               // pending resumptions (the expression is bounded).
-              const MarkRec m = marks_.back();
-              marks_.pop_back();
+              const MarkRec m = cur_->marks.back();
+              cur_->marks.pop_back();
               truncResume(m.suspH);
               VM_NEXT();
             }
@@ -530,47 +887,60 @@ bool VmGen::run(Result& out) {
               VM_NEXT();
             VM_OP(kEfail)
               VM_FAIL();
-            VM_OP(kYield) {
-              Entry& e = stack_.back();
-              out.value = std::move(e.v);
-              out.ref = std::move(e.ref);
-              out.flags = Result::kNone;
-              stack_.pop_back();
+            VM_OP(kYield)
+              // Only root chunks (expressions, statements, operands,
+              // bodies) yield; procedure bodies suspend or return.
+              yieldTop(out, Result::kNone);
               phase_ = Phase::Backtrack;
               return true;
-            }
             VM_OP(kSuspend) {
-              Entry& e = stack_.back();
-              out.value = std::move(e.v);
-              out.ref = std::move(e.ref);
-              out.flags = Result::kSuspend;
-              stack_.pop_back();
-              phase_ = Phase::Backtrack;
-              return true;
+              if (cur_ == &root_) {
+                yieldTop(out, Result::kSuspend);
+                phase_ = Phase::Backtrack;
+                return true;
+              }
+              {
+                Ref r = takeTopRef();
+                Value v = std::move(stack_.back());
+                stack_.pop_back();
+                suspendToCaller(std::move(v), std::move(r), false);
+              }
+              VM_RELOAD();
+              VM_NEXT();
             }
             VM_OP(kReturn) {
-              Entry& e = stack_.back();
-              out.value = std::move(e.v);
-              out.ref = std::move(e.ref);
-              out.flags = Result::kReturn;
-              stack_.pop_back();
-              phase_ = Phase::Done;
-              return true;
+              if (cur_ == &root_) {
+                yieldTop(out, Result::kReturn);
+                phase_ = Phase::Done;
+                return true;
+              }
+              {
+                Ref r = takeTopRef();
+                Value v = std::move(stack_.back());
+                stack_.pop_back();
+                returnToCaller(std::move(v), std::move(r));
+              }
+              VM_RELOAD();
+              VM_NEXT();
             }
             VM_OP(kFailBody)
-              out.set(Value::null(), nullptr, Result::kFailBody);
-              phase_ = Phase::Done;
-              return true;
+              if (cur_ == &root_) {
+                out.set(Value::null(), nullptr, Result::kFailBody);
+                phase_ = Phase::Done;
+                return true;
+              }
+              failToCaller();
+              VM_FAIL();
             VM_OP(kBinOp) {
               const std::size_t n = stack_.size();
-              Entry& ea = stack_[n - 2];
-              Entry& eb = stack_[n - 1];
-              if (ea.v.isSmallInt() && eb.v.isSmallInt()) {
+              Value& a = stack_[n - 2];
+              const Value& b = stack_[n - 1];
+              if (a.isSmallInt() && b.isSmallInt()) {
                 // Small-int fast path. Must match the generic ops path
                 // exactly: arithmetic falls back on overflow (BigInt
                 // promotion), comparisons yield the right operand or
                 // fail. Everything else drops to applyBinary below.
-                const std::int64_t x = ea.v.smallInt(), y = eb.v.smallInt();
+                const std::int64_t x = a.smallInt(), y = b.smallInt();
                 std::int64_t r = 0;
                 bool handled = true, isCmp = false, cmp = false;
                 switch (static_cast<BinKind>(ins->a)) {
@@ -594,115 +964,171 @@ bool VmGen::run(Result& out) {
                     r = y;
                   }
                   stack_.pop_back();
-                  ea.v = Value::integer(r);
-                  ea.ref = nullptr;
+                  a = Value::integer(r);
+                  dropRefsFrom(n - 2);
                   VM_NEXT();
                 }
               }
               {
-                auto res = applyBinary(static_cast<BinKind>(ins->a), ea.v, eb.v);
+                auto res = applyBinary(static_cast<BinKind>(ins->a), a, b);
                 if (!res) {
                   shrinkStack(n - 2);
                   VM_FAIL();
                 }
                 stack_.pop_back();
-                ea.v = std::move(*res);
-                ea.ref = nullptr;
+                a = std::move(*res);
+                dropRefsFrom(n - 2);
               }
               VM_NEXT();
             }
             VM_OP(kUnOp) {
               const auto k = static_cast<UnKind>(ins->a);
               if (k == UnKind::NonNull || k == UnKind::IfNull) {
-                // The entry is the result as it stands, or there is none.
-                if (!passesNullTest(k, stack_.back().v)) {
-                  stack_.pop_back();
+                // The entry is the result as it stands, variable
+                // included, or there is none.
+                if (!passesNullTest(k, stack_.back())) {
+                  shrinkStack(stack_.size() - 1);
                   VM_FAIL();
                 }
                 VM_NEXT();
               }
               {
-                Entry& t = stack_.back();
-                Result opnd(std::move(t.v), std::move(t.ref));
+                const std::size_t top = stack_.size() - 1;
+                Result opnd(std::move(stack_[top]));
                 auto res = applyUnary(k, opnd);
                 if (!res) {
-                  stack_.pop_back();
+                  shrinkStack(top);
                   VM_FAIL();
                 }
-                t.v = std::move(res->value);
-                t.ref = std::move(res->ref);
+                stack_[top] = std::move(res->value);
+                dropRefsFrom(top);
               }
               VM_NEXT();
             }
-            // Assignments work in place: the left entry becomes the
-            // result, keeping its ref (the variable assigned through),
-            // and the right entry is popped.
+            // Assignments through a computed target work in place: the
+            // left entry becomes the result, keeping its variable, and
+            // the right entry is popped.
             VM_OP(kAssign) {
               const std::size_t n = stack_.size();
-              Entry& l = stack_[n - 2];
-              storeInto(l.ref, stack_[n - 1].v);
-              l.v = std::move(stack_[n - 1].v);
-              stack_.pop_back();
+              const Ref* l = refAt(n - 2);
+              if (l == nullptr) throw errInvalidValue("assignment to a non-variable");
+              refSet(*l, stack_[n - 1]);
+              stack_[n - 2] = std::move(stack_[n - 1]);
+              shrinkStack(n - 1);
               VM_NEXT();
             }
             VM_OP(kAugAssign) {
               const std::size_t n = stack_.size();
-              Entry& l = stack_[n - 2];
-              if (!augAssignInPlace(static_cast<BinKind>(ins->a), l.v, l.ref, stack_[n - 1].v)) {
-                shrinkStack(n - 2);
-                VM_FAIL();
+              {
+                const Ref* l = refAt(n - 2);
+                if (l == nullptr) throw errInvalidValue("augmented assignment to a non-variable");
+                auto v = applyBinary(static_cast<BinKind>(ins->a), refGet(*l), stack_[n - 1]);
+                if (!v) {
+                  shrinkStack(n - 2);
+                  VM_FAIL();  // comparison-augmented ops can fail
+                }
+                refSet(*l, *v);
+                stack_[n - 2] = std::move(*v);
               }
-              stack_.pop_back();
+              shrinkStack(n - 1);
               VM_NEXT();
             }
             VM_OP(kSwap) {
               const std::size_t n = stack_.size();
-              Entry& l = stack_[n - 2];
-              swapInPlace(l.v, l.ref, stack_[n - 1].ref);
-              stack_.pop_back();
+              {
+                const Ref* l = refAt(n - 2);
+                const Ref* r = refAt(n - 1);
+                if (l == nullptr || r == nullptr) throw errInvalidValue("swap of a non-variable");
+                Value lv = refGet(*l);
+                Value rv = refGet(*r);
+                refSet(*l, rv);
+                refSet(*r, lv);
+                stack_[n - 2] = std::move(rv);
+              }
+              shrinkStack(n - 1);
               VM_NEXT();
             }
             VM_OP(kIndex) {
-              // The collection entry becomes the element. a=1: nothing
-              // reads the element's variable (compiler.cpp), so no
+              // The collection entry becomes the element. kRefStripped:
+              // nothing reads the element's variable (compiler.cpp), so no
               // trapped variable is built.
               const std::size_t n = stack_.size();
-              Entry& c = stack_[n - 2];
-              const bool stripped = ins->a != 0;
-              if (!indexInPlace(c.v, stack_[n - 1].v, stripped ? nullptr : &c.ref)) {
+              {
+                const bool stripped = (ins->a & kRefStripped) != 0;
+                VarPtr trapped;
+                if (!indexInPlace(stack_[n - 2], stack_[n - 1], stripped ? nullptr : &trapped)) {
+                  shrinkStack(n - 2);
+                  VM_FAIL();
+                }
+                shrinkStack(n - 1);
+                dropRefsFrom(n - 2);
+                if (trapped != nullptr) pushVarRef(n - 2, std::move(trapped));
+              }
+              VM_NEXT();
+            }
+            VM_OP(kSubTarget) {
+              const std::size_t n = stack_.size();
+              if (!subscriptInRange(stack_[n - 2], stack_[n - 1])) {
                 shrinkStack(n - 2);
                 VM_FAIL();
               }
-              if (stripped) c.ref = nullptr;
-              stack_.pop_back();
+              VM_NEXT();
+            }
+            VM_OP(kStoreSub) {
+              // c[i] := v (a=0) or c[i] op:= v: written through the
+              // collection at the key, as the element's trapped variable
+              // would be — built only when the result's variable is read.
+              const std::size_t n = stack_.size();
+              const std::int32_t aug = ins->a & ~kRefStripped;
+              const bool stripped = (ins->a & kRefStripped) != 0;
+              {
+                Value& c = stack_[n - 3];
+                const Value& i = stack_[n - 2];
+                Value& v = stack_[n - 1];
+                if (aug != 0) {
+                  auto combined = applyBinary(static_cast<BinKind>(aug - 1), subscriptGet(c, i), v);
+                  if (!combined) {
+                    shrinkStack(n - 3);
+                    VM_FAIL();
+                  }
+                  v = std::move(*combined);
+                }
+                VarPtr trapped;
+                if (!stripped) trapped = subscriptVar(c, i);
+                storeSubscript(c, i, v);
+                c = std::move(v);
+                shrinkStack(n - 2);
+                dropRefsFrom(n - 3);
+                if (trapped != nullptr) pushVarRef(n - 3, std::move(trapped));
+              }
               VM_NEXT();
             }
             VM_OP(kField) {
               {
-                Entry& t = stack_.back();
-                Result o(std::move(t.v), std::move(t.ref));
-                auto res = fieldTuple(o, chunk_->consts[static_cast<std::size_t>(ins->a)].str());
+                const std::size_t top = stack_.size() - 1;
+                Result o(std::move(stack_[top]));
+                auto res = fieldTuple(o, ck->consts[static_cast<std::size_t>(ins->a)].str());
                 if (!res) {
-                  stack_.pop_back();
+                  shrinkStack(top);
                   VM_FAIL();
                 }
-                t.v = std::move(res->value);
-                t.ref = std::move(res->ref);
+                stack_[top] = std::move(res->value);
+                dropRefsFrom(top);
+                if (res->ref != nullptr) pushVarRef(top, std::move(res->ref));
               }
               VM_NEXT();
             }
             VM_OP(kSlice) {
               {
                 const std::size_t n = stack_.size();
-                auto res = sliceTuple(stack_[n - 3].v, stack_[n - 2].v, stack_[n - 1].v);
+                auto res = sliceTuple(stack_[n - 3], stack_[n - 2], stack_[n - 1]);
                 if (!res) {
                   shrinkStack(n - 3);
                   VM_FAIL();
                 }
                 shrinkStack(n - 2);
-                Entry& dst = stack_.back();
-                dst.v = std::move(*res);
-                dst.ref = nullptr;
+                stack_.back() = std::move(*res);
+                dropRefsFrom(n - 3);
               }
               VM_NEXT();
             }
@@ -711,37 +1137,46 @@ bool VmGen::run(Result& out) {
                 const std::size_t n = stack_.size();
                 const std::size_t first = n - static_cast<std::size_t>(ins->a);
                 auto list = ListImpl::create();
-                for (std::size_t i = first; i < n; ++i) list->put(stack_[i].v);
+                for (std::size_t i = first; i < n; ++i) list->put(stack_[i]);
                 shrinkStack(first);
-                stack_.emplace_back(Value::list(std::move(list)), nullptr);
+                stack_.push_back(Value::list(std::move(list)));
               }
               VM_NEXT();
             }
             VM_OP(kInvoke) {
               const std::size_t n = stack_.size();
-              const std::size_t nargs = static_cast<std::size_t>(ins->a);
+              const auto nargs = static_cast<std::size_t>(ins->a & ~kRefStripped);
               const std::size_t calleeIdx = n - 1 - nargs;
               // Borrow the callee in place — the resize below is what
               // destroys its stack entry, so every use of `f` must come
               // first. Moving it out instead costs a variant move + an
               // extra destroy per call, which backtracking pays per
               // candidate.
-              const Value& f = stack_[calleeIdx].v;
+              const Value& f = stack_[calleeIdx];
               if (!f.isProc()) throw errCallableExpected(f.image());
+              const ProcImpl& p = *f.proc();
+              if (p.codeOwner() == &interp_) {
+                // A VM procedure of this interpreter: a new activation on
+                // this machine, no generator.
+                enterCall(static_cast<ProcCode*>(p.code())->chunk(), calleeIdx, nargs,
+                          (ins->a & kRefStripped) != 0);
+                VM_RELOAD();
+                VM_NEXT();
+              }
               if (argScratch_.size() == nargs) {
                 // Reuse the scratch storage: move-assign over the old
                 // args instead of destroy + reconstruct.
                 for (std::size_t i = 0; i < nargs; ++i) {
-                  argScratch_[i] = std::move(stack_[calleeIdx + 1 + i].v);
+                  argScratch_[i] = std::move(stack_[calleeIdx + 1 + i]);
                 }
               } else {
                 argScratch_.clear();
                 argScratch_.reserve(nargs);
                 for (std::size_t i = calleeIdx + 1; i < n; ++i) {
-                  argScratch_.push_back(std::move(stack_[i].v));  // resized away below
+                  argScratch_.push_back(std::move(stack_[i]));  // resized away below
                 }
               }
-              if (const auto& nf = f.proc()->nativeFn()) {
+              if (const auto& nf = p.nativeFn()) {
                 {
                   // At-most-one-result native: no suspension needed.
                   auto r = nf(argScratch_);
@@ -754,13 +1189,13 @@ bool VmGen::run(Result& out) {
                     VM_FAIL();
                   }
                   shrinkStack(calleeIdx);
-                  stack_.emplace_back(std::move(*r), nullptr);
+                  stack_.push_back(std::move(*r));
                 }
                 VM_NEXT();
               }
               Flow fl = Flow::Forward;
               {
-                auto gen = f.proc()->invoke(std::move(argScratch_));
+                auto gen = p.invoke(std::move(argScratch_));
                 argScratch_ = {};
                 shrinkStack(calleeIdx);
                 Susp& s = pushSusp(Susp::Kind::Drive);
@@ -768,13 +1203,14 @@ bool VmGen::run(Result& out) {
                 if (driveTop(out, fl)) return true;
               }
               if (fl == Flow::Efail) VM_FAIL();
+              VM_RELOAD();
               VM_NEXT();
             }
             VM_OP(kToBy) {
               const std::size_t n = stack_.size();
-              const Value& fromV = stack_[n - 3].v;
-              const Value& toV = stack_[n - 2].v;
-              const Value& byV = stack_[n - 1].v;
+              const Value& fromV = stack_[n - 3];
+              const Value& toV = stack_[n - 2];
+              const Value& byV = stack_[n - 1];
               if (fromV.isSmallInt() && toV.isSmallInt() && byV.isSmallInt()) {
                 const std::int64_t step = byV.smallInt();
                 if (step == 0) throw errInvalidValue("to-by with zero step");
@@ -788,7 +1224,7 @@ bool VmGen::run(Result& out) {
                 s.fastLimit = lim;
                 s.fastStep = step;
                 s.ascending = asc;
-                stack_.emplace_back(Value::integer(cur), nullptr);
+                stack_.push_back(Value::integer(cur));
                 VM_NEXT();
               }
               Flow fl = Flow::Forward;
@@ -805,27 +1241,14 @@ bool VmGen::run(Result& out) {
             VM_OP(kPromote) {
               Flow fl = Flow::Forward;
               {
-                Value v = std::move(stack_.back().v);
-                stack_.pop_back();
+                Value v = std::move(stack_.back());
+                shrinkStack(stack_.size() - 1);
                 auto gen = PromoteGen::makeElementGen(v);  // may throw: !x on a non-sequence
                 Susp& s = pushSusp(Susp::Kind::Drive);
                 s.gen = std::move(gen);
                 if (driveTop(out, fl)) return true;
               }
               if (fl == Flow::Efail) VM_FAIL();
-              VM_NEXT();
-            }
-            VM_OP(kIn) {
-              Entry& t = stack_.back();
-              const VarPtr& var = (ins->b & 1) != 0
-                                      ? frame_->var(static_cast<std::size_t>(ins->a))
-                                      : chunk_->vars[static_cast<std::size_t>(ins->a)];
-              storeInto(var, t.v);
-              // Value stays; the result becomes the variable — unless the
-              // compiler proved the entry is discarded (b bit 1), which
-              // skips a shared_ptr copy per backtracking step in the
-              // normalized `(x in e) & rest` conjunction.
-              if ((ins->b & 2) == 0) t.ref = var;
               VM_NEXT();
             }
             VM_OP(kAltBegin) {
@@ -836,12 +1259,12 @@ bool VmGen::run(Result& out) {
             VM_OP(kRaltBegin) {
               Susp& s = pushSusp(Susp::Kind::Ralt);
               s.depth = ins->a;
-              s.prevAux = auxTop_;
-              auxTop_ = static_cast<std::int32_t>(resume_.size()) - 1;
+              s.prevAux = cur_->auxTop;
+              cur_->auxTop = static_cast<std::int32_t>(resume_.size()) - 1;
               VM_NEXT();
             }
             VM_OP(kRaltNote) {
-              for (std::int32_t i = auxTop_; i >= 0;
+              for (std::int32_t i = cur_->auxTop; i >= 0;
                    i = resume_[static_cast<std::size_t>(i)].prevAux) {
                 Susp& s = resume_[static_cast<std::size_t>(i)];
                 if (s.kind == Susp::Kind::Ralt && s.depth == ins->a) {
@@ -854,21 +1277,21 @@ bool VmGen::run(Result& out) {
             VM_OP(kLimitBegin) {
               std::int64_t nvals = 0;
               {
-                Entry bound = std::move(stack_.back());
-                stack_.pop_back();
-                nvals = bound.v.requireInt64("limit bound");
+                Value bound = std::move(stack_.back());
+                shrinkStack(stack_.size() - 1);
+                nvals = bound.requireInt64("limit bound");
               }
               if (nvals <= 0) VM_FAIL();  // e \ 0 produces nothing
               Susp& s = pushSusp(Susp::Kind::Limit);
               s.depth = ins->a;
               s.remaining = nvals;
-              s.prevAux = auxTop_;
-              auxTop_ = static_cast<std::int32_t>(resume_.size()) - 1;
+              s.prevAux = cur_->auxTop;
+              cur_->auxTop = static_cast<std::int32_t>(resume_.size()) - 1;
               pc_ = ins->b;  // jump back to the limited expression
               VM_NEXT();
             }
             VM_OP(kLimitExit) {
-              for (std::int32_t i = auxTop_; i >= 0;
+              for (std::int32_t i = cur_->auxTop; i >= 0;
                    i = resume_[static_cast<std::size_t>(i)].prevAux) {
                 Susp& s = resume_[static_cast<std::size_t>(i)];
                 if (s.kind == Susp::Kind::Limit && s.depth == ins->a) {
@@ -883,17 +1306,17 @@ bool VmGen::run(Result& out) {
               VM_NEXT();
             }
             VM_OP(kLoopBegin)
-              loops_.push_back({static_cast<std::int32_t>(marks_.size()),
-                                static_cast<std::int32_t>(resume_.size()),
-                                static_cast<std::int32_t>(stack_.size()), -1, ins->a, curPc_});
+              cur_->loops.push_back({static_cast<std::int32_t>(cur_->marks.size()),
+                                     static_cast<std::int32_t>(resume_.size()),
+                                     static_cast<std::int32_t>(stack_.size()), -1, ins->a, curPc_});
               VM_NEXT();
             VM_OP(kLoopBodyMark)
-              marks_.push_back({ins->a, static_cast<std::int32_t>(resume_.size()),
-                                static_cast<std::int32_t>(stack_.size()), curPc_});
-              loops_.back().bodyMarkIdx = static_cast<std::int32_t>(marks_.size()) - 1;
+              cur_->marks.push_back({ins->a, static_cast<std::int32_t>(resume_.size()),
+                                     static_cast<std::int32_t>(stack_.size()), curPc_});
+              cur_->loops.back().bodyMarkIdx = static_cast<std::int32_t>(cur_->marks.size()) - 1;
               VM_NEXT();
             VM_OP(kLoopEnd)
-              loops_.pop_back();
+              cur_->loops.pop_back();
               VM_NEXT();
             VM_OP(kBreak)
               performBreak(ins->a);
@@ -907,14 +1330,20 @@ bool VmGen::run(Result& out) {
             VM_OP(kThrowNext)
               throw NextSignal{};
             VM_OP(kEscape) {
-              GenPtr& gen = escapes_[static_cast<std::size_t>(ins->a)];
-              gen->restart();  // shared per site; one live suspension per site
-              Susp& s = pushSusp(Susp::Kind::Drive);
-              s.gen = gen;
-              s.escapeIdx = ins->a;
               Flow fl = Flow::Forward;
-              if (driveTop(out, fl)) return true;
+              {
+                GenPtr& gen = cur_->escapes[static_cast<std::size_t>(ins->a)];
+                if (gen == nullptr) {
+                  gen = buildEscape(ck->escapes[static_cast<std::size_t>(ins->a)], *cur_);
+                }
+                gen->restart();  // shared per site; one live suspension per site
+                Susp& s = pushSusp(Susp::Kind::Drive);
+                s.gen = gen;
+                s.escapeIdx = ins->a;
+                if (driveTop(out, fl)) return true;
+              }
               if (fl == Flow::Efail) VM_FAIL();
+              VM_RELOAD();
               VM_NEXT();
             }
       vm_fail:
@@ -923,6 +1352,23 @@ bool VmGen::run(Result& out) {
     } catch (const IconError& e) {
       if (!convertError(e)) throw;
       flow = Flow::Efail;
+    } catch (const BreakSignal&) {
+      if (cur_ == &root_) throw;  // an enclosing machine's loop, or BodyRootGen's 506
+      const IconError e(506, "break outside of a loop");
+      curPc_ = cur_->callPc;
+      failToCaller();
+      if (!convertError(e)) throw e;
+      flow = Flow::Efail;
+    } catch (const NextSignal&) {
+      if (cur_ == &root_) throw;
+      const IconError e(506, "next outside of a loop");
+      curPc_ = cur_->callPc;
+      failToCaller();
+      if (!convertError(e)) throw e;
+      flow = Flow::Efail;
+    } catch (...) {
+      leaveCallees();  // the machine stays consistent for a restart
+      throw;
     }
   }
 }
@@ -930,5 +1376,6 @@ bool VmGen::run(Result& out) {
 #undef VM_OP
 #undef VM_NEXT
 #undef VM_FAIL
+#undef VM_RELOAD
 
 }  // namespace congen::interp::vm

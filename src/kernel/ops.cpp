@@ -126,6 +126,18 @@ std::optional<Result> applyUnary(UnKind k, Result& r) {
   return std::nullopt;
 }
 
+namespace {
+
+/// Icon's string position for character `idx` of an `n`-byte string
+/// (1-based from the left, negative from the right), or -1.
+std::int64_t stringOffset(std::int64_t idx, std::int64_t n) {
+  if (idx >= 1 && idx <= n) return idx - 1;
+  if (idx < 0 && -idx <= n) return n + idx;
+  return -1;
+}
+
+}  // namespace
+
 bool indexInPlace(Value& c, const Value& i, VarPtr* trapped) {
   // Each branch copies the element out before it overwrites `c`, which
   // may hold the only reference to the collection.
@@ -152,12 +164,9 @@ bool indexInPlace(Value& c, const Value& i, VarPtr* trapped) {
     return true;
   }
   if (c.isString()) {
-    const std::int64_t idx = i.requireInt64("string subscript");
     const auto& s = c.str();
-    const std::int64_t n = static_cast<std::int64_t>(s.size());
-    std::int64_t off = -1;
-    if (idx >= 1 && idx <= n) off = idx - 1;
-    else if (idx < 0 && -idx <= n) off = n + idx;
+    const std::int64_t off =
+        stringOffset(i.requireInt64("string subscript"), static_cast<std::int64_t>(s.size()));
     if (off < 0) return false;
     Value ch = Value::string(std::string(1, s[static_cast<std::size_t>(off)]));
     if (trapped != nullptr) *trapped = nullptr;
@@ -165,6 +174,54 @@ bool indexInPlace(Value& c, const Value& i, VarPtr* trapped) {
     return true;
   }
   throw errInvalidValue("subscript applied to " + c.typeName());
+}
+
+bool subscriptInRange(const Value& c, const Value& i) {
+  if (c.isList()) return c.list()->resolveIndex(i.requireInt64("list subscript")).has_value();
+  if (c.isTable()) return true;
+  if (c.isRecord()) return c.record()->at(i.requireInt64("record subscript")).has_value();
+  if (c.isString()) {
+    return stringOffset(i.requireInt64("string subscript"), static_cast<std::int64_t>(c.str().size())) >= 0;
+  }
+  throw errInvalidValue("subscript applied to " + c.typeName());
+}
+
+Value subscriptGet(const Value& c, const Value& i) {
+  if (c.isList()) {
+    auto v = c.list()->at(i.requireInt64("list subscript"));
+    if (!v) throw errInvalidValue("list subscript out of range");
+    return std::move(*v);
+  }
+  if (c.isTable()) return c.table()->lookup(i);
+  if (c.isRecord()) {
+    auto v = c.record()->at(i.requireInt64("record subscript"));
+    if (!v) throw errInvalidValue("record subscript out of range");
+    return std::move(*v);
+  }
+  throw errInvalidValue("augmented assignment to a non-variable");
+}
+
+void storeSubscript(const Value& c, const Value& i, const Value& v) {
+  if (c.isList()) {
+    if (!c.list()->assign(i.requireInt64("list subscript"), v)) {
+      throw errInvalidValue("list subscript out of range");
+    }
+  } else if (c.isTable()) {
+    c.table()->insert(i, v);
+  } else if (c.isRecord()) {
+    if (!c.record()->assign(i.requireInt64("record subscript"), v)) {
+      throw errInvalidValue("record subscript out of range");
+    }
+  } else {
+    throw errInvalidValue("assignment to a non-variable");
+  }
+}
+
+VarPtr subscriptVar(const Value& c, const Value& i) {
+  if (c.isList()) return ListElemVar::create(c.list(), i.requireInt64("list subscript"));
+  if (c.isTable()) return TableElemVar::create(c.table(), i);
+  if (c.isRecord()) return RecordElemVar::create(c.record(), i.requireInt64("record subscript"));
+  return nullptr;
 }
 
 std::optional<Result> indexTuple(Result& c, Result& i) {
@@ -220,39 +277,26 @@ void storeInto(const VarPtr& ref, const Value& v) {
   }
 }
 
-bool augAssignInPlace(BinKind k, Value& lv, const VarPtr& lref, const Value& rv) {
-  if (!lref) throw errInvalidValue("augmented assignment to a non-variable");
-  auto v = applyBinary(k, lref->get(), rv);
-  if (!v) return false;  // comparison-augmented ops can fail
-  storeInto(lref, *v);
-  lv = std::move(*v);
-  return true;
-}
-
-void swapInPlace(Value& lv, const VarPtr& lref, const VarPtr& rref) {
-  if (!lref || !rref) throw errInvalidValue("swap of a non-variable");
-  Value l = lref->get();
-  Value r = rref->get();
-  storeInto(lref, r);
-  storeInto(rref, l);
-  lv = std::move(r);
-}
-
 std::optional<Result> assignTuple(Result& l, Result& r) {
   storeInto(l.ref, r.value);
   return Result{r.value, l.ref};
 }
 
 std::optional<Result> swapTuple(Result& l, Result& r) {
-  Result out{Value::null(), l.ref};
-  swapInPlace(out.value, out.ref, r.ref);
-  return out;
+  if (!l.ref || !r.ref) throw errInvalidValue("swap of a non-variable");
+  Value lv = l.ref->get();
+  Value rv = r.ref->get();
+  storeInto(l.ref, rv);
+  storeInto(r.ref, lv);
+  return Result{std::move(rv), l.ref};
 }
 
 std::optional<Result> augAssignTuple(BinKind k, Result& l, Result& r) {
-  Result out{Value::null(), l.ref};
-  if (!augAssignInPlace(k, out.value, out.ref, r.value)) return std::nullopt;
-  return out;
+  if (!l.ref) throw errInvalidValue("augmented assignment to a non-variable");
+  auto v = applyBinary(k, l.ref->get(), r.value);
+  if (!v) return std::nullopt;  // comparison-augmented ops can fail
+  storeInto(l.ref, *v);
+  return Result{std::move(*v), l.ref};
 }
 
 // ---------------------------------------------------------------------

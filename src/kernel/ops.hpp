@@ -80,8 +80,8 @@ std::optional<Result> augAssignTuple(BinKind k, Result& l, Result& r);
 
 // In-place forms: the one definition of the null-test, store and
 // subscript rules. The VM applies them to its value-stack entries, so
-// no Result is built; applyUnary and the *Tuple functions above wrap
-// them for the kernel nodes.
+// no Result is built; applyUnary and the *Tuple functions above are
+// built on them for the kernel nodes.
 
 /// \e and /e (k is NonNull or IfNull): does `v` pass? A passing operand
 /// is the result unchanged, variable reference included.
@@ -92,21 +92,36 @@ bool passesNullTest(UnKind k, const Value& v);
 /// a direct write instead of the virtual set.
 void storeInto(const VarPtr& ref, const Value& v);
 
-/// lhs op:= rhs: stores the variable's value combined with `rv` through
-/// `lref` and leaves it in `lv` (the result is the variable `lref`).
-/// false when a comparison-augmented op fails.
-bool augAssignInPlace(BinKind k, Value& lv, const VarPtr& lref, const Value& rv);
-
-/// lhs :=: rhs: exchanges the two variables and leaves the left one's
-/// new value in `lv` (the result is the variable `lref`).
-void swapInPlace(Value& lv, const VarPtr& lref, const VarPtr& rref);
-
 /// c[i]: `c` becomes the element — a list, table or record member, or a
 /// one-character string. With `trapped` non-null it also receives the
 /// element's trapped variable (null for a string). false = out of range
 /// (goal-directed failure; `c` is left alone). Errors throw before
 /// anything is written.
 bool indexInPlace(Value& c, const Value& i, VarPtr* trapped);
+
+// The store rules of `c[i] := v` and `c[i] op:= v` when no trapped
+// variable is built: the VM keeps the collection and key on its stack
+// and writes through them, exactly as the element's trapped variable
+// (ListElemVar, TableElemVar, RecordElemVar) reads and writes.
+
+/// The subscript check where `c[i]` is evaluated as an assignment
+/// target: false when out of range (goal-directed failure); throws as
+/// indexInPlace does for a non-integer subscript or a non-subscriptable
+/// `c`.
+bool subscriptInRange(const Value& c, const Value& i);
+
+/// The element's current value at store time (op:=): what its trapped
+/// variable's get() reads, errors included.
+Value subscriptGet(const Value& c, const Value& i);
+
+/// Store `v` at `c[i]`: what the element's trapped variable's set()
+/// does, errors included. A string's character has no variable
+/// ("assignment to a non-variable", as assigning to `s[i]` raises).
+void storeSubscript(const Value& c, const Value& i, const Value& v);
+
+/// The trapped variable of `c[i]` (null for a string), for a result
+/// whose variable is read.
+VarPtr subscriptVar(const Value& c, const Value& i);
 
 /// Unary operation: for each operand result, apply fn; nullopt results
 /// are filtered (the search continues with the next operand result).

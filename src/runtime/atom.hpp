@@ -1,9 +1,10 @@
-// atom.hpp — interned literal values.
+// atom.hpp — interned literal values for emitted modules.
 //
-// Program text mentions the same literals over and over; the compilers
-// (interpreter and emitted modules) intern them here once so every
-// ConstGen for a given spelling shares one Value representation instead
-// of re-materializing a fresh string/bigint per compile.
+// A module congenc emits fixes its literals when it is built, so it
+// interns each long one here once and every ConstGen for that spelling
+// shares one Value. The interpreter does not intern: a chunk owns its
+// literals and they die with it, so a long-running daemon keeps no
+// tenant's literals after its session ends.
 #pragma once
 
 #include <mutex>
@@ -15,17 +16,23 @@
 namespace congen {
 
 /// The interned string Value for `s`. Thread-safe; the returned Value
-/// shares the table's representation (copying a Value is a refcount
-/// bump, not a string copy). Short strings skip the table entirely:
-/// they are stored inline in the Value (SSO), so "interning" them
-/// would only add a lock and a lookup to produce the same 16 bytes.
+/// shares the table's representation. Short strings skip the table
+/// entirely: they are stored inline in the Value (SSO), so "interning"
+/// them would only add a lock and a lookup to produce the same 16 bytes.
+/// The table is never destroyed and its values are immortal, like the
+/// builtin registry's: copies anywhere, on any thread or in any
+/// session, cost no refcount traffic, and the leaked table keeps the
+/// payloads reachable at exit, so leak checkers report nothing.
 inline Value atomString(const std::string& s) {
   if (s.size() <= Value::kSsoCapacity) return Value::string(s);
   static std::mutex mu;
-  static std::unordered_map<std::string, Value> table;
+  static auto* const table = new std::unordered_map<std::string, Value>();
   std::lock_guard lock(mu);
-  auto [it, inserted] = table.try_emplace(s, Value::null());
-  if (inserted) it->second = Value::string(s);
+  auto [it, inserted] = table->try_emplace(s, Value::null());
+  if (inserted) {
+    it->second = Value::string(s);
+    it->second.makeImmortal();
+  }
   return it->second;
 }
 

@@ -76,6 +76,12 @@ inline void onHeapFree(std::size_t bytes) noexcept {
   }
 }
 
+/// True when some governor enforces a depth limit (the VM charges its
+/// stackless callee activations through the slow paths directly).
+[[nodiscard]] inline bool depthActive() noexcept {
+  return detail::g_depthActive.load(std::memory_order_relaxed);
+}
+
 /// RAII recursion/suspension-depth charge for BodyRootGen::doNext: one
 /// procedure-body activation on the C++ stack per live guard. Counted
 /// per thread (each thread has its own stack), charged only while some

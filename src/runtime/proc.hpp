@@ -48,10 +48,23 @@ class ProcImpl : public RcBase {
   void setNative(NativeFn fn) { native_ = std::move(fn); }
   [[nodiscard]] const NativeFn& nativeFn() const noexcept { return native_; }
 
+  /// An interpreter procedure also exposes its code to the machine of
+  /// the interpreter that made it (`owner`), which then calls it without
+  /// invoke(): no generator, no closure. `code` lives as long as the
+  /// body closure does.
+  void setCode(const void* owner, void* code) noexcept {
+    codeOwner_ = owner;
+    code_ = code;
+  }
+  [[nodiscard]] const void* codeOwner() const noexcept { return codeOwner_; }
+  [[nodiscard]] void* code() const noexcept { return code_; }
+
  private:
   std::string name_;
   Body body_;
   NativeFn native_;
+  const void* codeOwner_ = nullptr;
+  void* code_ = nullptr;
 };
 
 }  // namespace congen

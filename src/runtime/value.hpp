@@ -268,6 +268,13 @@ class Value {
   /// Icon *x size: string length, list/table/set size; errors otherwise.
   [[nodiscard]] std::int64_t size() const;
 
+  /// Pin this value's heap payload, if any, for the life of the process
+  /// (RcBase::makeImmortal): only for values a never-destroyed registry
+  /// owns before it shares them.
+  void makeImmortal() const noexcept {
+    if (isHeapRep(rep_)) heapPtr()->makeImmortal();
+  }
+
  private:
   /// Physical representation. Inline reps first; isHeapRep is one
   /// compare. The heap pointer is always the RcBase upcast of the

@@ -13,6 +13,14 @@
 // invocation: the whole program's definitions are declared first (so
 // global references resolve the same way), then each body is resolved
 // and chunk-compiled. Top-level statements are NOT executed.
+//
+// Reading a listing: LOADSLOT/STORESLOT reach a procedure's plain Value
+// slots, LOADCELL/STORECELL a slot held in a cell (listed on the
+// chunk's `cells:` line when a procedure has any, and every slot of an
+// escape operand or co-expression body), STOREVAR a global. A subscript
+// assignment is SUBTARGET (the checked target) … STORESUB (the store
+// through collection and key). `(stripped)` marks a load, subscript,
+// store or call whose variable nothing reads.
 #include <fstream>
 #include <iostream>
 #include <set>

@@ -29,6 +29,7 @@
 #include "conf_wordcount.hpp"
 #include "conf_wordfreq.hpp"
 #include "confcase_escapes.hpp"
+#include "confcase_subscript_stores.hpp"
 #include "confcase_top_level_temps.hpp"
 #include "confembed_logstats_embedded.hpp"
 #include "confembed_wordcount_embedded.hpp"
@@ -100,6 +101,11 @@ TEST(ConformanceScripts, Wordfreq) { expectScriptConformance<Conf_wordfreq>("wor
 
 TEST(ConformanceCases, Escapes) {
   expectConformance<ConfCase_escapes>(kRoot + "/tests/conformance/cases/escapes.jn", "escapes");
+}
+
+TEST(ConformanceCases, SubscriptStores) {
+  expectConformance<ConfCase_subscript_stores>(
+      kRoot + "/tests/conformance/cases/subscript_stores.jn", "subscript_stores");
 }
 
 TEST(ConformanceCases, TopLevelTemporaries) {

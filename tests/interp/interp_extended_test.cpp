@@ -2,6 +2,12 @@
 // case, slices, null tests, globals, and the string-analysis builtins.
 #include <gtest/gtest.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include <string>
+
 #include "interp/interpreter.hpp"
 #include "runtime/collections.hpp"
 #include "runtime/error.hpp"
@@ -197,6 +203,190 @@ TEST(SubscriptRefs, OutOfRangeSubscriptsStillFail) {
   interp.evalOne("x := l[9] | \"nine fails\"");
   EXPECT_EQ(interp.evalOne("x")->str(), "nine fails");
   EXPECT_EQ(interp.evalOne("probe()")->str(), "failed") << "a dropped /l[9] still fails";
+}
+
+// A string's character is not a variable: `s[i] := v` raises 205 and
+// leaves the string as it was. That holds where the string sits in a
+// list, table or record element too (normalization holds such a
+// collection in a temporary, which must not become the target).
+TEST(SubscriptStores, StringSubscriptStoreRaises205) {
+  Interpreter interp;
+  interp.load(R"(
+    record box(f)
+    def fix(s) { s[2] := "x"; return s; }
+    def bang(s) { s[1] ||:= "!"; return s; }
+  )");
+  const auto errorOf = [&](const std::string& src) {
+    try {
+      interp.evalAll(src);
+    } catch (const IconError& e) {
+      return e.number();
+    }
+    return 0;
+  };
+  interp.evalOne("s := \"abc\"");
+  EXPECT_EQ(errorOf("s[2] := \"x\""), 205) << "a global string";
+  EXPECT_EQ(interp.evalOne("s")->str(), "abc");
+  EXPECT_EQ(errorOf("fix(\"hello\")"), 205) << "a local string";
+  EXPECT_EQ(errorOf("bang(\"hello\")"), 205) << "op:= on a character";
+  interp.evalOne("l := [\"abc\"]");
+  EXPECT_EQ(errorOf("l[1][2] := \"x\""), 205) << "a string in a list";
+  EXPECT_EQ(interp.evalOne("l[1]")->str(), "abc");
+  interp.evalOne("t := table()");
+  interp.evalOne("t[\"k\"] := \"abc\"");
+  EXPECT_EQ(errorOf("t[\"k\"][1] := \"x\""), 205) << "a string in a table";
+  EXPECT_EQ(interp.evalOne("t[\"k\"]")->str(), "abc");
+  interp.evalOne("r := box(\"abc\")");
+  EXPECT_EQ(errorOf("r.f[1] := \"x\""), 205) << "a string in a record field";
+  EXPECT_EQ(interp.evalOne("r.f")->str(), "abc");
+  EXPECT_TRUE(interp.evalAll("s[9] := \"q\"").empty()) << "an out-of-range position fails first";
+}
+
+TEST(SubscriptStores, AssignmentResultsStayVariables) {
+  // An assignment whose result is assigned again, or suspended, still
+  // yields its variable: the store op hands it on when something reads
+  // it.
+  Interpreter interp;
+  interp.load(R"(
+    global x, l
+    def again() { local y; (y := 1) := 2; return y; }
+    def hand() { suspend x := 5; }
+    def handSub() { suspend l[2] := 3; }
+    def assignHanded() { every hand() := 7; every handSub() := 4; }
+  )");
+  EXPECT_EQ(interp.evalOne("again()")->smallInt(), 2) << "(y := 1) := 2 on a local";
+  interp.evalOne("l := [1, 2, 3]");
+  interp.evalOne("(l[1] := 5) := 6");
+  EXPECT_EQ(interp.evalOne("l[1]")->smallInt(), 6) << "a subscript assignment assigned again";
+  interp.evalAll("assignHanded()");
+  EXPECT_EQ(interp.evalOne("x")->smallInt(), 7) << "a suspended global assignment";
+  EXPECT_EQ(interp.evalOne("l[2]")->smallInt(), 4) << "a suspended subscript assignment";
+}
+
+TEST(SubscriptStores, SubscriptIsCheckedBeforeTheRightSide) {
+  Interpreter interp;
+  interp.load(R"(
+    global calls
+    def rhs() { calls +:= 1; return 9; }
+  )");
+  interp.evalOne("calls := 0");
+  interp.evalOne("l := [1, 2, 3]");
+  EXPECT_TRUE(interp.evalAll("l[9] := rhs()").empty());
+  EXPECT_EQ(interp.evalOne("calls")->smallInt(), 0) << "an out-of-range target runs no right side";
+  // A right side that shrinks the list: the element is resolved when it
+  // is written, as its trapped variable would be.
+  EXPECT_THROW(interp.evalAll("l[3] := (pull(l) & 7)"), IconError);
+  interp.evalOne("l[-1] := (pull(l) & 8)");
+  EXPECT_EQ(interp.evalOne("*l")->smallInt(), 1);
+  EXPECT_EQ(interp.evalOne("l[1]")->smallInt(), 8);
+}
+
+// VM-to-VM calls run on the machine's own activation stack, not the
+// native stack: runaway recursion ends in 813 at a fixed cap.
+TEST(VmActivations, RunawayRecursionRaises813) {
+  Interpreter interp;
+  interp.load(R"(
+    def f(n) { return f(n + 1); }
+    def g(n) { suspend g(n + 1) | n; }
+    def firstOfG() { every write(g(1)) \\ 1; }
+  )");
+  try {
+    interp.evalAll("f(1)");
+    FAIL() << "expected 813";
+  } catch (const IconError& e) {
+    EXPECT_EQ(e.number(), 813) << e.what();
+  }
+  try {
+    interp.evalAll("firstOfG()");
+    FAIL() << "expected 813";
+  } catch (const IconError& e) {
+    EXPECT_EQ(e.number(), 813) << e.what();
+  }
+  EXPECT_EQ(interp.evalOne("1 + 1")->smallInt(), 2) << "the interpreter stays usable";
+}
+
+TEST(VmActivations, DeepRecursionUnderTheCapReturns) {
+  Interpreter interp;
+  interp.load(R"(
+    def down(n) { if n <= 0 then return 0; return 1 + down(n - 1); }
+    def deep(n) { if n <= 0 then return 0; return deep(n - 1); }
+  )");
+  EXPECT_EQ(interp.evalOne("down(12000)")->smallInt(), 12000);
+  EXPECT_EQ(interp.evalOne("deep(99000)")->smallInt(), 0);
+  try {
+    interp.evalAll("down(1000000)");
+    FAIL() << "expected 813";
+  } catch (const IconError& e) {
+    EXPECT_EQ(e.number(), 813) << e.what();
+  }
+  EXPECT_EQ(interp.evalOne("down(100)")->smallInt(), 100);
+}
+
+TEST(VmActivations, SuspendedCallChainsResumeInPlace) {
+  // Each level suspends while its callers run on; backtracking resumes
+  // the whole chain, and a bounded expression abandons it.
+  Interpreter interp;
+  interp.load(R"(
+    def gen(n) { if n <= 0 then fail; suspend n | gen(n - 1); }
+    def pairs() { local a, b; every a := gen(3) & b := gen(a - 1) do suspend a * 10 + b; }
+    def first() { return gen(5) + 100; }
+  )");
+  EXPECT_EQ(evalInts(interp, "gen(4)"), (std::vector<std::int64_t>{4, 3, 2, 1}));
+  EXPECT_EQ(evalInts(interp, "pairs()"), (std::vector<std::int64_t>{32, 31, 21}));
+  EXPECT_EQ(interp.evalOne("first()")->smallInt(), 105);
+  EXPECT_EQ(evalInts(interp, "gen(3) > 1"), (std::vector<std::int64_t>{1, 1}));
+}
+
+TEST(VmActivations, CalleeReassignedBetweenCallsAtOneDepth) {
+  // The record a finished call leaves on the machine is reused by the
+  // next call at that depth. It must hold nothing of a procedure that is
+  // gone: `f := g` frees the first f between the two calls below, and
+  // the second call enters a body with an escape site.
+  Interpreter interp;
+  interp.load(R"(
+    def f(s) { return s || "1"; }
+    def g(s) { return s ? move(2); }
+    def both() { local a, b; a := f("xy"); f := g; b := f("xyz"); return a || b; }
+  )");
+  EXPECT_EQ(interp.evalOne("both()")->str(), "xy1xy");
+  EXPECT_EQ(interp.evalOne("both()")->str(), "xyxy") << "f is g from now on";
+}
+
+TEST(VmActivations, ErrorsUnwindAcrossActivations) {
+  // &error converts a run-time error where an operation of the raising
+  // activation covers it, else at the call that entered it.
+  Interpreter interp;
+  interp.load(R"(
+    def bad(x) { return @x; }
+    def mid(x) { return bad(x); }
+    def top(x) { &error := 1; return mid(x) | "converted"; }
+  )");
+  EXPECT_EQ(interp.evalOne("top(3)")->str(), "converted");
+  EXPECT_THROW(interp.evalAll("mid(3)"), IconError) << "no credit left: it propagates";
+  EXPECT_EQ(interp.evalOne("top(4)")->str(), "converted") << "the machine is reusable";
+}
+
+// A chunk owns its literals: distinct long literals compiled and dropped
+// one after another leave nothing behind in the process.
+TEST(ChunkLiterals, DistinctLongLiteralsDieWithTheirChunks) {
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "measures in-use heap with glibc's mallinfo2";
+#else
+  Interpreter interp;
+  const auto literal = [](int i) {
+    std::string text(200, 'a');
+    const std::string tag = std::to_string(i);
+    text.replace(0, tag.size(), tag);
+    return "\"" + text + "\"";
+  };
+  const auto inUse = [] { return static_cast<long long>(mallinfo2().uordblks); };
+  ASSERT_EQ(interp.evalOne("*" + literal(-1))->smallInt(), 200);  // warm every cache first
+  const long long before = inUse();
+  for (int i = 0; i < 20000; ++i) ASSERT_EQ(interp.evalOne("*" + literal(i))->smallInt(), 200);
+  const long long grown = inUse() - before;
+  EXPECT_LT(grown, 1LL << 20) << "20,000 distinct 200-byte literals left " << grown
+                              << " bytes in use";
+#endif
 }
 
 TEST(Globals, ExplicitDeclaration) {

@@ -27,13 +27,17 @@ namespace {
 /// the environments they capture (copied locals and parameters, shared
 /// `<>` cells, refresh re-copies, a pipe nested in a `create` body),
 /// Icon's deferred argument dereferencing, subscripts of a local list,
-/// table and string (reads in and out of range, stores, `op:=`, `:=:`,
-/// null tests), and &error conversion.
+/// table, record and string (reads in and out of range, stores plain,
+/// chained, `op:=` and under `every`, a subscript that fails before its
+/// right side runs, a right side that shrinks the list first, `:=:`,
+/// null tests), &error conversion, and procedures that recurse and
+/// suspend at depth, fail from nested marks, or raise three calls deep.
 /// Termination is by construction: ranges have
 /// literal bounds, repeated alternation only appears under a limit,
 /// `while` loops count a local up to a literal, and generated
 /// procedures only call lower-numbered procedures (the call graph is a
-/// DAG). Known, documented divergences are simply not in the grammar
+/// DAG) or themselves on a parameter clamped to a small range. Known,
+/// documented divergences are simply not in the grammar
 /// (see docs/INTERNALS.md §13).
 class ProgramGen {
  public:
@@ -42,6 +46,7 @@ class ProgramGen {
   std::string program() {
     nProcs_ = irand(0, 2);
     std::ostringstream os;
+    os << "record r3(a, b, c)\n";
     for (int i = 0; i < nProcs_; ++i) os << proc(i);
     callLimit_ = nProcs_;
     os << "procedure main(args)\n  local v, w, c, l, t\n";
@@ -62,6 +67,8 @@ class ProgramGen {
   /// out of range), so `+:=` on it cannot raise.
   std::string intIdx() { return pick({"1", "3", "-2", "-4", "5"}); }
   std::string key() { return pick({"1", "2", "\"a\"", "\"b\""}); }
+  /// A subscript of a three-field record: in range either way, or not.
+  std::string ridx() { return pick({"1", "2", "3", "-1", "-3", "0", "4"}); }
 
   /// Single-valued integer-ish expression (may fail, may call procs).
   std::string expr(int depth) {
@@ -115,7 +122,7 @@ class ProgramGen {
   }
 
   std::string stmt() {
-    switch (irand(0, 18)) {
+    switch (irand(0, 22)) {
       case 0:
         return "every v := " + seq(0) + " do write(v + " + lit() + ")";
       case 1:
@@ -180,6 +187,30 @@ class ProgramGen {
                "]; if /l[" + idx() + "] then write(\"null\") else write(\"set\"); write(\\l[" +
                idx() + "] | \"null\"); write((/l[" + idx() + "] & \"none\") | \"some\"); /l[" +
                idx() + "] := " + lit() + "; every v := 1 to 4 do write(\\l[v] | \"null\")";
+      case 18:
+        // Subscript stores on a local list: chained, op:=, and under
+        // `every` with a generator subscript (some out of range).
+        return "l := [" + lit() + ", " + lit() + ", " + lit() + ", " + lit() + "]; l[" + idx() +
+               "] := l[" + idx() + "] := " + expr(0) + "; l[" + intIdx() + "] +:= " + lit() +
+               "; every l[(1 to " + posLit() + ") | " + idx() + "] +:= " + lit() +
+               "; every write(!l)";
+      case 19:
+        // Table and record subscript stores, chained and op:=.
+        return "t := table(0); every t[" + key() + " | " + key() + "] +:= " + lit() + "; t[" + key() +
+               "] := t[" + key() + "] := " + expr(0) + "; write(t[1], t[2], t[\"a\"], t[\"b\"]); w := r3(" +
+               lit() + ", " + lit() + ", " + lit() + "); w[" + ridx() + "] := " + expr(0) + "; w[" +
+               ridx() + "] +:= " + lit() + "; every w[1 to 3] +:= 1; write(w[1], w[2], w[3])";
+      case 20:
+        // A subscript that fails is checked before its right side runs:
+        // the write would show.
+        return "l := [" + lit() + ", " + lit() + ", " + lit() + "]; l[" + pick({"9", "-7", "0", "2"}) +
+               "] := write(\"rhs\"); w := r3(); w[" + ridx() + "] := write(\"rhs2\"); every write(\\!l)";
+      case 21:
+        // The right side shrinks the list before the store: the element
+        // is resolved when it is written (an error, converted here).
+        return "&error := 1; l := [" + lit() + ", " + lit() + ", " + lit() + "]; l[" +
+               pick({"3", "-1", "2", "-3"}) + "] := (pull(l) & " + lit() +
+               "); write(&errornumber | \"noerr\"); every write(!l)";
       default:
         // A table, a string subscript, and a non-variable assignment
         // converted to failure.
@@ -194,7 +225,29 @@ class ProgramGen {
     callLimit_ = i;
     std::ostringstream os;
     os << "procedure p" << i << "(a, b)\n  local i\n";
-    switch (irand(0, 3)) {
+    switch (irand(0, 6)) {
+      case 4:
+        // Recursion that suspends at every depth; the caller's
+        // backtracking resumes the whole chain.
+        os << "  if b < 0 | b > 4 then b := 3\n";
+        os << "  if b == 0 then return a\n";
+        os << "  every i := p" << i << "(a + 1, b - 1) do suspend i + b\n";
+        os << "  suspend a | (a * b)\n";
+        break;
+      case 5:
+        // fail from inside nested marks (a loop body, two ifs).
+        os << "  every i := (a to a + " << posLit() << ") do {\n";
+        os << "    if i > b then { if (i % 2) == 0 then fail; suspend i }\n";
+        os << "  }\n  suspend b\n";
+        break;
+      case 6:
+        // An error three calls deep under &error: nothing in the
+        // innermost call converts it, so it surfaces at its caller.
+        os << "  if b < 0 | b > 3 then b := 3\n";
+        os << "  if b == 0 then return @a\n";
+        os << "  if b == 3 then &error := 1\n";
+        os << "  suspend p" << i << "(a, b - 1) | (a + b)\n";
+        break;
       case 0:
         os << "  every i := " << seq(1) << " do suspend i + a\n";
         os << "  if a < b then return a + b\n  fail\n";

@@ -191,6 +191,28 @@ TEST(ServeLifecycle, DeeplyNestedSubmitIsTypedNotFatal) {
   server.stop();
 }
 
+TEST(ServeLifecycle, RunawayRecursionIsTyped813AndSessionSurvives) {
+  // Recursion without end once overflowed the request thread's stack and
+  // killed the daemon with every tenant. VM-to-VM calls now stay off the
+  // native stack, so at default flags both shapes reach the machine's
+  // activation cap as error 813, and the same connection goes on.
+  Server server(baseConfig());
+  server.start();
+  TestClient client(server.port());
+  client.send({Verb::kSubmit,
+               "def f(n) { return f(n + 1); } def g(n) { suspend g(n + 1) | n; }", 0});
+  client.expectHello();
+  EXPECT_EQ(client.readLine(), "{\"ok\":true,\"kind\":\"loaded\"}");
+  for (const char* call : {"f(1)", "g(1) \\ 1"}) {
+    EXPECT_EQ(client.roundTrip({Verb::kSubmit, call, 0}), "{\"ok\":true,\"kind\":\"generator\"}");
+    EXPECT_EQ(responseCode(client.roundTrip({Verb::kNext, "", 1})), 813) << call;
+  }
+  EXPECT_EQ(client.roundTrip({Verb::kSubmit, "1 + 1", 0}), "{\"ok\":true,\"kind\":\"generator\"}");
+  EXPECT_EQ(client.roundTrip({Verb::kNext, "", 1}),
+            "{\"ok\":true,\"done\":false,\"results\":[\"2\"]}");
+  server.stop();
+}
+
 TEST(ServeLifecycle, ReleasingALongChainIsNotFatal) {
   // Dropping the last reference to a 100000-link list chain once
   // recursed one native frame per link and killed the daemon with every
