@@ -181,8 +181,9 @@ void vmGoalDirectedSearch(benchmark::State& state) {
 }
 
 void vmProcInvoke(benchmark::State& state) {
-  // VM counterpart of the method-body-cache rows: 1000 calls of a
-  // chunk-compiled procedure, bodies parked and rebound via BodyPool.
+  // VM counterpart of the method-body-cache rows: 1000 host-side calls
+  // of a chunk-compiled procedure, each on a fresh machine that calls it
+  // (no body cache).
   interp::Interpreter interp;
   interp.load("procedure bump(i)\n  return i + 1\nend");
   const ProcPtr proc = interp.global("bump")->proc();
@@ -191,7 +192,7 @@ void vmProcInvoke(benchmark::State& state) {
     for (int i = 0; i < 1000; ++i) {
       auto g = proc->invoke({Value::integer(i)});
       sum += g->nextValue()->smallInt();
-      g->nextValue();  // completion parks the body in the procedure pool
+      g->nextValue();  // drive to completion, as a caller does
     }
     benchmark::DoNotOptimize(sum);
   }

@@ -1,6 +1,7 @@
 #include "concur/pipe.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <mutex>
 #include <ostream>
 #include <set>
@@ -119,6 +120,24 @@ void runProducer(SpscRing<Value>& queue, Gen& body, const CancelToken& token) {
   }
 }
 
+/// What a producer's escaped exception becomes on the consumer's side.
+/// A typed run-time error crosses verbatim, and so does an injected test
+/// fault (the stress suite asserts on its precise type); anything else
+/// becomes a failed stage.
+std::exception_ptr stageError(std::exception_ptr error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const IconError&) {
+    return error;
+  } catch (const testing::InjectedFault&) {
+    return error;
+  } catch (const std::exception& e) {
+    return std::make_exception_ptr(errStageFailed(e.what()));
+  } catch (...) {
+    return std::make_exception_ptr(errStageFailed("unknown exception"));
+  }
+}
+
 void countErrorStored() {
   if (obs::metricsEnabled()) [[unlikely]] {
     obs::PipeStats::get().errorsStored.add(1);
@@ -170,37 +189,13 @@ Pipe::Pipe(GenFactory factory, std::size_t capacity, ThreadPool& pool)
     obs::TraceSpan span("pipe.producer", "pipe");
     try {
       runProducer(state->queue, *body, token);
-    } catch (const IconError&) {
-      // Typed run-time error: forward verbatim, then cancel everything
-      // feeding this stage. Ordering matters — store the error BEFORE
-      // requesting stop so the consumer never observes the cancel
-      // without the cause.
-      {
-        std::lock_guard lock(state->errorMutex);
-        state->error = std::current_exception();
-      }
-      countErrorStored();
-      state->source.requestStop();
-    } catch (const testing::InjectedFault&) {
-      // Injected test faults cross the pipe unwrapped so the stress
-      // suite can assert on the precise fault type.
-      {
-        std::lock_guard lock(state->errorMutex);
-        state->error = std::current_exception();
-      }
-      countErrorStored();
-      state->source.requestStop();
-    } catch (const std::exception& e) {
-      {
-        std::lock_guard lock(state->errorMutex);
-        state->error = std::make_exception_ptr(errStageFailed(e.what()));
-      }
-      countErrorStored();
-      state->source.requestStop();
     } catch (...) {
+      // Forward the error, then cancel everything feeding this stage.
+      // Ordering matters — store the error BEFORE requesting stop so the
+      // consumer never observes the cancel without the cause.
       {
         std::lock_guard lock(state->errorMutex);
-        state->error = std::make_exception_ptr(errStageFailed("unknown exception"));
+        state->error = stageError(std::current_exception());
       }
       countErrorStored();
       state->source.requestStop();

@@ -189,7 +189,7 @@ bool refStripped(const Insn& ins) {
 std::string disassemble(const Chunk& chunk) {
   std::ostringstream os;
   os << "chunk " << chunk.name << "  slots=" << chunk.nSlots << " caches=" << chunk.nCaches
-     << " escapes=" << chunk.escapes.size() << (chunk.poolable ? " poolable" : "") << "\n";
+     << " escapes=" << chunk.escapes.size() << "\n";
   std::int32_t lastLine = -1;
   for (std::size_t pc = 0; pc < chunk.code.size(); ++pc) {
     const Insn& ins = chunk.code[pc];

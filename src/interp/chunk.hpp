@@ -186,8 +186,6 @@ struct Chunk {
   std::int32_t nCaches = 0;  // inline-cache slots (kLoadLate sites)
   std::int32_t nSlots = 0;   // frame slots (0: global mode, no frame)
   std::int32_t nParams = 0;  // procedure bodies: leading parameter slots
-  bool proc = false;         // a procedure body (compileBody)
-  bool poolable = false;     // carried over from FrameLayout
 };
 
 /// Human-readable listing (congen-dis, the dis_golden tests).

@@ -143,7 +143,6 @@ std::int32_t ChunkCompiler::varIdx(const VarPtr& var, const std::string& name) {
 
 ChunkPtr ChunkCompiler::finish() {
   chunk_.nSlots = layout_ ? static_cast<std::int32_t>(layout_->slotCount()) : 0;
-  chunk_.poolable = layout_ && layout_->poolable;
   // Innermost-enclosing-convertible-op table: process ops in emission
   // order (operands emit before their op, so inner ops come first) and
   // claim each pc of the op's bracket span only where unclaimed.
@@ -166,8 +165,9 @@ ChunkPtr ChunkCompiler::compileBody(const std::string& name, const NodePtr& body
   nestedUse_ = &nested;
   statement(body);
   // A Block never falls through (its trailing kEfail is the body-mode
-  // fail-at-end); for any other body shape, drain plain results exactly
-  // like BodyRootGen: discard and resume until exhaustion.
+  // fail-at-end); for any other body shape, drain plain results (a
+  // statement's value is not a procedure result): discard and resume
+  // until exhaustion.
   emitPop();
   emit(Op::kEfail);
   nestedUse_ = nullptr;
@@ -181,7 +181,6 @@ ChunkPtr ChunkCompiler::compileBody(const std::string& name, const NodePtr& body
 /// machine, a co-expression body's frame). Those move into cells, and
 /// their slot ops become cell ops.
 void ChunkCompiler::placeSlots(const std::vector<std::uint8_t>& nested) {
-  chunk_.proc = true;
   chunk_.nParams = static_cast<std::int32_t>(layout_->nParams);
   std::vector<bool> cell(layout_->slotCount(), false);
   for (std::size_t s = 0; s < cell.size(); ++s) {

@@ -7,8 +7,8 @@
 //  - frame mode (procedure bodies, co-expression bodies in them, and a
 //    top-level `|<>`/`|>` body over a layout of its own): the resolution
 //    pass has already classified every name, so identifiers compile to
-//    slot ops, and poolability/slot counts carry over from the
-//    FrameLayout unchanged. A procedure body's slots are its
+//    slot ops, and slot counts carry over from the FrameLayout
+//    unchanged. A procedure body's slots are its
 //    activation's Values (kLoadSlot/kStoreSlot) except those a nested
 //    chunk reaches or a late name falls back to, which are frame cells
 //    (kLoadCell/kStoreCell, kLoadLate); nested chunks reach every slot

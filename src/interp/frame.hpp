@@ -31,9 +31,6 @@ class LateBoundVar final : public Var {
   [[nodiscard]] Value get() const override { return target()->get(); }
   void set(Value v) override { target()->set(std::move(v)); }
 
-  /// The frame cell this name falls back to while no global exists.
-  [[nodiscard]] const VarPtr& fallback() const noexcept { return fallback_; }
-
   /// The binding an access would use right now.
   [[nodiscard]] const VarPtr& target() const {
     if (auto g = globals_->lookup(name_)) {

@@ -8,7 +8,6 @@
 #include "interp/compiler.hpp"
 #include "interp/vm.hpp"
 #include "kernel/basic.hpp"
-#include "kernel/control.hpp"
 #include "obs/runtime_stats.hpp"
 #include "runtime/error.hpp"
 #include "runtime/record.hpp"
@@ -165,40 +164,17 @@ std::optional<Value> Interpreter::global(const std::string& name) const {
 
 /// A procedure value over compile-once code (vm::ProcCode). VM code of
 /// this interpreter calls it on its own machine (the ProcImpl code
-/// hook: no closure, no pool, no generator). The closure serves every
-/// other caller — the host, another interpreter, a kernel node: it takes
-/// a parked body from the procedure's pool and rebinds its slots, and
-/// only when the pool is dry starts a fresh machine. Parameters are
-/// variadic: missing args are &null, extras ignored (Unicon convention).
-/// Bodies that create co-expressions are not poolable (their
-/// environments outlive the call) and get a fresh machine per call.
+/// hook: no closure, no generator). The closure serves every other
+/// caller — the host, another interpreter, a kernel node: each call is a
+/// machine of its own that calls the procedure as VM code would
+/// (VmGen::call). Parameters are variadic: missing args are &null,
+/// extras ignored (Unicon convention).
 ProcPtr Interpreter::makeProcedure(const ast::NodePtr& def) {
   auto code = std::make_shared<vm::ProcCode>(*this, def->text, def->kids[0], def->kids[1]);
-  auto pool = std::make_shared<BodyPool>();
-  auto proc = ProcImpl::create(def->text, [code, pool](std::vector<Value> args) -> GenPtr {
-    const vm::ChunkPtr& chunk = code->chunkPtr();
-    if (chunk->poolable) {
-      if (auto parked = pool->take()) {
-        std::static_pointer_cast<BodyRootGen>(parked)->unpackArgs(args);
-        return parked;
-      }
-    }
-    auto machine = vm::VmGen::create(code->interp, chunk, nullptr);
-    machine->bindArgs(args);
-    auto root = BodyRootGen::create(machine);
-    root->setUnpackClosure([m = machine.get()](const std::vector<Value>& a) { m->bindArgs(a); });
-    if (chunk->poolable) {
-      // Weak on purpose: a parked body living in the pool must not
-      // itself keep the pool alive (pool → body → recycler → pool is an
-      // unreclaimable cycle). If the procedure value is dropped while a
-      // body is in flight, parking just becomes a no-op.
-      root->setRecycler(
-          [weakPool = std::weak_ptr<BodyPool>(pool)](std::shared_ptr<BodyRootGen> b) {
-            if (auto p = weakPool.lock()) p->put(std::move(b));
-          });
-    }
-    return root;
+  auto proc = ProcImpl::create(def->text, [code](std::vector<Value> args) -> GenPtr {
+    return vm::VmGen::call(code->interp, Value::proc(ProcPtr(code->proc)), std::move(args));
   });
+  code->proc = proc.get();
   proc->setCode(this, code.get());
   return proc;
 }

@@ -68,8 +68,6 @@ class Resolver {
     for (const auto& k : n->kids) classifyRefs(k);
   }
 
-  void noteCoExprUse() { layout_.poolable = false; }
-
  private:
   std::int32_t addSlot(const std::string& name, bool late) {
     const auto it = layout_.slots.find(name);
@@ -108,20 +106,6 @@ class Resolver {
   const Scope& globals_;
 };
 
-/// Does the body create first-class generators? Their environment capture
-/// outlives the call, which forbids frame reuse.
-bool containsCoExprCreate(const NodePtr& n) {
-  if (!n) return false;
-  if (n->kind == Kind::Def) return false;  // nested proc: its own frame
-  if (n->kind == Kind::Unary && (n->text == "<>" || n->text == "|<>" || n->text == "|>")) {
-    return true;
-  }
-  for (const auto& k : n->kids) {
-    if (containsCoExprCreate(k)) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 FrameLayout resolve(const NodePtr& params, const NodePtr& body, const Scope& globals) {
@@ -140,7 +124,6 @@ FrameLayout resolve(const NodePtr& params, const NodePtr& body, const Scope& glo
   }
   r.collectBindings(body);
   r.classifyRefs(body);
-  if (containsCoExprCreate(body)) r.noteCoExprUse();
   return layout;
 }
 

@@ -26,10 +26,6 @@ struct FrameLayout {
   std::vector<bool> late;  // late[i]: slot i re-checks globals per access
   std::unordered_map<std::string, std::int32_t> slots;
   std::size_t nParams = 0;
-  /// False when the body creates co-expressions (<> / |<> / |>): their
-  /// environments capture frame cells beyond the call, so the body tree
-  /// must not be parked and rebound.
-  bool poolable = true;
 
   [[nodiscard]] std::size_t slotCount() const noexcept { return slotNames.size(); }
   [[nodiscard]] std::int32_t slotOf(const std::string& name) const {

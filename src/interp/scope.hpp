@@ -55,9 +55,9 @@ class Scope {
   /// reach that global's cell again (its body chunk loads it), a cycle
   /// shared_ptr cannot reclaim; the interpreter clears its globals on
   /// teardown to break it. The stored values are nulled first, not just
-  /// the map: cells outlive this table (chunks, frames and parked body
-  /// trees hold them), and a global cell holding a procedure whose pooled
-  /// bodies reference that very cell is a cycle the map clear alone
+  /// the map: cells outlive this table (chunks and frames hold them), and
+  /// a global cell holding a procedure whose compiled chunk loads that
+  /// very cell (any recursive procedure) is a cycle the map clear alone
   /// cannot break.
   void clear() noexcept {
     for (auto& [name, var] : vars_) {

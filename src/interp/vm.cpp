@@ -78,19 +78,22 @@ VmGen::VmGen(Interpreter& interp, ChunkPtr chunk, FramePtr frame)
   root_.marks.reserve(8);
   stack_.reserve(16);
   resume_.reserve(8);
-  if (chunk_->proc) layoutSlots(root_, nullptr, 0);
 }
 
-namespace {
-
-/// The cell behind a cell slot (a late name's LateBoundVar falls back
-/// to it).
-Var& cellOf(const Frame& frame, const CellSlot& cs) {
-  const VarPtr& v = frame.var(static_cast<std::size_t>(cs.slot));
-  return cs.late ? *static_cast<const LateBoundVar&>(*v).fallback() : *v;
+std::shared_ptr<VmGen> VmGen::call(Interpreter& interp, Value proc, std::vector<Value> args) {
+  auto c = std::make_shared<Chunk>();
+  c->name = "<call>";
+  c->consts.reserve(args.size() + 1);
+  c->consts.push_back(std::move(proc));
+  for (Value& a : args) c->consts.push_back(std::move(a));
+  c->code.reserve(c->consts.size() + 2);
+  for (std::size_t i = 0; i < c->consts.size(); ++i) {
+    c->code.push_back({Op::kConst, static_cast<std::int32_t>(i)});
+  }
+  c->code.push_back({Op::kInvoke, static_cast<std::int32_t>(args.size())});
+  c->code.push_back({Op::kYield});
+  return create(interp, std::move(c), nullptr);
 }
-
-}  // namespace
 
 void VmGen::layoutSlots(Act& a, Value* args, std::size_t nargs) {
   const Chunk& c = *a.chunk;
@@ -109,18 +112,6 @@ void VmGen::layoutSlots(Act& a, Value* args, std::size_t nargs) {
     } else {
       a.frame->bind(slot, std::move(cell));
     }
-  }
-}
-
-void VmGen::bindArgs(const std::vector<Value>& args) {
-  const Chunk& c = *chunk_;
-  const std::size_t np = std::min(args.size(), static_cast<std::size_t>(c.nParams));
-  for (std::size_t i = 0; i < static_cast<std::size_t>(c.nSlots); ++i) {
-    slots_[i] = i < np ? args[i] : Value::null();
-  }
-  for (const CellSlot& cs : c.cellSlots) {
-    const auto slot = static_cast<std::size_t>(cs.slot);
-    cellOf(*root_.frame, cs).set(slot < np ? args[slot] : Value::null());
   }
 }
 
@@ -411,7 +402,7 @@ void VmGen::doRestart() {
     if (g) g->restart();
   }
   // Inline caches deliberately survive restarts: the scope-version check
-  // keeps them correct, and pooled activations reuse the warm entries.
+  // keeps them correct.
 }
 
 VmGen::Susp& VmGen::pushSusp(Susp::Kind kind) {
@@ -640,8 +631,9 @@ bool VmGen::convertError(const IconError& e) {
   } while (0)
 
 bool VmGen::run(Result& out) {
-  // The live callee activations count against --max-depth while this
-  // run is on the thread's stack, as a BodyRootGen's guard would.
+  // The live callee activations (a host-side call's procedure is one)
+  // count against --max-depth while this run is on the thread's stack,
+  // as an emitted body's guard would.
   struct DepthHold {
     VmGen& m;
     ~DepthHold() { m.releaseDepth(m.depthHeld_); }
@@ -1353,7 +1345,7 @@ bool VmGen::run(Result& out) {
       if (!convertError(e)) throw;
       flow = Flow::Efail;
     } catch (const BreakSignal&) {
-      if (cur_ == &root_) throw;  // an enclosing machine's loop, or BodyRootGen's 506
+      if (cur_ == &root_) throw;  // an enclosing machine's loop
       const IconError e(506, "break outside of a loop");
       curPc_ = cur_->callPc;
       failToCaller();

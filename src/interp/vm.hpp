@@ -3,9 +3,9 @@
 //
 // One VmGen is one machine, and it is itself a Gen. Its root activation
 // runs the chunk it was built for (an expression, a top-level statement,
-// an escape operand, a co-expression body, or a procedure invoked from
-// the host through BodyRootGen). A call from VM code to a VM procedure of
-// the same interpreter does not leave the machine: kInvoke pushes an
+// an escape operand, a co-expression body, or a host-side call of a
+// procedure, VmGen::call). A call from VM code to a VM procedure of the
+// same interpreter does not leave the machine: kInvoke pushes an
 // activation record (chunk, return pc, slot base, and the heights of the
 // value and resume stacks) and jumps; `return` and `fail` pop it, and
 // `suspend` leaves it under a Call suspension that backtracking resumes
@@ -49,7 +49,8 @@ namespace congen::interp::vm {
 
 /// A procedure's code, compiled once on first use and shared by every
 /// activation of it: VmGen calls it directly, and the host-side invoke
-/// closure (Interpreter::makeProcedure) runs it on a machine of its own.
+/// closure (Interpreter::makeProcedure) calls it from a machine of its
+/// own (VmGen::call).
 class ProcCode {
  public:
   ProcCode(Interpreter& in, std::string name, ast::NodePtr params, ast::NodePtr body);
@@ -66,6 +67,9 @@ class ProcCode {
   }
 
   Interpreter& interp;
+  /// The procedure value over this code. It owns the code (through its
+  /// invoke closure), so it outlives every call of that closure.
+  ProcImpl* proc = nullptr;
 
  private:
   const Chunk& compile();
@@ -81,18 +85,19 @@ class VmGen final : public Gen {
  public:
   /// `frame` holds the cells of a nested chunk's slots (escape operands
   /// and co-expression bodies share or copy them); null for global-mode
-  /// chunks and for procedure bodies, whose root activation lays out its
-  /// own slots (bindArgs fills them).
+  /// chunks.
   VmGen(Interpreter& interp, ChunkPtr chunk, FramePtr frame);
   static std::shared_ptr<VmGen> create(Interpreter& interp, ChunkPtr chunk, FramePtr frame) {
     return std::make_shared<VmGen>(interp, std::move(chunk), std::move(frame));
   }
 
-  /// Fresh-call state for a procedure root (host-side invocation through
-  /// BodyRootGen): parameter slots from `args` (missing ones &null,
-  /// extras ignored — Unicon's variadic convention), every other slot
-  /// &null.
-  void bindArgs(const std::vector<Value>& args);
+  /// A host-side call: a machine whose root chunk pushes `proc` and
+  /// `args` as constants, invokes, and yields each result. A procedure of
+  /// `interp` is then the root's callee, as in any VM call: its caller
+  /// gets plain results, `return` and `fail` end it, `break` or `next`
+  /// leaving its body raises 506 at the call, and it holds one
+  /// --max-depth level. A restart re-runs the chunk: the same call again.
+  static std::shared_ptr<VmGen> call(Interpreter& interp, Value proc, std::vector<Value> args);
 
   /// The most procedure activations one machine holds at once. A call
   /// past it raises 813, as the --max-depth quota does; 100,000 is about
@@ -180,8 +185,8 @@ class VmGen final : public Gen {
 
   /// Trace identities of a callee activation. With tracing on, each
   /// resumption of a call is the span of the call's generator (what
-  /// its caller drives) around the span of its body: the two levels a
-  /// host-side invocation shows as BodyRootGen and VmGen.
+  /// its caller drives) around the span of its body: the two levels of
+  /// an emitted call, its body root and the body tree under it.
   struct ProcCall final : Gen {
     bool doNext(Result&) override { return false; }
     void doRestart() override {}

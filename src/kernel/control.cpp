@@ -192,9 +192,9 @@ bool ReturnGen::doNext(Result& out) {
 
 bool BodyRootGen::doNext(Result& out) {
   if (terminated_) return false;
-  // Both execution paths wrap procedure bodies in BodyRootGen, so this
-  // single guard gives path-independent recursion/suspension depth
-  // accounting: one unit per live activation on this thread's C++ stack.
+  // One depth unit per live emitted activation on this thread's C++
+  // stack; the VM charges the same budget per live callee activation
+  // (VmGen::run), so both paths trip 813 at the same depth.
   governor::DepthGuard depthGuard;
   while (true) {
     bool produced = false;

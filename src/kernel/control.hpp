@@ -228,17 +228,15 @@ class BodyPool {
   std::vector<GenPtr> free_;
 };
 
-/// The root of a procedure body: strips suspend/return flags into plain
-/// results for the caller, terminates after return/fail, and optionally
-/// parks itself for reuse upon completion (the "cached in a stack upon
-/// method return" optimization of Section V.D). Parking goes either to a
-/// BodyPool (raw pointer: the pool's owner must outlive the body — the
-/// emitted-module contract) or through a recycler closure that can keep
-/// the pool's owner alive (the interpreter's contract).
+/// The root of an emitted procedure body: strips suspend/return flags
+/// into plain results for the caller, terminates after return/fail, and
+/// optionally parks itself in a BodyPool for reuse upon completion (the
+/// "cached in a stack upon method return" optimization of Section V.D;
+/// raw pointer: the pool's owner — the emitted module — must outlive the
+/// body). The interpreter's procedures run on VM machines instead.
 class BodyRootGen final : public Gen, public std::enable_shared_from_this<BodyRootGen> {
  public:
   using Unpack = std::function<void(const std::vector<Value>&)>;
-  using Recycler = std::function<void(std::shared_ptr<BodyRootGen>)>;
 
   explicit BodyRootGen(GenPtr inner) : inner_(std::move(inner)) {}
 
@@ -265,19 +263,13 @@ class BodyRootGen final : public Gen, public std::enable_shared_from_this<BodyRo
     return *this;
   }
 
-  /// Park through a closure on completion (may own the pool).
-  BodyRootGen& setRecycler(Recycler recycler) {
-    recycler_ = std::move(recycler);
-    return *this;
-  }
-
  protected:
   bool doNext(Result& out) override;
   void doRestart() override;
 
  private:
   void park() {
-    if (!pool_ && !recycler_) return;
+    if (pool_ == nullptr) return;
     // Scrub before parking, not on take: a parked tree must not pin
     // values from its last activation. A retained operand tuple or frame
     // slot that (transitively) holds this procedure's own value closes a
@@ -288,17 +280,12 @@ class BodyRootGen final : public Gen, public std::enable_shared_from_this<BodyRo
     inner_->restart();
     if (unpack_) unpack_({});  // null every frame slot
     parkedClean_ = true;
-    if (pool_) {
-      pool_->put(shared_from_this());
-    } else {
-      recycler_(shared_from_this());
-    }
+    pool_->put(shared_from_this());
   }
 
   GenPtr inner_;
   Unpack unpack_;
   BodyPool* pool_ = nullptr;
-  Recycler recycler_;
   bool terminated_ = false;
   bool parkedClean_ = false;
 };

@@ -17,8 +17,9 @@
 //                   also counts as a co-expression: it is one);
 //  - pipe depth     a clamp on per-pipe queue capacity (graceful
 //                   degradation: oversized requests shrink, no error);
-//  - depth          recursion/suspension depth (live BodyRootGen
-//                   activations per thread).
+//  - depth          recursion/suspension depth (live procedure
+//                   activations per thread: emitted BodyRootGens and
+//                   VM callee activations).
 //
 // Exhaustion raises a *catchable* typed Icon error (the 81x
 // errQuotaExceeded family in error.hpp) from the shared kernel nodes,

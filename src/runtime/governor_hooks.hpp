@@ -83,9 +83,9 @@ inline void onHeapFree(std::size_t bytes) noexcept {
 }
 
 /// RAII recursion/suspension-depth charge for BodyRootGen::doNext: one
-/// procedure-body activation on the C++ stack per live guard. Counted
-/// per thread (each thread has its own stack), charged only while some
-/// governor enforces a depth limit.
+/// emitted procedure-body activation on the C++ stack per live guard.
+/// Counted per thread (each thread has its own stack), charged only
+/// while some governor enforces a depth limit.
 class DepthGuard {
  public:
   DepthGuard() {

@@ -1,5 +1,6 @@
 // interp_extended_test.cpp — extended Icon/Unicon features: records,
-// case, slices, null tests, globals, and the string-analysis builtins.
+// case, slices, null tests, globals, the string-analysis builtins, and
+// procedures called from the host.
 #include <gtest/gtest.h>
 
 #if defined(__GLIBC__)
@@ -9,6 +10,8 @@
 #include <string>
 
 #include "interp/interpreter.hpp"
+#include "kernel/basic.hpp"
+#include "par/data_parallel.hpp"
 #include "runtime/collections.hpp"
 #include "runtime/error.hpp"
 #include "runtime/record.hpp"
@@ -428,6 +431,176 @@ TEST(StringBuiltins, ScanningPrimitives) {
   EXPECT_EQ(interp.evalOne("match(\"ban\", \"banana\")")->smallInt(), 4);
   EXPECT_TRUE(interp.evalAll("match(\"nan\", \"banana\")").empty());
   EXPECT_EQ(interp.evalOne("match(\"nan\", \"banana\", 3)")->smallInt(), 6);
+}
+
+/// Every result of `gen` until it fails, as images (an &null shows as
+/// such instead of failing a conversion).
+std::vector<std::string> images(Gen& gen) {
+  std::vector<std::string> out;
+  for (const auto& v : gen.collect()) out.push_back(v.image());
+  return out;
+}
+
+// A host-side call (Interpreter::call, ProcImpl::invoke) is a generator
+// like any other: driven again after it failed, it restarts from the
+// beginning — the same call with the same arguments.
+TEST(HostCalls, ReDrivenReturnYieldsTheSameResult) {
+  Interpreter interp;
+  interp.load("def f(x) { return x; }");
+  auto gen = interp.call("f", {Value::integer(5)});
+  EXPECT_EQ(images(*gen), (std::vector<std::string>{"5"}));
+  EXPECT_EQ(images(*gen), (std::vector<std::string>{"5"})) << "the second drive sees x again";
+}
+
+TEST(HostCalls, ReDrivenSuspendsYieldTheSameResults) {
+  Interpreter interp;
+  interp.load("def g(x) { suspend x; suspend x + 1; }");
+  auto gen = interp.call("g", {Value::integer(5)});
+  EXPECT_EQ(images(*gen), (std::vector<std::string>{"5", "6"}));
+  EXPECT_EQ(images(*gen), (std::vector<std::string>{"5", "6"}));
+  ASSERT_TRUE(gen->next().has_value());
+  gen->restart();  // mid-drive: back to the beginning state
+  EXPECT_EQ(images(*gen), (std::vector<std::string>{"5", "6"}));
+}
+
+TEST(HostCalls, ReDrivenBodyStartsFromItsArguments) {
+  // The first drive assigns the parameter; the second starts from the
+  // argument again, not from what the first left behind — in a plain
+  // slot, and in a cell a co-expression shares.
+  Interpreter interp;
+  interp.load(R"(
+    def k(x) { x := x + 1; return x; }
+    def kc(x) { local c; c := <> x; x +:= 1; suspend @c; x +:= 10; }
+  )");
+  auto gen = interp.call("k", {Value::integer(5)});
+  EXPECT_EQ(images(*gen), (std::vector<std::string>{"6"}));
+  EXPECT_EQ(images(*gen), (std::vector<std::string>{"6"}));
+  auto shared = interp.call("kc", {Value::integer(5)});
+  EXPECT_EQ(images(*shared), (std::vector<std::string>{"6"}));
+  EXPECT_EQ(images(*shared), (std::vector<std::string>{"6"}));
+}
+
+TEST(HostCalls, FailEndsTheCallWithSuspensionsLeft) {
+  // `fail` ends the procedure even where a generator inside it could
+  // still resume: directly, and from inside an escape operand's body.
+  Interpreter interp;
+  interp.load(R"(
+    def first(n) { local x; every x := 1 to n do { if x == 2 then fail; suspend x; } }
+    def scanned(s) { every s ? { move(1); fail; }; suspend 9; }
+  )");
+  EXPECT_EQ(images(*interp.call("first", {Value::integer(5)})), (std::vector<std::string>{"1"}));
+  EXPECT_TRUE(images(*interp.call("scanned", {Value::string("abc")})).empty());
+}
+
+TEST(HostCalls, BreakOrNextLeavingTheBodyRaises506) {
+  Interpreter interp;
+  interp.load(R"(
+    def b() { break; }
+    def n() { next; }
+    def s(x) { x ? { move(1); break; } }
+  )");
+  for (const auto& [name, args] : std::vector<std::pair<std::string, std::vector<Value>>>{
+           {"b", {}}, {"n", {}}, {"s", {Value::string("abc")}}}) {
+    try {
+      (void)interp.call(name, args)->next();
+      FAIL() << name << ": expected 506";
+    } catch (const IconError& e) {
+      EXPECT_EQ(e.number(), 506) << name << ": " << e.what();
+    }
+  }
+}
+
+TEST(HostCalls, BreakOrNextAfterASuspendFromAnEscapeRaises506) {
+  // The first drive suspends from inside a scan or case body; the
+  // second resumes there, and the break or next leaves the procedure.
+  Interpreter interp;
+  interp.load(R"(
+    def sb(x) { x ? { suspend 1; break; } }
+    def sn(x) { x ? { suspend 1; next; } }
+    def cb(x) { case x of { "abc": { suspend 10; break; } } }
+    def cn(x) { case x of { "abc": { suspend 10; next; } } }
+  )");
+  for (const auto& [name, first] : std::vector<std::pair<std::string, std::int64_t>>{
+           {"sb", 1}, {"sn", 1}, {"cb", 10}, {"cn", 10}}) {
+    auto gen = interp.call(name, {Value::string("abc")});
+    auto r = gen->nextValue();
+    ASSERT_TRUE(r.has_value()) << name;
+    EXPECT_EQ(r->smallInt(), first) << name;
+    try {
+      (void)gen->next();
+      FAIL() << name << ": expected 506";
+    } catch (const IconError& e) {
+      EXPECT_EQ(e.number(), 506) << name << ": " << e.what();
+    }
+  }
+}
+
+TEST(HostCalls, DepthQuotaChargesTheCallAndUnwinds) {
+  Interpreter::Options opts;
+  opts.quotas.maxDepth = 16;
+  Interpreter interp{opts};
+  interp.load("def down(n) { if n <= 0 then return 0; return 1 + down(n - 1); }");
+  try {
+    (void)interp.call("down", {Value::integer(100)})->next();
+    FAIL() << "expected 813";
+  } catch (const IconError& e) {
+    EXPECT_EQ(e.number(), 813) << e.what();
+  }
+  auto r = interp.call("down", {Value::integer(8)})->nextValue();
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->smallInt(), 8) << "the quota's levels were all given back";
+  // The host's call is one level, as each call inside it is: down(15)
+  // is 16 activations, down(16) one too many.
+  r = interp.call("down", {Value::integer(15)})->nextValue();
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r->smallInt(), 15);
+  try {
+    (void)interp.call("down", {Value::integer(16)})->next();
+    FAIL() << "expected 813";
+  } catch (const IconError& e) {
+    EXPECT_EQ(e.number(), 813) << e.what();
+  }
+}
+
+TEST(HostCalls, SuspendedGlobalIsAssignableThroughTheResult) {
+  Interpreter interp;
+  interp.load(R"(
+    global counter
+    def cell() { counter := 1; suspend counter; }
+  )");
+  auto gen = interp.call("cell", {});
+  auto r = gen->next();
+  ASSERT_TRUE(r.has_value());
+  ASSERT_NE(r->ref, nullptr) << "a suspended variable stays a variable";
+  r->ref->set(Value::integer(42));
+  EXPECT_EQ(interp.global("counter")->smallInt(), 42);
+}
+
+TEST(HostCalls, ProcedureOfAnotherInterpreterYieldsPlainResults) {
+  // B's machine drives A's procedure as a generator; a suspend or
+  // return flag escaping it would read as B's own.
+  Interpreter a;
+  a.load("def two(x) { suspend x; return x + 1; }");
+  Interpreter b;
+  b.defineGlobal("two", *a.global("two"));
+  EXPECT_EQ(evalInts(b, "two(5) + 10"), (std::vector<std::int64_t>{15, 16}));
+}
+
+TEST(HostCalls, MapReduceOverInterpreterProceduresMatchesSerialSum) {
+  Interpreter interp;
+  interp.load(R"(
+    def sq(x) { return x * x; }
+    def add(a, b) { return a + b; }
+  )");
+  const DataParallel dp(7);
+  auto gen = dp.mapReduce(interp.global("sq")->proc(), [] {
+    return RangeGen::create(Value::integer(1), Value::integer(100), Value::integer(1));
+  }, interp.global("add")->proc(), Value::integer(0));
+  std::int64_t total = 0;
+  while (auto v = gen->nextValue()) total += v->requireInt64("test");
+  std::int64_t expected = 0;
+  for (std::int64_t i = 1; i <= 100; ++i) expected += i * i;
+  EXPECT_EQ(total, expected);
 }
 
 TEST(HostInterop, RecordsVisibleFromHost) {

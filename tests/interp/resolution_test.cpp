@@ -1,7 +1,7 @@
 // resolution_test.cpp — the name-resolution pass and slot-indexed
 // frames: identifier classification (slot / global / builtin / late),
 // procedure-scoped locals, keep-and-rebind redeclaration, co-expression
-// environments over slots, and pooled-frame reuse across calls.
+// environments over slots, and distinct slots for every activation.
 #include <gtest/gtest.h>
 
 #include "frontend/parser.hpp"
@@ -54,7 +54,6 @@ TEST(ResolverLayout, ParamsLeadTheFrameAndLocalsFollow) {
   EXPECT_EQ(layout.slotOf("a"), 0);
   EXPECT_EQ(layout.slotOf("b"), 1);
   EXPECT_GE(layout.slotOf("x"), 2);
-  EXPECT_TRUE(layout.poolable);
 
   const auto a = findIdent(def->kids[1], "a");
   ASSERT_NE(a, nullptr);
@@ -83,17 +82,6 @@ TEST(ResolverLayout, GlobalsBuiltinsAndLateNamesAreClassified) {
   EXPECT_EQ(findIdent(body, "mystery")->res, ast::Res::Late);
   EXPECT_GE(layout.slotOf("acc"), 0) << "late names still own a fallback slot";
   EXPECT_GE(layout.slotOf("mystery"), 0);
-}
-
-TEST(ResolverLayout, CoExpressionBodiesAreNotPoolable) {
-  auto globals = Scope::makeGlobal();
-  NodePtr def;
-  const auto layout = resolveDef("def f(x) { return @ <> (x + 1); }", *globals, def);
-  EXPECT_FALSE(layout.poolable)
-      << "co-expression environments capture frame cells beyond the call";
-
-  NodePtr plain;
-  EXPECT_TRUE(resolveDef("def g(x) { return x + 1; }", *globals, plain).poolable);
 }
 
 TEST(ScopeSemantics, RedeclarationKeepsTheCell) {
@@ -198,8 +186,8 @@ TEST(EvalResolution, PooledFramesRebindLocalsBetweenCalls) {
 }
 
 TEST(EvalResolution, RecursionGetsDistinctFrames) {
-  // Nested activations of the same procedure must not share (or steal
-  // back) each other's pooled frames — the sole-owner take() invariant.
+  // Nested activations of the same procedure each get slots of their
+  // own on the machine: an inner call never writes an outer one's n.
   Interpreter interp;
   interp.load("def fib(n) { if n < 2 then return n; return fib(n - 1) + fib(n - 2); }");
   EXPECT_EQ(interp.evalOne("fib(12)")->smallInt(), 144);

@@ -1,8 +1,9 @@
-// frame_stress_test.cpp — pooled procedure bodies and slot frames under
-// concurrency. Pipes and mapReduce invoke the same procedures from pool
-// threads, so parked bodies are taken and re-parked across threads;
-// every round must see fully rebound frames (no state bleeding between
-// activations) and the sanitizer presets must stay clean.
+// frame_stress_test.cpp — procedure activations and slot frames under
+// concurrency. Pipes and mapReduce call the same procedures from pool
+// threads, each activation on the machine of the thread that runs it,
+// sharing only the procedure's compile-once chunk; every round must see
+// fresh slots (no state bleeding between activations) and the sanitizer
+// presets must stay clean.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -32,8 +33,8 @@ std::string readFile(const std::string& path) {
 
 
 TEST(FrameStress, PipesRecycleBodiesAcrossThreads) {
-  // Each round drives two pipe stages: sq() runs on a pool thread, so
-  // its parked body is recycled between the consumer and pool threads.
+  // Each round drives two pipe stages: sq() runs on a pool thread, on
+  // the producer's machine, while the consumer thread runs the rest.
   interp::Interpreter interp;
   interp.load("def sq(x) { local y; y := x * x; return y; }");
   const int rounds = 20 * stress::scale();
@@ -46,9 +47,9 @@ TEST(FrameStress, PipesRecycleBodiesAcrossThreads) {
 
 TEST(FrameStress, MapReduceRecyclesFramesAcrossThreads) {
   // The Fig. 4 program: every round spawns one pipe per chunk, and each
-  // pipe body calls square/add — poolable procedures — from its own
-  // thread. Rounds must agree exactly; a body handed to two call sites
-  // or a frame rebound under a live reader would corrupt the sums.
+  // pipe body calls square/add from its own thread, on its own machine.
+  // Rounds must agree exactly; slots shared between two activations, or
+  // a chunk compiled twice under a race, would corrupt the sums.
   interp::Interpreter interp;
   interp.load(readFile(std::string(CONGEN_SOURCE_DIR) + "/examples/scripts/mapreduce.jn"));
   const std::vector<std::int64_t> expected{14, 77, 194, 100};
