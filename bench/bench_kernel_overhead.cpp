@@ -3,8 +3,10 @@
 //   * "the kernel is optimized to statefully resume its point of
 //     suspension on a succeeding next(), incurring zero cost for
 //     suspends" — suspend-resume vs bare iteration;
-//   * "for optimization the iterator body is cached in a stack upon
-//     method return, and then reused" — method-body cache on vs off;
+//   * the price of an emitted procedure call, which builds its body tree
+//     per call (Section V.D's "cached in a stack upon method return, and
+//     then reused" is not done: a reused body would rebind the cells that
+//     co-expressions created by the finished call still read);
 //   * product/backtracking depth cost.
 #include <benchmark/benchmark.h>
 
@@ -81,49 +83,28 @@ void deeplyNestedSuspend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 
-// --- method-body cache ----------------------------------------------------
+// --- emitted procedure calls ----------------------------------------------
 
-ProcPtr makeCachedProc(BodyPool* pool) {
-  // def inc(x) { return x + 1; } in emitted form, optionally parking its
-  // bodies in a per-procedure BodyPool as an emitted module does.
-  return ProcImpl::create("inc", [pool](std::vector<Value> args) -> GenPtr {
-    if (pool) {
-      if (auto cached = pool->take()) {
-        static_cast<BodyRootGen&>(*cached).unpackArgs(args);
-        return cached;
-      }
-    }
-    auto x_r = CellVar::create();
-    auto body = BodyRootGen::create(
-        ReturnGen::create(makeBinaryOpGen("+", VarGen::create(x_r),
-                                          ConstGen::create(Value::integer(1)))));
-    body->setUnpackClosure([x_r](const std::vector<Value>& params) {
-      x_r->set(params.empty() ? Value::null() : params[0]);
+void emittedCall(benchmark::State& state) {
+  // def inc(x) { return x + 1; } as congenc emits it: each call builds its
+  // own body, with x bound from the call's arguments.
+  const ProcPtr proc = ProcImpl::create("inc", [](std::vector<Value> args) -> GenPtr {
+    return BodyRootGen::create(std::move(args), [](const std::vector<Value>& params) -> GenPtr {
+      auto x_r = CellVar::create(params.size() > 0 ? params[0] : Value::null());
+      return ReturnGen::create(
+          makeBinaryOpGen("+", VarGen::create(x_r), ConstGen::create(Value::integer(1))));
     });
-    if (pool) body->setPool(pool);
-    body->unpackArgs(args);
-    return body;
   });
-}
-
-void invokeLoop(benchmark::State& state, ProcPtr proc) {
   for (auto _ : state) {
     std::int64_t sum = 0;
     for (int i = 0; i < 1000; ++i) {
       auto g = proc->invoke({Value::integer(i)});
       sum += g->nextValue()->smallInt();
-      g->nextValue();  // drive to completion so a cached body parks itself
+      g->nextValue();  // drive to completion, as a caller does
     }
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * 1000);
-}
-
-void methodBodyCacheOff(benchmark::State& state) { invokeLoop(state, makeCachedProc(nullptr)); }
-
-void methodBodyCacheOn(benchmark::State& state) {
-  BodyPool pool;
-  invokeLoop(state, makeCachedProc(&pool));
 }
 
 // --- products & backtracking ------------------------------------------------
@@ -181,9 +162,8 @@ void vmGoalDirectedSearch(benchmark::State& state) {
 }
 
 void vmProcInvoke(benchmark::State& state) {
-  // VM counterpart of the method-body-cache rows: 1000 host-side calls
-  // of a chunk-compiled procedure, each on a fresh machine that calls it
-  // (no body cache).
+  // VM counterpart of kernel/emitted_call: 1000 host-side calls of a
+  // chunk-compiled procedure, each on a fresh machine that calls it.
   interp::Interpreter interp;
   interp.load("procedure bump(i)\n  return i + 1\nend");
   const ProcPtr proc = interp.global("bump")->proc();
@@ -223,8 +203,7 @@ BENCHMARK(governedRange)->Name("kernel/range_bare_governed")->Arg(100000);
 BENCHMARK(tracedRange)->Name("kernel/range_traced")->Arg(100000);
 BENCHMARK(suspendedRange)->Name("kernel/range_through_suspend")->Arg(100000);
 BENCHMARK(deeplyNestedSuspend)->Name("kernel/suspend_depth")->Arg(1)->Arg(4)->Arg(16);
-BENCHMARK(methodBodyCacheOff)->Name("kernel/method_body_cache_off");
-BENCHMARK(methodBodyCacheOn)->Name("kernel/method_body_cache_on");
+BENCHMARK(emittedCall)->Name("kernel/emitted_call");
 BENCHMARK(productDepth)->Name("kernel/product_depth")->Arg(1)->Arg(2)->Arg(3)->Arg(4);
 BENCHMARK(goalDirectedSearch)->Name("kernel/goal_directed_search");
 BENCHMARK(vmGoalDirectedSearch)->Name("kernel/goal_directed_search_vm");

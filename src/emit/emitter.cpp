@@ -79,9 +79,8 @@ class Emitter {
     os << "// Generated by congenc — the Junicon-to-C++ translator. Do not edit.\n";
     os << "// Shape mirrors Fig. 5 of Mills & Jeffery, IPDPS HIPS 2016.\n";
     os << "#pragma once\n\n#include \"congen.hpp\"\n\n";
-    // Classify top-level items up front so the struct can declare one
-    // BodyPool member per procedure (the method-body cache of Fig. 5,
-    // resolved at translation time — no name lookup on any call).
+    // Classify top-level items up front: the constructor registers every
+    // record and procedure before it runs any top-level statement.
     std::vector<NodePtr> defs;
     std::vector<NodePtr> records;
     std::vector<NodePtr> topStatements;
@@ -92,10 +91,7 @@ class Emitter {
     }
 
     os << "struct " << opts_.moduleName << " {\n";
-    for (const auto& def : defs) os << "  congen::BodyPool pool_" << def->text << ";\n";
-    os << "  std::unordered_map<std::string, congen::VarPtr> globals;\n";
-    os << "  congen::ThreadPool* pool = &congen::ThreadPool::global();\n";
-    os << "  std::size_t pipeCapacity = " << opts_.pipeCapacity << ";\n\n";
+    os << "  std::unordered_map<std::string, congen::VarPtr> globals;\n\n";
     os << "  congen::VarPtr globalVar(const std::string& name) {\n";
     os << "    auto& v = globals[name];\n";
     os << "    if (!v) v = congen::CellVar::create();\n";
@@ -204,54 +200,26 @@ class Emitter {
     os << "  congen::ProcPtr make_" << name << "() {\n";
     os << "    return congen::ProcImpl::create(" << cppStringLiteral(name)
        << ", [this](std::vector<congen::Value> args) -> congen::GenPtr {\n";
-    os << "      // Reuse a parked body: the pool is a struct member, so no\n";
-    os << "      // name is hashed on the call path (sole-owner take()).\n";
-    os << "      if (auto cached = pool_" << name << ".take()) {\n";
-    os << "        static_cast<congen::BodyRootGen&>(*cached).unpackArgs(args);\n";
-    os << "        return cached;\n";
-    os << "      }\n";
-    os << "      // Reified parameters\n";
-    for (const auto& p : paramNames) {
-      os << "      [[maybe_unused]] auto " << p << "_r = congen::CellVar::create();\n";
-    }
-    if (!locals.empty()) os << "      // Locals and temporaries\n";
-    for (const auto& l : locals) {
-      os << "      [[maybe_unused]] auto " << l << "_r = congen::CellVar::create();\n";
-    }
-    os << "      // Unpack parameters (rebinds on cache reuse)\n";
-    os << "      auto unpack = [";
-    {
-      bool first = true;
-      for (const auto& p : paramNames) {
-        os << (first ? "" : ", ") << p << "_r";
-        first = false;
-      }
-      for (const auto& l : locals) {
-        os << (first ? "" : ", ") << l << "_r";
-        first = false;
-      }
-    }
-    os << "](const std::vector<congen::Value>& params) {\n";
+    os << "      // Each call builds its own body; a restart builds it again\n";
+    os << "      // from the same arguments.\n";
+    os << "      return congen::BodyRootGen::create(std::move(args), [this]("
+          "[[maybe_unused]] const std::vector<congen::Value>& params) -> congen::GenPtr {\n";
+    os << "        // Reified parameters, bound from the arguments\n";
     for (std::size_t i = 0; i < paramNames.size(); ++i) {
-      os << "        " << paramNames[i] << "_r->set(params.size() > " << i << " ? params[" << i
+      os << "        [[maybe_unused]] auto " << paramNames[i]
+         << "_r = congen::CellVar::create(params.size() > " << i << " ? params[" << i
          << "] : congen::Value::null());\n";
     }
+    if (!locals.empty()) os << "        // Locals and temporaries\n";
     for (const auto& l : locals) {
-      os << "        " << l << "_r->set(congen::Value::null());\n";
+      os << "        [[maybe_unused]] auto " << l << "_r = congen::CellVar::create();\n";
     }
-    if (paramNames.empty()) os << "        (void)params;\n";
-    os << "      };\n";
-    os << "      // Method body\n";
-    os << "      auto body = congen::BodyRootGen::create(\n";
-    os << "        " << statement(def->kids[1], 4) << ");\n";
-    os << "      body->setUnpackClosure(unpack);\n";
-    os << "      body->setPool(&pool_" << name << ");\n";
-    os << "      body->unpackArgs(args);\n";
-    os << "      return body;\n";
+    os << "        // Method body\n";
+    os << "        return " << statement(body, 4) << ";\n";
+    os << "      });\n";
     os << "    });\n";
     os << "  }\n";
     popScope();
-    (void)body;
     return os.str();
   }
 
@@ -393,7 +361,7 @@ class Emitter {
     }
     if (op == "|>") {
       return "congen::makePipeCreateGen(" + ind(depth + 1) +
-             bodyFactory(operand, depth + 1, /*shadow=*/true) + ", pipeCapacity, *pool)";
+             bodyFactory(operand, depth + 1, /*shadow=*/true) + ")";
     }
     return "congen::makeUnaryOpGen(" + cppStringLiteral(op) + ", " + expr(operand, depth) + ")";
   }

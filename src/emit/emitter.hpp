@@ -3,8 +3,8 @@
 // The compiled path of the paper's harness: where Fig. 5 shows `spawnMap`
 // translated into Java IconIterator constructors, emitModule() produces
 // the same shape in C++ — a module struct whose methods build the
-// composed iterator trees, with reified parameters, unpack closures,
-// method-body caching, and synthesized co-expressions that copy their
+// composed iterator trees, with reified parameters bound from each
+// call's arguments and synthesized co-expressions that copy their
 // referenced locals (the `chunk_s_r` shadowing of Fig. 5).
 //
 // Contract of the generated code:
@@ -13,6 +13,8 @@
 //  * Procedure definitions become `make_<name>()` factories, registered
 //    into a globals map in the constructor; top-level statements run in
 //    the constructor, bounded, in order.
+//  * Every call of a procedure builds its own body (a BodyRootGen over
+//    the call's arguments and a builder); a restart builds it again.
 //  * Host code exchanges data through `set(name, value)` / `get(name)`
 //    and obtains generators from `call("name", {...})` or the emitted
 //    `expr_N()` methods for expression-level regions.
@@ -27,7 +29,6 @@ namespace congen::emit {
 
 struct EmitOptions {
   std::string moduleName = "CongenModule";
-  std::size_t pipeCapacity = 1024;
   /// Names known to be provided by the host via set() — never treated as
   /// implicit locals.
   std::vector<std::string> hostGlobals;

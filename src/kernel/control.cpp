@@ -192,6 +192,7 @@ bool ReturnGen::doNext(Result& out) {
 
 bool BodyRootGen::doNext(Result& out) {
   if (terminated_) return false;
+  if (!inner_) inner_ = build_(args_);
   // One depth unit per live emitted activation on this thread's C++
   // stack; the VM charges the same budget per live callee activation
   // (VmGen::run), so both paths trip 813 at the same depth.
@@ -210,7 +211,6 @@ bool BodyRootGen::doNext(Result& out) {
     }
     if (!produced) {
       terminated_ = true;
-      park();
       return false;  // fell off the end of the body: fail
     }
     if (out.flags & Result::kSuspend) {
@@ -219,13 +219,11 @@ bool BodyRootGen::doNext(Result& out) {
     }
     if (out.flags & Result::kReturn) {
       terminated_ = true;
-      park();
       out.flags &= static_cast<std::uint8_t>(~Result::kReturn);
       return true;
     }
     if (out.flags & Result::kFailBody) {
       terminated_ = true;
-      park();
       return false;
     }
     // A plain result at body level is discarded (statement values are not
@@ -235,12 +233,11 @@ bool BodyRootGen::doNext(Result& out) {
 
 void BodyRootGen::doRestart() {
   terminated_ = false;
-  if (parkedClean_) {
-    // Parking already restarted the whole tree; skip the second walk.
-    parkedClean_ = false;
-    return;
+  if (build_) {
+    inner_.reset();  // the next drive builds the call's body again
+  } else {
+    inner_->restart();
   }
-  inner_->restart();
 }
 
 }  // namespace congen

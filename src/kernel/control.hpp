@@ -6,12 +6,11 @@
 // how `every x := !l do suspend f(x)` turns a loop into a generator.
 #pragma once
 
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "kernel/gen.hpp"
-#include "obs/runtime_stats.hpp"
 
 namespace congen {
 
@@ -170,97 +169,32 @@ class NextGen final : public Gen {
   void doRestart() override {}
 };
 
-/// A mutex-guarded free list of parked procedure-body trees — one pool
-/// per procedure. BodyRootGen parks itself here on completion; callers
-/// take() a parked body and rebind its arguments instead of rebuilding
-/// the Gen tree (Fig. 5's "cached in a stack upon method return", made
-/// thread-safe so procedures can be invoked from pool threads: pipes,
-/// mapReduce). The pool is bounded — deep recursion retires extra
-/// bodies rather than hoarding them.
-class BodyPool {
+/// The root of a procedure body: strips suspend/return flags into plain
+/// results for the caller, terminates after return/fail, and turns a
+/// break/next that leaves the body into error 506.
+///
+/// An emitted call makes its root from the call's arguments and a
+/// builder: the closure that creates the reified cells (parameters bound
+/// by position from the arguments, missing ones &null; locals &null) and
+/// the body tree over them. Every call builds its own body, on its first
+/// drive, and a restart — explicit or after failure — builds it again:
+/// the same call on fresh cells, as a VM host call re-runs its root
+/// (VmGen::call). A co-expression that escaped an earlier drive keeps
+/// the cells it captured. A root over a prebuilt tree (the kernel API)
+/// restarts that tree instead.
+class BodyRootGen final : public Gen {
  public:
-  [[nodiscard]] GenPtr take() {
-    const bool metrics = obs::metricsEnabled();
-    std::lock_guard lock(mu_);
-    // A body parks itself the moment it terminates — while its caller may
-    // still hold a reference for goal-directed resumption (e.g. a nested
-    // call to the same procedure). Handing such a body out would rebind a
-    // frame another call site can still restart, so only sole-owned
-    // entries are reused; aliased ones stay parked until their holder
-    // lets go. Counts cannot rise while we hold the lock (only the pool
-    // could mint copies), so use_count()==1 cannot go stale here.
-    for (auto it = free_.rbegin(); it != free_.rend(); ++it) {
-      if (it->use_count() == 1) {
-        // use_count() is a relaxed load: it proves the last holder let go
-        // but does not order that holder's accesses before ours. Copying
-        // does — its acq_rel increment reads the holder's release
-        // decrement — so the caller's restart() happens-after the holder's
-        // last next(). (A standalone acquire fence would be correct C++
-        // too, but ThreadSanitizer does not model fences.)
-        GenPtr body = *it;
-        free_.erase(std::next(it).base());
-        if (metrics) [[unlikely]] obs::KernelStats::get().framesPooled.add(1);
-        return body;
-      }
-    }
-    // A take() miss means the caller builds a fresh body (frame) tree.
-    if (metrics) [[unlikely]] obs::KernelStats::get().framesAllocated.add(1);
-    return nullptr;
-  }
-
-  void put(GenPtr body) {
-    const bool metrics = obs::metricsEnabled();
-    std::lock_guard lock(mu_);
-    if (free_.size() < kMaxParked) {
-      free_.push_back(std::move(body));
-      if (metrics) [[unlikely]] obs::KernelStats::get().framesParked.add(1);
-    }
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::lock_guard lock(mu_);
-    return free_.size();
-  }
-
- private:
-  static constexpr std::size_t kMaxParked = 64;
-  mutable std::mutex mu_;
-  std::vector<GenPtr> free_;
-};
-
-/// The root of an emitted procedure body: strips suspend/return flags
-/// into plain results for the caller, terminates after return/fail, and
-/// optionally parks itself in a BodyPool for reuse upon completion (the
-/// "cached in a stack upon method return" optimization of Section V.D;
-/// raw pointer: the pool's owner — the emitted module — must outlive the
-/// body). The interpreter's procedures run on VM machines instead.
-class BodyRootGen final : public Gen, public std::enable_shared_from_this<BodyRootGen> {
- public:
-  using Unpack = std::function<void(const std::vector<Value>&)>;
+  using Builder = std::function<GenPtr(const std::vector<Value>& args)>;
 
   explicit BodyRootGen(GenPtr inner) : inner_(std::move(inner)) {}
+  BodyRootGen(std::vector<Value> args, Builder build)
+      : args_(std::move(args)), build_(std::move(build)) {}
 
   static std::shared_ptr<BodyRootGen> create(GenPtr inner) {
     return std::make_shared<BodyRootGen>(std::move(inner));
   }
-
-  /// Install the parameter-rebinding closure (Fig. 5's unpack lambda).
-  BodyRootGen& setUnpackClosure(Unpack unpack) {
-    unpack_ = std::move(unpack);
-    return *this;
-  }
-
-  /// Rebind arguments and reset — used on a fresh or cache-reused body.
-  BodyRootGen& unpackArgs(const std::vector<Value>& args) {
-    if (unpack_) unpack_(args);
-    restart();
-    return *this;
-  }
-
-  /// Park into `pool` on completion (pool must outlive this body).
-  BodyRootGen& setPool(BodyPool* pool) {
-    pool_ = pool;
-    return *this;
+  static std::shared_ptr<BodyRootGen> create(std::vector<Value> args, Builder build) {
+    return std::make_shared<BodyRootGen>(std::move(args), std::move(build));
   }
 
  protected:
@@ -268,26 +202,10 @@ class BodyRootGen final : public Gen, public std::enable_shared_from_this<BodyRo
   void doRestart() override;
 
  private:
-  void park() {
-    if (pool_ == nullptr) return;
-    // Scrub before parking, not on take: a parked tree must not pin
-    // values from its last activation. A retained operand tuple or frame
-    // slot that (transitively) holds this procedure's own value closes a
-    // cycle through the pool — pool → body → value → pool — that
-    // shared_ptr can never reclaim. The take path skips its restart walk
-    // when the tree is already pristine (parkedClean_), so the per-call
-    // walk count is unchanged.
-    inner_->restart();
-    if (unpack_) unpack_({});  // null every frame slot
-    parkedClean_ = true;
-    pool_->put(shared_from_this());
-  }
-
-  GenPtr inner_;
-  Unpack unpack_;
-  BodyPool* pool_ = nullptr;
+  std::vector<Value> args_;
+  Builder build_;  // empty for a prebuilt tree
+  GenPtr inner_;   // null until a builder root's next drive
   bool terminated_ = false;
-  bool parkedClean_ = false;
 };
 
 }  // namespace congen

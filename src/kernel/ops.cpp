@@ -407,10 +407,9 @@ bool DelegateGen::doNext(Result& out) {
 
 void DelegateGen::doRestart() {
   inner_.reset();
-  // Drop the retained operand tuple, not just the inner generator: for an
-  // invocation, current_[0] is the procedure value, and a parked body
-  // tree that pins its own procedure (recursive calls) is a cycle through
-  // the body pool that can never collect.
+  // Drop the retained operand tuple, not just the inner generator, so a
+  // restarted node holds no value of its last drive: for an invocation,
+  // current_[0] is the procedure and the rest are its arguments.
   for (auto& r : current_) {
     r.value = Value::null();
     r.ref = nullptr;

@@ -65,9 +65,6 @@ ParStats& ParStats::get() {
 KernelStats& KernelStats::get() {
   auto& r = Registry::global();
   static KernelStats* s = new KernelStats{
-      r.counter("kernel.frames.pooled"),
-      r.counter("kernel.frames.allocated"),
-      r.counter("kernel.frames.parked"),
       r.counter("kernel.arena.hits"),
       r.counter("kernel.arena.misses"),
       r.counter("kernel.arena.returns"),

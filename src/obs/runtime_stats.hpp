@@ -78,9 +78,6 @@ struct ParStats {
 
 /// Interpreter / kernel allocation machinery.
 struct KernelStats {
-  Counter& framesPooled;    ///< procedure bodies reused from a BodyPool
-  Counter& framesAllocated; ///< calls that had to build a fresh body/frame
-  Counter& framesParked;    ///< bodies returned to a pool on completion
   // The arena counters are fed by a snapshot-time collector from the
   // arena's branch-free per-thread tallies (see kernel/arena.hpp) — they
   // advance at Registry::snapshot(), not at the allocation site, and

@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -28,6 +29,7 @@
 #include "conf_timeout.hpp"
 #include "conf_wordcount.hpp"
 #include "conf_wordfreq.hpp"
+#include "confcase_call_contract.hpp"
 #include "confcase_escapes.hpp"
 #include "confcase_subscript_stores.hpp"
 #include "confcase_top_level_temps.hpp"
@@ -48,6 +50,12 @@ std::string readFile(const std::string& path) {
 }
 
 Value emptyArgs() { return Value::list(ListImpl::create()); }
+
+std::vector<std::string> drainImages(const GenPtr& gen) {
+  std::vector<std::string> images;
+  while (auto v = gen->nextValue()) images.push_back(v->toDisplayString());
+  return images;
+}
 
 /// Drain main(args=[]) through the interpreter, capturing stdout.
 std::string interpMainOutput(const std::string& scriptPath) {
@@ -99,6 +107,11 @@ TEST(ConformanceScripts, Timeout) { expectScriptConformance<Conf_timeout>("timeo
 TEST(ConformanceScripts, Wordcount) { expectScriptConformance<Conf_wordcount>("wordcount"); }
 TEST(ConformanceScripts, Wordfreq) { expectScriptConformance<Conf_wordfreq>("wordfreq"); }
 
+TEST(ConformanceCases, CallContract) {
+  expectConformance<ConfCase_call_contract>(
+      kRoot + "/tests/conformance/cases/call_contract.jn", "call_contract");
+}
+
 TEST(ConformanceCases, Escapes) {
   expectConformance<ConfCase_escapes>(kRoot + "/tests/conformance/cases/escapes.jn", "escapes");
 }
@@ -111,6 +124,54 @@ TEST(ConformanceCases, SubscriptStores) {
 TEST(ConformanceCases, TopLevelTemporaries) {
   expectConformance<ConfCase_top_level_temps>(
       kRoot + "/tests/conformance/cases/top_level_temps.jn", "top_level_temps");
+}
+
+/// A host-side call of a call_contract.jn procedure: `call(name, args)`.
+using HostCall = std::function<GenPtr(const std::string&, std::vector<Value>)>;
+
+/// Run `check` once against the interpreter and once against the emitted
+/// module: a host call means the same on both paths.
+void onBothPaths(const std::function<void(const HostCall&)>& check) {
+  {
+    SCOPED_TRACE("interpreter");
+    interp::Interpreter interp;
+    interp.load(readFile(kRoot + "/tests/conformance/cases/call_contract.jn"));
+    check([&interp](const std::string& name, std::vector<Value> args) {
+      return interp.call(name, std::move(args));
+    });
+  }
+  {
+    SCOPED_TRACE("emitted");
+    ConfCase_call_contract mod;
+    check([&mod](const std::string& name, std::vector<Value> args) {
+      return mod.call(name, std::move(args));
+    });
+  }
+}
+
+TEST(ConformanceCalls, DrivenAgainAfterFailureRunsTheCallAgain) {
+  onBothPaths([](const HostCall& call) {
+    const GenPtr gen = call("k", {Value::integer(5)});
+    EXPECT_EQ(drainImages(gen), (std::vector<std::string>{"6", "16"}));
+    EXPECT_EQ(drainImages(gen), (std::vector<std::string>{"6", "16"})) << "second drive";
+  });
+}
+
+TEST(ConformanceCalls, RestartAfterTheFirstResultRunsTheCallAgain) {
+  onBothPaths([](const HostCall& call) {
+    const GenPtr gen = call("k", {Value::integer(5)});
+    ASSERT_EQ(gen->nextValue()->toDisplayString(), "6");
+    gen->restart();
+    EXPECT_EQ(drainImages(gen), (std::vector<std::string>{"6", "16"}));
+  });
+}
+
+TEST(ConformanceCalls, ReturnedCallDrivenAgainReturnsAgain) {
+  onBothPaths([](const HostCall& call) {
+    const GenPtr gen = call("f", {Value::integer(5)});
+    EXPECT_EQ(drainImages(gen), (std::vector<std::string>{"5"}));
+    EXPECT_EQ(drainImages(gen), (std::vector<std::string>{"5"})) << "second drive";
+  });
 }
 
 /// The suite must cover every shipped example: a new .jn or .ccg file
@@ -140,12 +201,6 @@ ListPtr wordcountLines() {
   lines->put(Value::string("concurrent generators embed goal directed evaluation"));
   lines->put(Value::string("pipes are multithreaded generator proxies"));
   return lines;
-}
-
-std::vector<std::string> drainImages(const GenPtr& gen) {
-  std::vector<std::string> images;
-  while (auto v = gen->nextValue()) images.push_back(v->toDisplayString());
-  return images;
 }
 
 TEST(ConformanceEmbedded, WordcountPipelineStreamAgrees) {

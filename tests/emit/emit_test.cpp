@@ -58,19 +58,12 @@ TEST(EmitGolden, CustomModuleName) {
   expectMatchesGolden("custom_module_name", emitDefs("def f() { }", opts));
 }
 
-TEST(EmitGolden, PipeKnobs) {
-  // The pipe capacity surfaces as a module field and flows into every
-  // emitted makePipeCreateGen call.
-  EmitOptions opts;
-  opts.pipeCapacity = 256;
-  expectMatchesGolden("pipe_knobs", emitDefs("def f(e) { suspend ! (|> !e); }", opts));
-}
-
 TEST(EmitGolden, Fig5SpawnMap) {
   // The example of Section V.D / Fig. 5:
   //   def spawnMap(f, chunk) { suspend ! (|> f(!chunk)); }
-  // Locks down the method-body cache protocol, reified parameters, the
-  // unpack closure, and the shadowed co-expression environment copy.
+  // Locks down the per-call body builder with its reified parameters
+  // bound from the arguments, the shadowed co-expression environment
+  // copies, and the suspend/promote/pipe composition.
   expectMatchesGolden("fig5_spawn_map",
                       emitDefs("def spawnMap(f, chunk) { suspend ! (|> f(!chunk)); }"));
 }

@@ -30,8 +30,11 @@ namespace {
 /// table, record and string (reads in and out of range, stores plain,
 /// chained, `op:=` and under `every`, a subscript that fails before its
 /// right side runs, a right side that shrinks the list first, `:=:`,
-/// null tests), &error conversion, and procedures that recurse and
-/// suspend at depth, fail from nested marks, or raise three calls deep.
+/// null tests), &error conversion, procedures that recurse and
+/// suspend at depth, fail from nested marks, or raise three calls deep,
+/// and procedures that change a parameter and then return a `<>` or
+/// `|<>` co-expression over their parameters, which main activates,
+/// refreshes with `^` and activates again after the call has returned.
 /// Termination is by construction: ranges have
 /// literal bounds, repeated alternation only appears under a limit,
 /// `while` loops count a local up to a literal, and generated
@@ -49,11 +52,12 @@ class ProgramGen {
     os << "record r3(a, b, c)\n";
     for (int i = 0; i < nProcs_; ++i) os << proc(i);
     callLimit_ = nProcs_;
-    os << "procedure main(args)\n  local v, w, c, l, t\n";
+    std::ostringstream main;
+    main << "procedure main(args)\n  local v, w, c, l, t\n";
     const int stmts = irand(2, 4);
-    for (int i = 0; i < stmts; ++i) os << "  " << stmt() << ";\n";
-    os << "end\n";
-    return os.str();
+    for (int i = 0; i < stmts; ++i) main << "  " << stmt() << ";\n";
+    main << "end\n";
+    return os.str() + makers_ + main.str();
   }
 
  private:
@@ -122,7 +126,7 @@ class ProgramGen {
   }
 
   std::string stmt() {
-    switch (irand(0, 22)) {
+    switch (irand(0, 23)) {
       case 0:
         return "every v := " + seq(0) + " do write(v + " + lit() + ")";
       case 1:
@@ -211,6 +215,8 @@ class ProgramGen {
         return "&error := 1; l := [" + lit() + ", " + lit() + ", " + lit() + "]; l[" +
                pick({"3", "-1", "2", "-3"}) + "] := (pull(l) & " + lit() +
                "); write(&errornumber | \"noerr\"); every write(!l)";
+      case 22:
+        return escapingCoExpr();
       default:
         // A table, a string subscript, and a non-variable assignment
         // converted to failure.
@@ -219,6 +225,27 @@ class ProgramGen {
                "t[\"b\"]); w := \"congen\"; write(w[" + idx() + "] | \"out\"); &error := 1; " +
                "write((1 := 2) | \"converted\"); write(&errornumber | \"noerr\")";
     }
+  }
+
+  /// Adds a procedure that changes one of its parameters and returns a
+  /// co-expression over them, and returns the main statement that uses
+  /// it: the co-expression runs after its call has returned, on that
+  /// call's cells (`<>`) or on copies made at creation and at `^`.
+  std::string escapingCoExpr() {
+    const std::string name = "m" + std::to_string(nMakers_++);
+    const std::string param = pick({"a", "b"});
+    const std::string op = pick({":=", "+:=", "*:="});
+    const std::string value = lit();
+    const std::string create = pick({"<>", "|<>"});
+    const std::string body = pick({"(a to b)", "(a | b | (a + b))", "((a +:= 1) | b)", "(a * b)"});
+    makers_ += "procedure " + name + "(a, b)\n  " + param + " " + op + " " + value + "\n  return " +
+               create + " " + body + "\nend\n";
+    const std::string a = lit();
+    const std::string b = lit();
+    const std::string before = posLit();
+    const std::string after = posLit();
+    return "c := " + name + "(" + a + ", " + b + "); every 1 to " + before +
+           " do write(@c | \"done\"); c := ^c; every 1 to " + after + " do write(@c | \"no\")";
   }
 
   std::string proc(int i) {
@@ -276,6 +303,8 @@ class ProgramGen {
   std::mt19937_64 rng_;
   int nProcs_ = 0;
   int callLimit_ = 0;  // procedures callable from the current body
+  int nMakers_ = 0;
+  std::string makers_;  // the escapingCoExpr() procedures, defined before main
 };
 
 bool writeFile(const std::filesystem::path& path, const std::string& text) {

@@ -1,8 +1,9 @@
 // control_test.cpp — if/every/while/until/repeat, suspend/return/fail
-// propagation, break/next, body roots and the method-body cache.
+// propagation, break/next and body roots.
 #include <gtest/gtest.h>
 
 #include "../testutil.hpp"
+#include "kernel/coexpression.hpp"
 #include "runtime/proc.hpp"
 #include "runtime/var.hpp"
 
@@ -173,47 +174,34 @@ TEST(BodyRootTest, SuspendInsideNestedLoopsPropagates) {
   EXPECT_EQ(ints(g), (std::vector<std::int64_t>{11, 12, 21, 22}));
 }
 
-TEST(MethodBodyCacheTest, ParkAndReuse) {
-  BodyPool pool;
-  EXPECT_EQ(pool.take(), nullptr);
-
-  auto x = CellVar::create();
-  auto root = BodyRootGen::create(SeqGen::create(
-      [&] {
-        std::vector<GenPtr> stmts;
-        stmts.push_back(SuspendGen::create(VarGen::create(x)));
-        return stmts;
-      }(),
-      SeqGen::Mode::Body));
-  root->setUnpackClosure([x](const std::vector<Value>& args) {
-    x->set(args.empty() ? Value::null() : args[0]);
+TEST(BodyRootTest, BuilderRootRestartsFromItsArguments) {
+  // def k(x) { x +:= 1; suspend <> x; x +:= 100; suspend x; } as an
+  // emitted call builds it: cells bound from the arguments, then the tree.
+  int builds = 0;
+  auto root = BodyRootGen::create({Value::integer(5)}, [&builds](const std::vector<Value>& args) {
+    ++builds;
+    auto x = CellVar::create(args.empty() ? Value::null() : args[0]);
+    std::vector<GenPtr> stmts;
+    stmts.push_back(makeAugAssignGen("+", VarGen::create(x), ci(1)));
+    stmts.push_back(SuspendGen::create(
+        CoExprCreateGen::create([x]() -> GenPtr { return VarGen::create(x); })));
+    stmts.push_back(makeAugAssignGen("+", VarGen::create(x), ci(100)));
+    stmts.push_back(SuspendGen::create(VarGen::create(x)));
+    return SeqGen::create(std::move(stmts), SeqGen::Mode::Body);
   });
-  root->setPool(&pool);
-  root->unpackArgs({Value::integer(7)});
+  EXPECT_EQ(builds, 0) << "the body is built on the first drive";
+  const auto first = root->nextValue();
+  ASSERT_TRUE(first && first->isCoExpr());
 
-  Gen* rootRaw = root.get();
-  EXPECT_EQ(ints(root), (std::vector<std::int64_t>{7}));
-  // On completion the body parked itself. A parked body is only handed
-  // back out once its previous call site has released it (a still-held
-  // body could be resumed there), so drop our reference first.
-  EXPECT_EQ(pool.take(), nullptr) << "aliased body must not be handed out";
-  EXPECT_EQ(pool.size(), 1u) << "still parked after the refused take";
-  root.reset();
-  auto reused = pool.take();
-  ASSERT_NE(reused, nullptr);
-  EXPECT_EQ(reused.get(), rootRaw);
-  static_cast<BodyRootGen&>(*reused).unpackArgs({Value::integer(8)});
-  EXPECT_EQ(ints(reused), (std::vector<std::int64_t>{8})) << "reused body with rebound args";
-  EXPECT_EQ(pool.size(), 1u) << "parked again after the second run";
-}
+  root->restart();  // mid-drive: the same call again, on fresh cells
+  const auto again = root->nextValue();
+  ASSERT_TRUE(again && again->isCoExpr());
+  EXPECT_EQ(ints(root), (std::vector<std::int64_t>{106})) << "x was rebound from the arguments";
+  EXPECT_EQ(builds, 2);
 
-TEST(MethodBodyCacheTest, RecursionGetsDistinctBodies) {
-  BodyPool pool;
-  pool.put(ci(1));
-  auto a = pool.take();
-  auto b = pool.take();
-  EXPECT_NE(a, nullptr);
-  EXPECT_EQ(b, nullptr) << "a body in use is not handed out twice";
+  EXPECT_EQ(first->coExpr()->activate()->smallInt(), 6)
+      << "the first drive's cell keeps its value after the restart";
+  EXPECT_EQ(again->coExpr()->activate()->smallInt(), 106) << "the second drive's cell";
 }
 
 }  // namespace
